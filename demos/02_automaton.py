@@ -6,9 +6,9 @@
 # k, latches the instruction paired with the first 1-digit, lets the next
 # digit fix r mod 4, and then never changes its mind.
 
-from foldscope import (build_pf_evaluator, equivalence_check, export_dot,
-                       export_table, lsd2_digits, parse_instructions,
-                       pf_value, run_dfao, tracked_input, OutputUndefined)
+from foldscope import (build_pf_evaluator, export_dot, export_table,
+                       lsd2_digits, parse_instructions, pf_value, run_dfao,
+                       tracked_input, verify_formula_vs_dfao, OutputUndefined)
 
 machine = build_pf_evaluator()
 print(export_table(machine))
@@ -33,10 +33,10 @@ print("with width 4:", run_dfao(machine, tracked_input(regular, 4, 4)))
 print("with width 9:", run_dfao(machine, tracked_input(regular, 4, 9)))
 
 # And the machine is checked wholesale against the closed formula over
-# thousands of positions and many instruction streams:
-report = equivalence_check(machine, k_bound=4096, instr_samples=25, seed=7)
-print(f"equivalence sweep: passed={report.passed} "
-      f"({report.cases_checked} cases over {report.streams_checked} streams)")
+# thousands of positions and every 13-bit instruction pattern:
+outcome = verify_formula_vs_dfao(4096, 13, machine=machine)
+print(f"equivalence sweep: passed={outcome.passed} ({outcome.cases_checked} "
+      f"cases over {outcome.details['grid_patterns']} patterns)")
 
 # Graphviz rendering, if you want to look at it:
 print(export_dot(machine))

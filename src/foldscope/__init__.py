@@ -13,10 +13,9 @@ from .appearance import (AmbiguousLastFactor, AppearanceReport, a_value,
                          scan_depth)
 from .classifier import (ClassifierTable, check_reported_sets,
                          export_table_csv, synthesize_table, table_to_json)
-from .dfao import (ALPHABET, EquivalenceReport, OutputUndefined, ParallelDFAO,
-                   TrackedInput, build_pf_evaluator, equivalence_check,
-                   export_dot, export_table, lsd2_digits, parse_table,
-                   replace_transition, run_dfao, tracked_input,
+from .dfao import (ALPHABET, OutputUndefined, ParallelDFAO, TrackedInput,
+                   build_pf_evaluator, export_dot, export_table, lsd2_digits,
+                   parse_table, replace_transition, run_dfao, tracked_input,
                    unreachable_states)
 from .folding import (Factor, FoldingInstructions, InstructionExhausted,
                       SignWord, format_instructions, instruction,
@@ -37,7 +36,6 @@ __all__ = [
     "AmbiguousLastFactor",
     "AppearanceReport",
     "ClassifierTable",
-    "EquivalenceReport",
     "Factor",
     "FoldingInstructions",
     "InstructionExhausted",
@@ -52,7 +50,6 @@ __all__ = [
     "check_reported_sets",
     "dfao_mutation_catalog",
     "distinct_factors",
-    "equivalence_check",
     "export_dot",
     "export_table",
     "export_table_csv",

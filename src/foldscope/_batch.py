@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .folding import position_blocks
+
 PLUS = ord("+")
 MINUS = ord("-")
 
@@ -44,12 +46,9 @@ def pf_prefix_matrix(rows: np.ndarray, length: int) -> np.ndarray:
     if length.bit_length() > w:
         raise ValueError(f"{w} instruction columns cannot cover positions up to {length}")
     out = np.empty((m, length), dtype=np.int8)
-    for k in range(1, length + 1):
-        s = (k & -k).bit_length() - 1
-        if (k >> s) & 3 == 1:
-            out[:, k - 1] = rows[:, s]
-        else:
-            np.negative(rows[:, s], out=out[:, k - 1])
+    for s, same, flipped in position_blocks(length):
+        out[:, same.start::same.step] = rows[:, s:s + 1]
+        out[:, flipped.start::flipped.step] = -rows[:, s:s + 1]
     return out
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import _batch
 from .folding import (Factor, FoldingInstructions, SignWord, instruction,
                       required_instruction_count)
+from .folding import pf_prefix_bytes as _prefix_bytes
 
 _PLUS = _batch.PLUS
 _MINUS = _batch.MINUS
@@ -68,18 +69,6 @@ def scan_depth(n: int) -> int:
     return required_instruction_count(12 * phi(n) + n)
 
 
-def _prefix_bytes(f: FoldingInstructions, length: int) -> bytes:
-    """P_f[1:length] rendered as b'+'/b'-' (fast path for scans)."""
-    need = required_instruction_count(length)
-    instr = [instruction(f, s) for s in range(need)]
-    out = bytearray(length)
-    for k in range(1, length + 1):
-        s = (k & -k).bit_length() - 1
-        v = instr[s] if (k >> s) & 3 == 1 else -instr[s]
-        out[k - 1] = _PLUS if v == 1 else _MINUS
-    return bytes(out)
-
-
 def _scan_first_starts(prefix: bytes, n: int, limit: int) -> dict:
     """First start (1-based) of each distinct length-n window, starts 1..limit."""
     firsts: dict = {}
@@ -87,6 +76,19 @@ def _scan_first_starts(prefix: bytes, n: int, limit: int) -> dict:
     for i in range(limit):
         record(prefix[i:i + n], i + 1)
     return firsts
+
+
+def _s_from_prefix(prefix: bytes, n: int) -> int:
+    """S(n) read off a band prefix at the fixed horizon H = 6*phi(n).
+
+    Scans starts 1..2H; a factor first seen in the confirmation window
+    (H, 2H] would mean a corrupted scan, and raises.
+    """
+    h = 6 * phi(n)
+    s = max(_scan_first_starts(prefix, n, 2 * h).values())
+    if s > h:
+        raise RuntimeError(f"confirmation window not clean at n={n}: s={s} > {h}")
+    return s
 
 
 def _stabilized_first_starts(f: FoldingInstructions, n: int) -> tuple[dict, int]:
@@ -105,10 +107,6 @@ def _stabilized_first_starts(f: FoldingInstructions, n: int) -> tuple[dict, int]
         h *= 2
 
 
-def _bytes_to_word(b: bytes) -> SignWord:
-    return SignWord(tuple(1 if c == _PLUS else -1 for c in b))
-
-
 def distinct_factors(f: FoldingInstructions, n: int) -> dict:
     """Map from each distinct length-n factor to its first start index.
 
@@ -119,7 +117,7 @@ def distinct_factors(f: FoldingInstructions, n: int) -> dict:
         raise ValueError(f"factor length must be >= 1, got {n}")
     firsts, _ = _stabilized_first_starts(f, n)
     items = sorted(firsts.items(), key=lambda kv: kv[0].translate(_SORT_TABLE))
-    return {_bytes_to_word(w): start for w, start in items}
+    return {SignWord.from_text(w.decode()): start for w, start in items}
 
 
 def s_value(f: FoldingInstructions, n: int) -> int:
@@ -155,7 +153,7 @@ def appearance_report(f: FoldingInstructions, n: int) -> AppearanceReport:
         phi_n=p,
         s_value=s,
         a_value=s + n - 1,
-        last_factor=Factor(_bytes_to_word(winners[0]), s),
+        last_factor=Factor(SignWord.from_text(winners[0].decode()), s),
         factor_count=len(firsts),
         horizon_used=horizon,
     )
@@ -218,9 +216,8 @@ def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
 
     Pattern i has f_t = +1 iff bit t of i is set.  When width exceeds
     depth, patterns are extended cyclically so the scan horizon is always
-    covered by the enumerated bits.  The scan horizon is 6*phi(n) with a
-    single doubling confirmation, matching _stabilized_first_starts; a
-    dirty confirmation window would be a corruption and raises.
+    covered by the enumerated bits.  Each value is read by _s_from_prefix,
+    which raises on a dirty confirmation window.
     """
     width = max(depth, width)
     length = band_length(n)
@@ -229,15 +226,7 @@ def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
             f"width {width} cannot cover the scan horizon for n={n}; "
             f"need {required_instruction_count(length)} instruction bits")
     prefixes = _grid_prefix_bytes(depth, width, length)
-    h = 6 * phi(n)
-    out = []
-    for prefix in prefixes:
-        firsts = _scan_first_starts(prefix, n, 2 * h)
-        s = max(firsts.values())
-        if s > h:
-            raise RuntimeError(f"confirmation window not clean at n={n}: s={s} > {h}")
-        out.append(s)
-    return tuple(out)
+    return tuple(_s_from_prefix(prefix, n) for prefix in prefixes)
 
 
 def clear_caches():

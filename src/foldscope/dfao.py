@@ -12,11 +12,8 @@ too short for k and is reported as an error, never defaulted.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
-
-import numpy as np
 
 from . import _batch
 from .folding import FoldingInstructions, instruction
@@ -192,49 +189,6 @@ def replace_transition(d: ParallelDFAO, state: int, symbol: tuple[int, int],
         raise ValueError(f"no transition at state {state}, symbol {symbol}")
     tr[(state, symbol)] = target
     return ParallelDFAO(d.state_count, d.start_state, tr, d.output, d.state_labels)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of sweeping the automaton against the closed formula."""
-
-    passed: bool
-    k_bound: int
-    streams_checked: int
-    cases_checked: int
-    seed: int
-    counterexample: Optional[dict] = None
-
-
-def equivalence_check(d: ParallelDFAO, k_bound: int, instr_samples: int,
-                      seed: int) -> EquivalenceReport:
-    """Compare the automaton against the closed formula for all k <= k_bound.
-
-    Runs the all-+1 and all--1 instruction streams plus `instr_samples`
-    seeded pseudo-random streams, each long enough to decide every k.
-    Disagreement is reported as a counterexample, not raised.
-    """
-    if k_bound < 1:
-        raise ValueError(f"k_bound must be >= 1, got {k_bound}")
-    width = k_bound.bit_length() + 1
-    rng = random.Random(seed)
-    streams = [(1,) * width, (-1,) * width]
-    streams += [tuple(rng.choice((-1, 1)) for _ in range(width))
-                for _ in range(instr_samples)]
-    rows = np.array(streams, dtype=np.int8)
-    cases, skipped, mismatch = _batch.compare_formula_vs_dfao(d, rows, k_bound)
-    if skipped:
-        raise AssertionError(f"width {width} left positions {skipped[:3]} undecidable")
-    if mismatch is None:
-        return EquivalenceReport(True, k_bound, len(streams), cases, seed)
-    j, k, want, got = mismatch
-    return EquivalenceReport(False, k_bound, len(streams), cases, seed,
-                             counterexample={
-                                 "instructions": streams[j],
-                                 "k": k,
-                                 "formula": want,
-                                 "dfao": got,
-                             })
 
 
 def export_dot(d: ParallelDFAO) -> str:

@@ -22,6 +22,7 @@ SIGNS = (-1, 1)
 
 _SIGN_CHARS = {1: "+", -1: "-"}
 _CHAR_SIGNS = {"+": 1, "-": -1}
+_SIGN_BYTES = {1: b"+", -1: b"-"}
 
 
 class InstructionExhausted(LookupError):
@@ -111,7 +112,7 @@ class SignWord:
     @classmethod
     def from_text(cls, text: str) -> "SignWord":
         try:
-            return cls(tuple(_CHAR_SIGNS[c] for c in text))
+            return cls(tuple(map(_CHAR_SIGNS.__getitem__, text)))
         except KeyError as e:
             raise ValueError(f"bad sign character {e.args[0]!r} in word") from None
 
@@ -208,13 +209,30 @@ def pf_value(f: FoldingInstructions, k: int) -> int:
     return instruction(f, s) if r & 3 == 1 else -instruction(f, s)
 
 
+def position_blocks(length: int):
+    """The positions 1..length grouped into strided blocks, one pair per f_s.
+
+    Writing k = 2^s * r with r odd, the 0-based indices k - 1 with
+    r = 1 (mod 4) form range(2^s - 1, length, 2^(s+2)) and take f_s; those
+    with r = 3 (mod 4) form range(3 * 2^s - 1, length, 2^(s+2)) and take
+    -f_s.  Yields (s, same, flipped) for s = 0 .. floor(log2(length)), so a
+    prefix is filled with about 2*log2(length) slice assignments.
+    """
+    for s in range(required_instruction_count(length)):
+        step = 4 << s
+        yield s, range((1 << s) - 1, length, step), range((3 << s) - 1, length, step)
+
+
+def pf_prefix_bytes(f: FoldingInstructions, length: int) -> bytes:
+    """P_f[1:length] rendered as b'+'/b'-' (the form the scans consume)."""
+    out = bytearray(length)
+    for s, same, flipped in position_blocks(length):
+        v = instruction(f, s)
+        out[same.start::same.step] = _SIGN_BYTES[v] * len(same)
+        out[flipped.start::flipped.step] = _SIGN_BYTES[-v] * len(flipped)
+    return bytes(out)
+
+
 def pf_prefix(f: FoldingInstructions, length: int) -> SignWord:
     """The prefix P_f[1:length] as a SignWord."""
-    need = required_instruction_count(length)
-    # materialize the needed instructions once; raises if the set is too short
-    instr = [instruction(f, s) for s in range(need)]
-    out = []
-    for k in range(1, length + 1):
-        s = (k & -k).bit_length() - 1
-        out.append(instr[s] if (k >> s) & 3 == 1 else -instr[s])
-    return SignWord(tuple(out))
+    return SignWord.from_text(pf_prefix_bytes(f, length).decode())

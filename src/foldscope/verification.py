@@ -16,9 +16,7 @@ verify_theorem confirms the bits that do matter.
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -26,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _batch, appearance
-from .appearance import band_length, phi, predicted_s, scan_depth
+from .appearance import _s_from_prefix, band_length, phi, predicted_s, scan_depth
 from .dfao import ALPHABET, ParallelDFAO, build_pf_evaluator, replace_transition
 from .folding import FoldingInstructions, format_instructions, parse_instructions
 
@@ -77,33 +75,17 @@ class VerificationOutcome:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def worker_count() -> int:
-    """Parallelism cap from FOLDSCOPE_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("FOLDSCOPE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"FOLDSCOPE_THREADS={raw!r} is not an integer") from None
-
-
-def _map_over(items, fn):
-    """fn over items with results in item order, threads capped by env."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _first_counterexample(per_n_results):
-    """Lowest-n counterexample from ordered per-n result dicts."""
-    for res in per_n_results:
-        if res["counterexample"] is not None:
-            return res["counterexample"]
-    return None
+def _run_suite(claim_id, n_lo, n_hi, check_n, **fields) -> VerificationOutcome:
+    """One outcome from check_n(n) -> (cases, depth, counterexample) over
+    n_lo..n_hi; every n is checked and the lowest-n counterexample wins."""
+    results = [check_n(n) for n in range(n_lo, n_hi + 1)]
+    counter = next((c for _, _, c in results if c is not None), None)
+    return VerificationOutcome(
+        claim_id=claim_id, n_range=(n_lo, n_hi),
+        instruction_depth=max(depth for _, depth, _ in results),
+        passed=counter is None,
+        cases_checked=sum(cases for cases, _, _ in results),
+        counterexample=counter, **fields)
 
 
 @lru_cache(maxsize=None)
@@ -112,9 +94,12 @@ def _grid_row_tuples(depth: int, width: int) -> tuple:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
 
+def _row_text(row) -> str:
+    return format_instructions(FoldingInstructions(row))
+
+
 def _grid_instruction_text(depth: int, width: int, index: int) -> str:
-    return format_instructions(
-        FoldingInstructions(_grid_row_tuples(depth, width)[index]))
+    return _row_text(_grid_row_tuples(depth, width)[index])
 
 
 @lru_cache(maxsize=None)
@@ -142,11 +127,13 @@ def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tu
     return tuple(_batch.sign_matrix_to_bytes(_batch.pf_prefix_matrix(rows, length)))
 
 
-def _s_from_prefix(prefix: bytes, n: int) -> int:
-    """s_value read off a precomputed sequence prefix (seam-scanned)."""
-    h = 6 * phi(n)
-    firsts = appearance._scan_first_starts(prefix, n, 2 * h)
-    return max(firsts.values())
+def _s_values(n, depth, sampled, samples, seed):
+    """(S values, instruction rows) for every pattern enumerated at n."""
+    if not sampled:
+        return appearance.grid_s_values(n, depth), _grid_row_tuples(depth, depth)
+    prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
+    return ([_s_from_prefix(pb, n) for pb in prefixes],
+            _sample_rows(depth, samples, seed))
 
 
 def clear_caches():
@@ -179,46 +166,36 @@ def verify_formula_vs_dfao(k_bound: int, depth: int, *, samples: int = 100,
         raise ValueError(f"k_bound must be >= 1, got {k_bound}")
     d = machine if machine is not None else build_pf_evaluator()
     exhaustive = depth <= exhaustive_limit
-    details: dict = {"k_bound": k_bound, "range_is_k": True}
-    cases = 0
-    counter = None
+    if exhaustive and depth < k_bound.bit_length():
+        raise ValueError(f"depth {depth} cannot evaluate positions up to {k_bound}")
+
+    def sweep(rows, text):
+        cases, skipped, mismatch = _batch.compare_formula_vs_dfao(d, rows, k_bound)
+        counter = None
+        if mismatch is not None:
+            j, k, want, got = mismatch
+            counter = {"instructions": text(j), "k": k, "formula": want, "dfao": got}
+        return cases, skipped, counter
 
     if exhaustive:
-        if depth < k_bound.bit_length():
-            raise ValueError(
-                f"depth {depth} cannot evaluate positions up to {k_bound}")
-        width = max(depth, k_bound.bit_length() + 1)
-        rows = appearance._grid_rows(depth, width)
-        cases, skipped, mismatch = _batch.compare_formula_vs_dfao(d, rows, k_bound)
-        details["grid_patterns"] = 1 << depth
-        details["grid_skipped_k"] = skipped
-        if mismatch is not None:
-            j, k, want, got = mismatch
-            counter = {"instructions": _grid_instruction_text(depth, width, j),
-                       "k": k, "formula": want, "dfao": got}
-        sample_count = None
+        free, width = depth, max(depth, k_bound.bit_length() + 1)
     else:
-        free = min(depth, 12)
-        grid = appearance._grid_rows(free, depth)
-        cases, skipped, mismatch = _batch.compare_formula_vs_dfao(d, grid, k_bound)
-        details["grid_patterns"] = 1 << free
-        details["grid_skipped_k"] = skipped
-        if mismatch is not None:
-            j, k, want, got = mismatch
-            counter = {"instructions": _grid_instruction_text(free, depth, j),
-                       "k": k, "formula": want, "dfao": got}
+        free, width = min(depth, 12), depth
+    cases, skipped, counter = sweep(appearance._grid_rows(free, width),
+                                    lambda j: _grid_instruction_text(free, width, j))
+    details: dict = {"k_bound": k_bound, "range_is_k": True,
+                     "grid_patterns": 1 << free, "grid_skipped_k": skipped}
+    sample_count = None
+    if not exhaustive:
         long_width = max(depth + 1, k_bound.bit_length() + 1)
         stream_rows = _sample_rows(long_width, samples, seed)
-        arr = np.array(stream_rows, dtype=np.int8)
-        more_cases, skipped2, mismatch2 = _batch.compare_formula_vs_dfao(d, arr, k_bound)
+        more_cases, skipped, stream_counter = sweep(
+            np.array(stream_rows, dtype=np.int8),
+            lambda j: format_instructions(FoldingInstructions(stream_rows[j])))
         cases += more_cases
+        counter = counter or stream_counter
         details["stream_count"] = len(stream_rows)
-        details["stream_skipped_k"] = skipped2
-        if counter is None and mismatch2 is not None:
-            j, k, want, got = mismatch2
-            counter = {"instructions": format_instructions(
-                           FoldingInstructions(stream_rows[j])),
-                       "k": k, "formula": want, "dfao": got}
+        details["stream_skipped_k"] = skipped
         sample_count = details["grid_patterns"] + len(stream_rows)
 
     return VerificationOutcome(
@@ -258,16 +235,7 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 
 def _extremes_for_n(n, exhaustive_max, samples, seed):
     depth = scan_depth(n)
-    if n <= exhaustive_max:
-        values = appearance.grid_s_values(n, depth)
-        text = lambda i: _grid_instruction_text(depth, depth, i)
-        count = len(values)
-    else:
-        prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
-        values = [_s_from_prefix(pb, n) for pb in prefixes]
-        rows = _sample_rows(depth, samples, seed)
-        text = lambda i: format_instructions(FoldingInstructions(rows[i]))
-        count = len(values)
+    values, rows = _s_values(n, depth, n > exhaustive_max, samples, seed)
     p = phi(n)
     observed_max = max(values)
     observed_min = min(values)
@@ -275,12 +243,12 @@ def _extremes_for_n(n, exhaustive_max, samples, seed):
     if observed_max != 6 * p:
         counter = {"n": n, "kind": "max", "expected": 6 * p,
                    "observed": observed_max,
-                   "instructions": text(values.index(observed_max))}
+                   "instructions": _row_text(rows[values.index(observed_max)])}
     elif n >= 7 and observed_min != 4 * p:
         counter = {"n": n, "kind": "min", "expected": 4 * p,
                    "observed": observed_min,
-                   "instructions": text(values.index(observed_min))}
-    return {"n": n, "cases": count, "depth": depth, "counterexample": counter}
+                   "instructions": _row_text(rows[values.index(observed_min)])}
+    return len(values), depth, counter
 
 
 def verify_bounds(n_lo: int, n_hi: int, *, exhaustive_max: int = 64,
@@ -291,20 +259,13 @@ def verify_bounds(n_lo: int, n_hi: int, *, exhaustive_max: int = 64,
         raise ValueError(f"the max bound is only claimed for n >= 3, got n_lo={n_lo}")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
-    results = _map_over(range(n_lo, n_hi + 1),
-                        lambda n: _extremes_for_n(n, exhaustive_max, samples, seed))
     sampled = n_hi > exhaustive_max
-    counter = _first_counterexample(results)
-    return VerificationOutcome(
-        claim_id="bounds",
-        n_range=(n_lo, n_hi),
-        instruction_depth=max(r["depth"] for r in results),
+    return _run_suite(
+        "bounds", n_lo, n_hi,
+        lambda n: _extremes_for_n(n, exhaustive_max, samples, seed),
         mode="sampled" if sampled else "exhaustive",
-        passed=counter is None,
-        cases_checked=sum(r["cases"] for r in results),
         sample_count=(samples + 4) if sampled else None,
         seed=seed if sampled else None,
-        counterexample=counter,
         details={"exhaustive_n_max": min(n_hi, exhaustive_max),
                  "min_checked_from": max(n_lo, 7)},
     )
@@ -327,56 +288,52 @@ def _occurrences(prefix: bytes, target: bytes, end: int):
     return out
 
 
-def _lemma1_for_n(n):
+def _grid_lemma(n, check):
+    """check(prefix, index) -> counterexample fields or None, applied to
+    every depth-bit grid prefix for n until the first failure."""
     depth = scan_depth(n)
     prefixes = appearance._grid_prefix_bytes(depth, depth, band_length(n))
-    p = phi(n)
-    counter = None
     for i, pb in enumerate(prefixes):
+        bad = check(pb, i)
+        if bad is not None:
+            counter = {"n": n, **bad,
+                       "instructions": _grid_instruction_text(depth, depth, i)}
+            return len(prefixes), depth, counter
+    return len(prefixes), depth, None
+
+
+def _lemma1_for_n(n):
+    p = phi(n)
+
+    def check(pb, i):
         target = pb[6 * p - 1:6 * p - 1 + n]
         occ = _occurrences(pb, target, 6 * p + n - 1)
         if 6 * p not in occ or not set(occ) <= {4 * p, 6 * p}:
-            counter = {"n": n, "occurrences": occ,
-                       "allowed": [4 * p, 6 * p],
-                       "instructions": _grid_instruction_text(depth, depth, i)}
-            break
-    return {"n": n, "cases": len(prefixes), "depth": depth, "counterexample": counter}
+            return {"occurrences": occ, "allowed": [4 * p, 6 * p]}
+    return _grid_lemma(n, check)
 
 
 def verify_lemma_first_occurrence(n_lo: int, n_hi: int) -> VerificationOutcome:
     """The window of length n at 6*phi(n) occurs in the prefix of length
     6*phi(n)+n-1 only at starts 4*phi(n) or 6*phi(n)."""
     _check_lemma_range(n_lo, n_hi)
-    results = _map_over(range(n_lo, n_hi + 1), _lemma1_for_n)
-    counter = _first_counterexample(results)
-    return VerificationOutcome(
-        claim_id="lemma1", n_range=(n_lo, n_hi),
-        instruction_depth=max(r["depth"] for r in results),
-        mode="exhaustive", passed=counter is None,
-        cases_checked=sum(r["cases"] for r in results),
-        counterexample=counter,
-    )
+    return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n, mode="exhaustive")
 
 
 def _lemma2_for_n(n):
-    depth = scan_depth(n)
-    prefixes = appearance._grid_prefix_bytes(depth, depth, band_length(n))
-    s_values = appearance.grid_s_values(n, depth)
     p = phi(n)
-    counter = None
-    for i, pb in enumerate(prefixes):
+    s_values = appearance.grid_s_values(n, scan_depth(n))
+
+    def check(pb, i):
         s = s_values[i]
         target = pb[6 * p - 1:6 * p - 1 + n]
         latest_window = pb[s - 1:s - 1 + n]
         direct_first = pb.find(target) + 1
         if latest_window != target or direct_first != s:
-            counter = {"n": n, "s": s,
-                       "latest_factor": latest_window.decode(),
-                       "expected_factor": target.decode(),
-                       "direct_first_start": direct_first,
-                       "instructions": _grid_instruction_text(depth, depth, i)}
-            break
-    return {"n": n, "cases": len(prefixes), "depth": depth, "counterexample": counter}
+            return {"s": s, "latest_factor": latest_window.decode(),
+                    "expected_factor": target.decode(),
+                    "direct_first_start": direct_first}
+    return _grid_lemma(n, check)
 
 
 def verify_lemma_last_factor(n_lo: int, n_hi: int) -> VerificationOutcome:
@@ -387,86 +344,59 @@ def verify_lemma_last_factor(n_lo: int, n_hi: int) -> VerificationOutcome:
     automatically unique; the direct search keeps the scan honest.
     """
     _check_lemma_range(n_lo, n_hi)
-    results = _map_over(range(n_lo, n_hi + 1), _lemma2_for_n)
-    counter = _first_counterexample(results)
-    return VerificationOutcome(
-        claim_id="lemma2", n_range=(n_lo, n_hi),
-        instruction_depth=max(r["depth"] for r in results),
-        mode="exhaustive", passed=counter is None,
-        cases_checked=sum(r["cases"] for r in results),
-        counterexample=counter,
-    )
+    return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n, mode="exhaustive")
 
 
 def _lemma3_for_n(n):
-    depth = scan_depth(n)
-    prefixes = appearance._grid_prefix_bytes(depth, depth, band_length(n))
     p = phi(n)
-    counter = None
-    for i, pb in enumerate(prefixes):
+
+    def check(pb, i):
         short = pb[6 * p - 1:6 * p - 1 + n]
         full = pb[6 * p - 1:6 * p - 1 + p]
         first_short = pb.find(short) + 1
         first_full = pb.find(full) + 1
         if first_short != first_full:
-            counter = {"n": n, "first_start_len_n": first_short,
-                       "first_start_len_phi": first_full,
-                       "instructions": _grid_instruction_text(depth, depth, i)}
-            break
-    return {"n": n, "cases": len(prefixes), "depth": depth, "counterexample": counter}
+            return {"first_start_len_n": first_short,
+                    "first_start_len_phi": first_full}
+    return _grid_lemma(n, check)
 
 
 def verify_lemma_shared_start(n_lo: int, n_hi: int) -> VerificationOutcome:
     """The windows of lengths n and phi(n) starting at 6*phi(n) first
     appear at the same index."""
     _check_lemma_range(n_lo, n_hi)
-    results = _map_over(range(n_lo, n_hi + 1), _lemma3_for_n)
-    counter = _first_counterexample(results)
-    return VerificationOutcome(
-        claim_id="lemma3", n_range=(n_lo, n_hi),
-        instruction_depth=max(r["depth"] for r in results),
-        mode="exhaustive", passed=counter is None,
-        cases_checked=sum(r["cases"] for r in results),
-        counterexample=counter,
-    )
+    return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n, mode="exhaustive")
 
 
-def _theorem_for_n(n, mode, samples, seed, predictor):
+def _theorem_for_n(n, sampled, samples, seed, predictor):
     depth = scan_depth(n)
-    p = phi(n)
-    k = p.bit_length() - 1
-    assert k + 2 < depth
-    if mode == "exhaustive":
-        values = appearance.grid_s_values(n, depth)
-        rows = _grid_row_tuples(depth, depth)
-    else:
-        prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
-        values = tuple(_s_from_prefix(pb, n) for pb in prefixes)
-        rows = _sample_rows(depth, samples, seed)
+    k = phi(n).bit_length() - 1
+    if k + 2 >= depth:
+        raise ValueError(f"instruction depth {depth} at n={n} does not reach "
+                         f"f_{k + 2}, which the closed form reads")
+    values, rows = _s_values(n, depth, sampled, samples, seed)
 
     counter = None
-    for i, row in enumerate(rows):
+    for value, row in zip(values, rows):
         f = FoldingInstructions(row)
         pred = predictor(f, n)
-        if values[i] != pred:
-            counter = {"n": n, "computed": values[i], "predicted": pred,
+        if value != pred:
+            counter = {"n": n, "computed": value, "predicted": pred,
                        "instructions": format_instructions(f)}
             break
     if counter is None:
         # dependence: fixing (f_{k+1}, f_{k+2}) must pin the value
         groups: dict = {}
-        for i, row in enumerate(rows):
-            key = (row[k + 1], row[k + 2])
-            prev = groups.get(key)
-            if prev is None:
-                groups[key] = (values[i], i)
-            elif prev[0] != values[i]:
-                counter = {"n": n, "pair": list(key),
-                           "s_first": prev[0], "s_second": values[i],
-                           "instructions": format_instructions(FoldingInstructions(rows[prev[1]])),
-                           "instructions_other": format_instructions(FoldingInstructions(row))}
+        for value, row in zip(values, rows):
+            pair = (row[k + 1], row[k + 2])
+            first_value, first_row = groups.setdefault(pair, (value, row))
+            if first_value != value:
+                counter = {"n": n, "pair": list(pair),
+                           "s_first": first_value, "s_second": value,
+                           "instructions": _row_text(first_row),
+                           "instructions_other": _row_text(row)}
                 break
-    return {"n": n, "cases": len(rows), "depth": depth, "counterexample": counter}
+    return len(rows), depth, counter
 
 
 def verify_theorem(n_lo: int, n_hi: int, mode: str = "exhaustive", *,
@@ -481,17 +411,13 @@ def verify_theorem(n_lo: int, n_hi: int, mode: str = "exhaustive", *,
         raise ValueError(f"exhaustive depth {scan_depth(n_hi)} exceeds the "
                          f"16-bit desk-scale budget; use sampled mode")
     pred = predictor if predictor is not None else predicted_s
-    results = _map_over(range(n_lo, n_hi + 1),
-                        lambda n: _theorem_for_n(n, mode, samples, seed, pred))
-    counter = _first_counterexample(results)
-    return VerificationOutcome(
-        claim_id="theorem", n_range=(n_lo, n_hi),
-        instruction_depth=max(r["depth"] for r in results),
-        mode=mode, passed=counter is None,
-        cases_checked=sum(r["cases"] for r in results),
-        sample_count=(samples + 4) if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-        counterexample=counter,
+    sampled = mode == "sampled"
+    return _run_suite(
+        "theorem", n_lo, n_hi,
+        lambda n: _theorem_for_n(n, sampled, samples, seed, pred),
+        mode=mode,
+        sample_count=(samples + 4) if sampled else None,
+        seed=seed if sampled else None,
     )
 
 

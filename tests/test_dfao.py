@@ -1,12 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldscope import (ALPHABET, OutputUndefined, ParallelDFAO, TrackedInput,
-                       build_pf_evaluator, equivalence_check, export_dot,
-                       export_table, lsd2_digits, make_instructions,
-                       parse_table, pf_value, replace_transition, run_dfao,
-                       tracked_input, unreachable_states)
+                       build_pf_evaluator, export_dot, export_table,
+                       lsd2_digits, make_instructions, parse_table, pf_value,
+                       run_dfao, tracked_input, unreachable_states)
 from foldscope import _batch
 
 signs = st.sampled_from((-1, 1))
@@ -113,37 +111,6 @@ def test_padding_invariance(bits, k, pad):
     value = run_dfao(evaluator, base)
     width = len(base.digits) + pad
     assert run_dfao(evaluator, tracked_input(f, k, width)) == value
-
-
-# --- equivalence ------------------------------------------------------------
-
-def test_equivalence_small(evaluator):
-    report = equivalence_check(evaluator, 512, 8, seed=5)
-    assert report.passed
-    assert report.streams_checked == 10
-    assert report.cases_checked == 10 * 512
-
-
-def test_equivalence_trivial(evaluator):
-    assert equivalence_check(evaluator, 1, 1, seed=0).passed
-
-
-def test_equivalence_full_range(evaluator):
-    # every position up to 2^16 over 100 seeded streams plus the two
-    # constant ones, each stream long enough to decide every position
-    report = equivalence_check(evaluator, 1 << 16, 100, seed=3)
-    assert report.passed
-    assert report.streams_checked == 102
-    assert report.cases_checked == 102 * (1 << 16)
-
-
-def test_equivalence_catches_mutation(evaluator):
-    broken = replace_transition(evaluator, 1, (1, 0), 4)
-    report = equivalence_check(broken, 64, 1, seed=9)
-    assert not report.passed
-    ce = report.counterexample
-    assert ce is not None and pf_value(make_instructions(ce["instructions"]),
-                                       ce["k"]) == ce["formula"]
 
 
 def test_batch_runner_agrees_with_scalar(evaluator):

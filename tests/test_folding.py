@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from foldscope import (FoldingInstructions, InstructionExhausted, SignWord,
                        format_instructions, instruction, make_instructions,
                        negate, parse_instructions, pf_prefix, pf_value,
                        required_instruction_count)
+from foldscope import _batch
+from foldscope.appearance import _prefix_bytes
 
 signs = st.sampled_from((-1, 1))
 sign_lists = st.lists(signs, min_size=1, max_size=12)
@@ -200,12 +203,27 @@ def test_negation_antisymmetry(bits, k):
     assert pf_value(negate(f), k) == -pf_value(f, k)
 
 
-@given(bits=sign_lists, n=st.integers(min_value=1, max_value=200))
-def test_prefix_matches_pointwise(bits, n):
-    f = FoldingInstructions(tuple(bits), tuple(bits))
-    w = pf_prefix(f, n)
-    for k in (1, n // 2 or 1, n):
-        assert w.at(k) == pf_value(f, k)
+@given(head=st.lists(signs, max_size=14), tail=sign_lists,
+       finite_set=st.booleans(), length=st.integers(min_value=1, max_value=1 << 12))
+def test_prefix_matches_pointwise(head, tail, finite_set, length):
+    # every generator agrees with pf_value at every position
+    assume(head != tail)
+    f = FoldingInstructions(tuple(head), None if finite_set else tuple(tail))
+    if finite_set and length.bit_length() > len(head):
+        for generate in (pf_prefix, _prefix_bytes):
+            with pytest.raises(InstructionExhausted):
+                generate(f, length)
+        return
+    expected = [pf_value(f, k) for k in range(1, length + 1)]
+    assert list(pf_prefix(f, length).values) == expected
+    assert _prefix_bytes(f, length).decode() == "".join("+" if v == 1 else "-"
+                                                        for v in expected)
+    columns = [instruction(f, s) for s in range(length.bit_length())]
+    rows = np.array([columns, [-v for v in columns]], dtype=np.int8)
+    matrix = _batch.pf_prefix_matrix(rows, length)
+    assert matrix.shape == (2, length)
+    assert matrix[0].tolist() == expected
+    assert matrix[1].tolist() == [-v for v in expected]
 
 
 @given(bits=st.lists(signs, min_size=8, max_size=8),

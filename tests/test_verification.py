@@ -67,7 +67,11 @@ def test_formula_dfao_exhaustive():
 
 
 def test_formula_dfao_tiny():
-    assert verify_formula_vs_dfao(8, 4).passed
+    # k_bound=1 is the smallest sweep: one position on each 1-bit pattern
+    for k_bound, depth, cases in ((8, 4, 16 * 8), (1, 1, 2)):
+        outcome = verify_formula_vs_dfao(k_bound, depth)
+        assert outcome.passed and outcome.cases_checked == cases
+        assert outcome.details["grid_skipped_k"] == []
 
 
 def test_formula_dfao_depth_check():
@@ -184,6 +188,13 @@ def test_theorem_swapped_branches_fail_everywhere():
     assert ce["n"] == 7
 
 
+def test_theorem_depth_guard_names_n_and_depth(monkeypatch):
+    # depth 4 stops at f_3, but n=7 reads f_4 and f_5
+    monkeypatch.setattr(verification, "scan_depth", lambda n: 4)
+    with pytest.raises(ValueError, match=r"depth 4 at n=7"):
+        verify_theorem(7, 7)
+
+
 # --- harness power: scanner mutation ----------------------------------------
 
 def test_dropped_start_detected_by_theorem(clean_caches, monkeypatch):
@@ -200,6 +211,24 @@ def test_dropped_start_detected_by_lemma2(clean_caches, monkeypatch):
     assert not outcome.passed
     ce = outcome.counterexample
     assert ce["direct_first_start"] != ce["s"]
+
+
+def test_dirty_confirmation_window_raises_on_every_path(clean_caches, monkeypatch):
+    real_scan = appearance_mod._scan_first_starts
+
+    def dirty_window_scan(prefix, n, limit):
+        # a new factor turns up at the last start scanned
+        firsts = real_scan(prefix, n, limit)
+        firsts[b"@" * n] = limit
+        return firsts
+
+    monkeypatch.setattr(appearance_mod, "_scan_first_starts", dirty_window_scan)
+    for run in (lambda: verify_theorem(65, 65, "sampled", samples=4),
+                lambda: verify_bounds(65, 65, samples=4),
+                lambda: verify_bounds(7, 7),
+                lambda: verify_corollary_tails(n_hi=7)):
+        with pytest.raises(RuntimeError, match="confirmation window not clean"):
+            run()
 
 
 # --- corollary tails and monotonicity ---------------------------------------
@@ -232,30 +261,10 @@ def test_monotonicity_and_symmetry():
     assert outcome.details["s7_max_48"] is True
 
 
-# --- determinism and threading ----------------------------------------------
+# --- determinism -------------------------------------------------------------
 
 def test_outcome_deterministic_across_runs(clean_caches):
     first = verify_bounds(60, 66, samples=40).to_json()
     verification.clear_caches()
     second = verify_bounds(60, 66, samples=40).to_json()
     assert first == second
-
-
-def test_thread_cap_does_not_change_results(clean_caches, monkeypatch):
-    sequential = verify_lemma_first_occurrence(7, 14).to_json()
-    verification.clear_caches()
-    monkeypatch.setenv("FOLDSCOPE_THREADS", "3")
-    threaded = verify_lemma_first_occurrence(7, 14).to_json()
-    assert sequential == threaded
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("FOLDSCOPE_THREADS", raising=False)
-    assert verification.worker_count() == 1
-    monkeypatch.setenv("FOLDSCOPE_THREADS", "4")
-    assert verification.worker_count() == 4
-    monkeypatch.setenv("FOLDSCOPE_THREADS", "0")
-    assert verification.worker_count() == 1
-    monkeypatch.setenv("FOLDSCOPE_THREADS", "many")
-    with pytest.raises(ValueError):
-        verification.worker_count()
