@@ -1,10 +1,12 @@
 """Internal numpy helpers for bulk enumeration.
 
 Everything here is plumbing for the verification suites: sign grids over
-instruction bits, bulk sequence prefixes, and a vectorized runner that
-drives a DFAO's transition table over many instruction streams at once.
-The scalar implementations in folding.py / dfao.py stay the reference;
-tests cross-check these against them.
+instruction bits, bulk sequence prefixes, the band kernel that reads the
+latest first start for every n of a phi-band off one sort per prefix,
+and a vectorized runner that drives a DFAO's transition table over many
+instruction streams at once.  The scalar implementations in folding.py /
+appearance.py / dfao.py stay the reference; tests cross-check these
+against them.
 """
 
 from __future__ import annotations
@@ -58,6 +60,114 @@ def sign_matrix_to_bytes(values: np.ndarray) -> list[bytes]:
     m, length = chars.shape
     raw = chars.tobytes()
     return [raw[i * length:(i + 1) * length] for i in range(m)]
+
+
+# Prefix bytes per chunk of the band kernel.  Its working set peaks near
+# 65 bytes per prefix byte, so a chunk stays near one megabyte.
+CHUNK_ELEMENTS = 1 << 14
+
+# Window codes of 2^j signs for j <= 6 fit these unsigned types.
+_CODE_TYPES = (np.uint8, np.uint8, np.uint8, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _window_keys(bits: np.ndarray, k: int) -> list:
+    """keys[j][r, i] orders the length-2^j windows of row r starting at i
+    lexicographically, for j = 0..k, and is equal exactly when they are.
+
+    Up to 64 signs a key is the window itself packed MSB-first; beyond
+    that it is a dense rank of the pair of half-window ranks (prefix
+    doubling).  Ranks are shared across the rows of `bits`.
+    """
+    keys = [bits]
+    for j in range(k):
+        h = 1 << j
+        prev = keys[-1]
+        if j < 6:
+            t = _CODE_TYPES[j + 1]
+            keys.append((prev[:, :-h].astype(t) << t(h)) | prev[:, h:].astype(t))
+            continue
+        if j == 6:
+            # two 64-sign codes do not fit one integer: rank them first
+            prev = _dense_rank(prev)
+            keys[-1] = prev
+        pairs = prev[:, :-h].astype(np.int64) * (int(prev.max()) + 1) + prev[:, h:]
+        keys.append(_dense_rank(pairs))
+    return keys
+
+
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each value among the distinct values of the whole array."""
+    _, inverse = np.unique(values.ravel(), return_inverse=True)
+    return inverse.astype(np.int32).reshape(values.shape)
+
+
+def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
+    """band_first_starts for one chunk of 0/1 rows of length 13p - 1."""
+    k = p.bit_length() - 1
+    r, m = bits.shape[0], 12 * p
+    keys = _window_keys(bits, k)
+    order = np.argsort(keys[k], axis=1, kind="stable")
+    # Of equal length-p windows, which the stable sort keeps in start
+    # order, only the first can be a first start for any n <= p.
+    top = np.take_along_axis(keys[k], order, axis=1)
+    first = np.ones((r, m), dtype=bool)
+    first[:, 1:] = top[:, 1:] != top[:, :-1]
+    kept = np.flatnonzero(first)
+    order = order.ravel()
+    starts = order[kept]
+    # LCP with the sorted neighbour by binary lifting over the window
+    # levels; offsets stay below p, so every window read lies in the row.
+    # A row's first window has no neighbour and starts a run for every n;
+    # any other kept window is compared with the window sorted just
+    # before it, which equals the previous kept one.
+    inner = np.flatnonzero(kept % m)
+    row = kept[inner] // m
+    a, b = starts[inner], order[kept[inner] - 1]
+    common = np.zeros(inner.size, dtype=np.int64)
+    for j in reversed(range(k)):
+        key = keys[j]
+        flat, base = key.ravel(), row * key.shape[1]
+        common += (flat[base + a + common] == flat[base + b + common]).astype(np.int64) << j
+    lcp = np.full(kept.size, -1, dtype=np.int64)
+    lcp[inner] = common
+    starts = (starts + 1).astype(np.int32)
+    # A run of lcp >= n holds the windows sharing one length-n factor.
+    row_begin = np.searchsorted(kept, np.arange(r) * m)
+    out = np.empty((r, p - p // 2), dtype=np.int32)
+    for c, n in enumerate(range(p // 2 + 1, p + 1)):
+        heads = np.flatnonzero(lcp < n)
+        firsts = np.minimum.reduceat(starts, heads)
+        out[:, c] = np.maximum.reduceat(firsts, np.searchsorted(heads, row_begin))
+    return out
+
+
+def band_first_starts(prefixes, p: int) -> np.ndarray:
+    """Latest first start, over starts 1..12p, for every n of a phi-band.
+
+    `prefixes` are equal-length b'+'/b'-' strings of at least 13p - 1
+    signs and p is a power of two.  Column c of the (rows, p - p//2)
+    result is n = p//2 + 1 + c, and its entry for a row is
+    max(_scan_first_starts(prefix, n, 12p).values()).
+
+    Each row's 12p windows of length p are sorted once; the windows
+    sharing a length-n factor are then a run of neighbours whose longest
+    common prefix is at least n, the factor's first start is the least
+    start in its run, and the result is the largest of those.  Rows are
+    processed in chunks of about CHUNK_ELEMENTS prefix bytes.
+    """
+    length = 13 * p - 1
+    rows = len(prefixes)
+    out = np.empty((rows, p - p // 2), dtype=np.int32)
+    if rows and len(prefixes[0]) < length:
+        raise ValueError(f"band of phi={p} needs prefixes of {length} signs, "
+                         f"got {len(prefixes[0])}")
+    step = max(1, CHUNK_ELEMENTS // length)
+    for lo in range(0, rows, step):
+        chunk = prefixes[lo:lo + step]
+        raw = np.frombuffer(b"".join(pb[:length] for pb in chunk), dtype=np.uint8)
+        bits = (raw.reshape(len(chunk), length) == PLUS).astype(np.uint8)
+        out[lo:lo + step] = _chunk_first_starts(bits, p)
+    return out
 
 
 def transition_tables(dfao) -> tuple[np.ndarray, np.ndarray]:

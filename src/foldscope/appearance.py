@@ -11,6 +11,14 @@ predicted in closed form for n >= 7:
 where phi(n) = 2^k is the least power of two >= n.  The scan and the
 prediction are deliberately separate code paths; the verification module
 exists to compare them.
+
+There are two scans.  The scalar _scan_first_starts records the first
+start of each window in a dict; it serves the per-instance reports and
+is the oracle the tests hold the other one to.  Bulk S values (every
+instruction pattern of a grid or sample) come from the band kernel
+_batch.band_first_starts, which sorts the windows of each prefix once and
+yields S(n) for every n of a phi-band (phi/2, phi]; band_column reads one
+n from it at the fixed horizon 6*phi(n).
 """
 
 from __future__ import annotations
@@ -78,17 +86,26 @@ def _scan_first_starts(prefix: bytes, n: int, limit: int) -> dict:
     return firsts
 
 
-def _s_from_prefix(prefix: bytes, n: int) -> int:
-    """S(n) read off a band prefix at the fixed horizon H = 6*phi(n).
+def band_column(band: np.ndarray, n: int) -> np.ndarray:
+    """S(n) for every row of a _batch.band_first_starts matrix, read at the
+    fixed horizon H = 6*phi(n).
 
-    Scans starts 1..2H; a factor first seen in the confirmation window
-    (H, 2H] would mean a corrupted scan, and raises.
+    The band covers starts 1..2H; a factor first seen in the confirmation
+    window (H, 2H] would mean a corrupted scan, and raises.
     """
-    h = 6 * phi(n)
-    s = max(_scan_first_starts(prefix, n, 2 * h).values())
-    if s > h:
-        raise RuntimeError(f"confirmation window not clean at n={n}: s={s} > {h}")
-    return s
+    p = phi(n)
+    column = band[:, n - p // 2 - 1]
+    h = 6 * p
+    dirty = np.flatnonzero(column > h)
+    if dirty.size:
+        raise RuntimeError(f"confirmation window not clean at n={n}: "
+                           f"s={column[dirty[0]]} > {h}")
+    return column
+
+
+def _s_from_prefix(prefix: bytes, n: int) -> int:
+    """S(n) of one band prefix, read by band_column."""
+    return int(band_column(_batch.band_first_starts([prefix], phi(n)), n)[0])
 
 
 def _stabilized_first_starts(f: FoldingInstructions, n: int) -> tuple[dict, int]:
@@ -211,13 +228,20 @@ def band_length(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _grid_band(p: int, depth: int, width: int) -> np.ndarray:
+    """_batch.band_first_starts of every grid prefix for the phi-band p."""
+    return _batch.band_first_starts(_grid_prefix_bytes(depth, width, band_length(p)), p)
+
+
+@lru_cache(maxsize=None)
 def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
     """s_value for every depth-bit instruction pattern (grid row order).
 
     Pattern i has f_t = +1 iff bit t of i is set.  When width exceeds
     depth, patterns are extended cyclically so the scan horizon is always
-    covered by the enumerated bits.  Each value is read by _s_from_prefix,
-    which raises on a dirty confirmation window.
+    covered by the enumerated bits.  The whole phi-band of n is computed
+    once and each n is read by band_column, which raises on a dirty
+    confirmation window.
     """
     width = max(depth, width)
     length = band_length(n)
@@ -225,12 +249,12 @@ def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
         raise ValueError(
             f"width {width} cannot cover the scan horizon for n={n}; "
             f"need {required_instruction_count(length)} instruction bits")
-    prefixes = _grid_prefix_bytes(depth, width, length)
-    return tuple(_s_from_prefix(prefix, n) for prefix in prefixes)
+    return tuple(band_column(_grid_band(phi(n), depth, width), n).tolist())
 
 
 def clear_caches():
     """Drop memoized grids (used by tests that patch the scan internals)."""
     _grid_rows.cache_clear()
     _grid_prefix_bytes.cache_clear()
+    _grid_band.cache_clear()
     grid_s_values.cache_clear()

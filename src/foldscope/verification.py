@@ -24,7 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _batch, appearance
-from .appearance import _s_from_prefix, band_length, phi, predicted_s, scan_depth
+from .appearance import band_column, band_length, phi, predicted_s, scan_depth
+# No suite reads S one prefix at a time any more; the name stays importable
+# because perfbench/layers.py traces it.
+from .appearance import _s_from_prefix  # noqa: F401
 from .dfao import ALPHABET, ParallelDFAO, build_pf_evaluator, replace_transition
 from .folding import FoldingInstructions, format_instructions, parse_instructions
 
@@ -127,19 +130,31 @@ def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tu
     return tuple(_batch.sign_matrix_to_bytes(_batch.pf_prefix_matrix(rows, length)))
 
 
+@lru_cache(maxsize=None)
+def _sample_band(depth: int, samples: int, seed: int, p: int) -> np.ndarray:
+    """_batch.band_first_starts of every sampled prefix for the phi-band p."""
+    return _batch.band_first_starts(
+        _sample_prefix_bytes(depth, samples, seed, band_length(p)), p)
+
+
 def _s_values(n, depth, sampled, samples, seed):
     """(S values, instruction rows) for every pattern enumerated at n."""
     if not sampled:
         return appearance.grid_s_values(n, depth), _grid_row_tuples(depth, depth)
-    prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
-    return ([_s_from_prefix(pb, n) for pb in prefixes],
-            _sample_rows(depth, samples, seed))
+    band = _sample_band(depth, samples, seed, phi(n))
+    return band_column(band, n).tolist(), _sample_rows(depth, samples, seed)
+
+
+def _check_samples(samples):
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
 
 
 def clear_caches():
     _grid_row_tuples.cache_clear()
     _sample_rows.cache_clear()
     _sample_prefix_bytes.cache_clear()
+    _sample_band.cache_clear()
     appearance.clear_caches()
 
 
@@ -164,6 +179,7 @@ def verify_formula_vs_dfao(k_bound: int, depth: int, *, samples: int = 100,
     """
     if k_bound < 1:
         raise ValueError(f"k_bound must be >= 1, got {k_bound}")
+    _check_samples(samples)
     d = machine if machine is not None else build_pf_evaluator()
     exhaustive = depth <= exhaustive_limit
     if exhaustive and depth < k_bound.bit_length():
@@ -259,6 +275,7 @@ def verify_bounds(n_lo: int, n_hi: int, *, exhaustive_max: int = 64,
         raise ValueError(f"the max bound is only claimed for n >= 3, got n_lo={n_lo}")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
+    _check_samples(samples)
     sampled = n_hi > exhaustive_max
     return _run_suite(
         "bounds", n_lo, n_hi,
@@ -407,6 +424,7 @@ def verify_theorem(n_lo: int, n_hi: int, mode: str = "exhaustive", *,
     _check_lemma_range(n_lo, n_hi)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
+    _check_samples(samples)
     if mode == "exhaustive" and scan_depth(n_hi) > 16:
         raise ValueError(f"exhaustive depth {scan_depth(n_hi)} exceeds the "
                          f"16-bit desk-scale budget; use sampled mode")
@@ -428,6 +446,15 @@ def verify_theorem(n_lo: int, n_hi: int, mode: str = "exhaustive", *,
 NON_QUALIFYING_TAILS = ("+;++-", "-;--+", "++;++--", "+-+-;+++-", "+;+-+")
 
 
+def _s_rows(instructions, ns) -> list:
+    """Per instruction set, a map n -> S(n) for every n in ns, each phi-band
+    computed once over all the sets and read by band_column."""
+    prefixes = [appearance._prefix_bytes(f, band_length(ns[-1])) for f in instructions]
+    bands = {p: _batch.band_first_starts(prefixes, p) for p in {phi(n) for n in ns}}
+    columns = {n: band_column(bands[phi(n)], n).tolist() for n in ns}
+    return [{n: columns[n][i] for n in ns} for i in range(len(prefixes))]
+
+
 def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     """Tails alternating from f_4 give s = 4*phi(n) for every head and all
     7 <= n <= n_hi; constant tails give 6*phi(n).  A fixed catalog of
@@ -442,37 +469,32 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     heads = _grid_row_tuples(4, 4)
     ns = range(7, n_hi + 1)
     catalog_ns = range(7, 65)
-    length = band_length(n_hi)
+    families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
+    family_rows = [(factor, FoldingInstructions(head, tail))
+                   for factor, tails in families for head in heads for tail in tails]
     cases = 0
 
-    def check_family(tails, factor):
+    def check_families():
         nonlocal cases
-        for head in heads:
-            for tail in tails:
-                f = FoldingInstructions(head, tail)
-                pb = appearance._prefix_bytes(f, length)
-                for n in ns:
-                    cases += 1
-                    got = _s_from_prefix(pb, n)
-                    if got != factor * phi(n):
-                        return {"n": n, "expected": factor * phi(n),
-                                "observed": got,
-                                "instructions": format_instructions(f)}
+        s_rows = _s_rows([f for _, f in family_rows], ns)
+        for (factor, f), row in zip(family_rows, s_rows):
+            for n in ns:
+                cases += 1
+                if row[n] != factor * phi(n):
+                    return {"n": n, "expected": factor * phi(n), "observed": row[n],
+                            "instructions": format_instructions(f)}
         return None
 
-    counter = check_family([(1, -1), (-1, 1)], 4)
-    if counter is None:
-        counter = check_family([(1,), (-1,)], 6)
+    counter = check_families()
 
     witnesses = []
     if counter is None:
-        for text in NON_QUALIFYING_TAILS:
-            f = parse_instructions(text)
-            pb = appearance._prefix_bytes(f, band_length(64))
+        catalog = [parse_instructions(text) for text in NON_QUALIFYING_TAILS]
+        for text, row in zip(NON_QUALIFYING_TAILS, _s_rows(catalog, catalog_ns)):
             branch_by_n: dict = {}
             for n in catalog_ns:
                 cases += 1
-                branch_by_n[n] = _s_from_prefix(pb, n) // phi(n)
+                branch_by_n[n] = row[n] // phi(n)
             branches = set(branch_by_n.values())
             if branches != {4, 6}:
                 counter = {"catalog_entry": text,

@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from foldscope import _batch
 from foldscope import (AppearanceReport, InstructionExhausted, SignWord,
                        a_value, appearance_report, distinct_factors,
                        make_instructions, negate, parse_instructions, phi,
@@ -178,13 +181,44 @@ def test_bound_compliance_spot(regular, alt_tail):
 # --- grid path vs scalar path -----------------------------------------------
 
 def test_grid_s_values_match_scalar():
-    for n in (1, 2, 7, 9):
+    for n in (1, 2, 7, 9, 33):
         depth = scan_depth(n)
         grid = appearance_mod.grid_s_values(n, depth)
         assert len(grid) == 1 << depth
-        for i in (0, 1, (1 << depth) - 1, 37 % (1 << depth)):
+        for i in range(1 << depth):
             bits = tuple(1 if (i >> t) & 1 else -1 for t in range(depth))
             assert grid[i] == s_value(make_instructions(bits), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 300), word=st.text("+-", min_size=1, max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1000, word="+", seed=0)
+def test_band_kernel_matches_scalar_scan(n, word, seed):
+    # n up to 300 reaches phi = 512: windows past 64 signs and three
+    # prefix-doubling levels above them
+    p = phi(n)
+    length = appearance_mod.band_length(n)
+    rng = random.Random(seed)
+    # one row more than a chunk holds, so the last chunk is a partial one
+    count = max(1, _batch.CHUNK_ELEMENTS // length) + 1
+    rows = []
+    for i in range(count):
+        if i % 3 == 0:
+            # a periodic word with a few flipped signs: long repeated factors
+            signs = list((word * (length // len(word) + 1))[:length])
+            for j in rng.sample(range(length), min(length, rng.randint(0, 3))):
+                signs[j] = "+" if signs[j] == "-" else "-"
+            rows.append("".join(signs).encode())
+        elif i % 3 == 1:
+            rows.append(bytes(rng.choice(b"+-") for _ in range(length)))
+        else:
+            bits = tuple(rng.choice((-1, 1)) for _ in range(length.bit_length()))
+            rows.append(appearance_mod._prefix_bytes(make_instructions(bits), length))
+    band = _batch.band_first_starts(rows, p)
+    assert band.shape == (count, p - p // 2)
+    for row, got in zip(rows, band[:, n - p // 2 - 1]):
+        assert got == max(appearance_mod._scan_first_starts(row, n, 12 * p).values())
 
 
 def test_grid_s_values_width_check():

@@ -149,8 +149,14 @@ def test_verify_all_runs_every_suite(capsys):
 
 
 def test_verify_bounds_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--claim", "bounds", "--n-lo", "1")
-    assert code == 2 and "n >= 3" in err
+    negative = "samples must be >= 0"
+    for argv, message in (
+            (("bounds", "--n-lo", "1"), "n >= 3"),
+            (("bounds", "--n-lo", "65", "--n-hi", "65", "--samples", "-5"), negative),
+            (("theorem", "--samples", "-1"), negative),
+            (("formula-dfao", "--samples", "-1"), negative)):
+        code, out, err = run(capsys, "verify", "--claim", *argv)
+        assert code == 2 and message in err and out == ""
 
 
 def test_verify_bad_claim(capsys):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from foldscope import _batch
 from foldscope import (make_instructions, parse_instructions, pf_value, phi,
                        verify_bounds, verify_corollary_tails,
                        verify_formula_vs_dfao, verify_lemma_first_occurrence,
@@ -35,6 +37,16 @@ def dropping_scan(prefix, n, limit):
             continue
         firsts.setdefault(prefix[i:i + n], i + 1)
     return firsts
+
+
+def kernel_from_scan(scan):
+    """A band kernel that reads every (prefix, n) off the scalar `scan`, so
+    a scan mutation becomes a mutation of the kernel the suites call."""
+    def kernel(prefixes, p):
+        return np.array([[max(scan(pb, n, 12 * p).values())
+                          for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
+                        dtype=np.int32).reshape(len(prefixes), p - p // 2)
+    return kernel
 
 
 # --- outcome type -----------------------------------------------------------
@@ -198,7 +210,7 @@ def test_theorem_depth_guard_names_n_and_depth(monkeypatch):
 # --- harness power: scanner mutation ----------------------------------------
 
 def test_dropped_start_detected_by_theorem(clean_caches, monkeypatch):
-    monkeypatch.setattr(appearance_mod, "_scan_first_starts", dropping_scan)
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_from_scan(dropping_scan))
     outcome = verify_theorem(7, 8)
     assert not outcome.passed
     assert outcome.counterexample["computed"] == 6 * 8
@@ -206,7 +218,7 @@ def test_dropped_start_detected_by_theorem(clean_caches, monkeypatch):
 
 
 def test_dropped_start_detected_by_lemma2(clean_caches, monkeypatch):
-    monkeypatch.setattr(appearance_mod, "_scan_first_starts", dropping_scan)
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_from_scan(dropping_scan))
     outcome = verify_lemma_last_factor(7, 8)
     assert not outcome.passed
     ce = outcome.counterexample
@@ -222,7 +234,7 @@ def test_dirty_confirmation_window_raises_on_every_path(clean_caches, monkeypatc
         firsts[b"@" * n] = limit
         return firsts
 
-    monkeypatch.setattr(appearance_mod, "_scan_first_starts", dirty_window_scan)
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_from_scan(dirty_window_scan))
     for run in (lambda: verify_theorem(65, 65, "sampled", samples=4),
                 lambda: verify_bounds(65, 65, samples=4),
                 lambda: verify_bounds(7, 7),
