@@ -3,8 +3,8 @@
 # For a length n, S(n) is the least k such that every distinct length-n
 # factor of the sequence STARTS within the first k positions, and
 # A(n) = S(n) + n - 1 is the prefix length that CONTAINS a copy of each.
-# Both are computed by scanning first occurrences, with the scan horizon
-# doubled until a full confirmation window turns up nothing new.
+# Both are computed by scanning first occurrences up to twice the horizon
+# H = 6*phi(n); a factor first seen past H would mean a broken scan.
 
 from foldscope import (appearance_report, distinct_factors, parse_instructions,
                        phi, predicted_a, predicted_s, report_to_json, s_value)

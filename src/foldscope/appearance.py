@@ -12,13 +12,16 @@ where phi(n) = 2^k is the least power of two >= n.  The scan and the
 prediction are deliberately separate code paths; the verification module
 exists to compare them.
 
-There are two scans.  The scalar _scan_first_starts records the first
-start of each window in a dict; it serves the per-instance reports and
-is the oracle the tests hold the other one to.  Bulk S values (every
-instruction pattern of a grid or sample) come from the band kernel
-_batch.band_first_starts, which sorts the windows of each prefix once and
-yields S(n) for every n of a phi-band (phi/2, phi]; band_column reads one
-n from it at the fixed horizon 6*phi(n).
+Both scans read starts 1..2H at the fixed horizon H = 6*phi(n) and share
+one stop rule, _check_window: a factor first seen in the confirmation
+window (H, 2H] means a corrupted scan, and raises.  The scalar
+_scan_first_starts records the first start of each window in a dict; it
+serves the per-instance reports and is the oracle the tests hold the
+other one to.  Bulk S values (every instruction pattern of a grid or
+sample) come from the band kernel _batch.band_first_starts, which sorts
+the windows of each prefix once and yields S(n) for every n of a
+phi-band (phi/2, phi]; _band caches it per prefix tuple and s_column
+reads one n from it.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def phi(n: int) -> int:
 def scan_depth(n: int) -> int:
     """Instruction bits the first-occurrence scan for length n can touch.
 
-    The scan confirms stabilization on a doubled horizon, so it reads the
-    sequence out to 2 * 6*phi(n) + n - 1 positions.
+    The scan reads starts 1..2H at the horizon H = 6*phi(n), so it reads
+    the sequence out to 2 * 6*phi(n) + n - 1 positions.
     """
     return required_instruction_count(12 * phi(n) + n)
 
@@ -86,42 +89,25 @@ def _scan_first_starts(prefix: bytes, n: int, limit: int) -> dict:
     return firsts
 
 
-def band_column(band: np.ndarray, n: int) -> np.ndarray:
-    """S(n) for every row of a _batch.band_first_starts matrix, read at the
-    fixed horizon H = 6*phi(n).
-
-    The band covers starts 1..2H; a factor first seen in the confirmation
-    window (H, 2H] would mean a corrupted scan, and raises.
-    """
-    p = phi(n)
-    column = band[:, n - p // 2 - 1]
-    h = 6 * p
-    dirty = np.flatnonzero(column > h)
-    if dirty.size:
-        raise RuntimeError(f"confirmation window not clean at n={n}: "
-                           f"s={column[dirty[0]]} > {h}")
-    return column
+def _check_window(n: int, s: int) -> None:
+    """The stop rule: S(n) read at the horizon H = 6*phi(n) from a scan of
+    starts 1..2H is final only if no factor first appears in (H, 2H]."""
+    h = 6 * phi(n)
+    if s > h:
+        raise RuntimeError(f"confirmation window not clean at n={n}: s={s} > {h}")
 
 
-def _s_from_prefix(prefix: bytes, n: int) -> int:
-    """S(n) of one band prefix, read by band_column."""
-    return int(band_column(_batch.band_first_starts([prefix], phi(n)), n)[0])
+def _first_starts(f: FoldingInstructions, n: int) -> tuple[dict, int]:
+    """(first-starts map, S) from one scan of starts 1..12*phi(n) of P_f,
+    with S held to the stop rule.
 
-
-def _stabilized_first_starts(f: FoldingInstructions, n: int) -> tuple[dict, int]:
-    """Scan with the doubling-confirmation horizon policy.
-
-    Starts at horizon 6*phi(n) and doubles until the window (H, 2H]
-    introduces no new factor; returns (first-starts map, stabilized H).
     Raises InstructionExhausted if a finite instruction set runs out first.
     """
     h = 6 * phi(n)
-    while True:
-        prefix = _prefix_bytes(f, 2 * h + n - 1)
-        firsts = _scan_first_starts(prefix, n, 2 * h)
-        if max(firsts.values()) <= h:
-            return firsts, h
-        h *= 2
+    firsts = _scan_first_starts(_prefix_bytes(f, 2 * h + n - 1), n, 2 * h)
+    s = max(firsts.values())
+    _check_window(n, s)
+    return firsts, s
 
 
 def distinct_factors(f: FoldingInstructions, n: int) -> dict:
@@ -132,7 +118,7 @@ def distinct_factors(f: FoldingInstructions, n: int) -> dict:
     """
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
-    firsts, _ = _stabilized_first_starts(f, n)
+    firsts, _ = _first_starts(f, n)
     items = sorted(firsts.items(), key=lambda kv: kv[0].translate(_SORT_TABLE))
     return {SignWord.from_text(w.decode()): start for w, start in items}
 
@@ -141,8 +127,7 @@ def s_value(f: FoldingInstructions, n: int) -> int:
     """Least k such that every length-n factor starts within P_f[1:k]."""
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
-    firsts, _ = _stabilized_first_starts(f, n)
-    return max(firsts.values())
+    return _first_starts(f, n)[1]
 
 
 def a_value(f: FoldingInstructions, n: int) -> int:
@@ -154,8 +139,7 @@ def appearance_report(f: FoldingInstructions, n: int) -> AppearanceReport:
     """Full appearance data for (f, n), including the last-appearing factor."""
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
-    firsts, horizon = _stabilized_first_starts(f, n)
-    s = max(firsts.values())
+    firsts, s = _first_starts(f, n)
     winners = [w for w, start in firsts.items() if start == s]
     if len(winners) != 1:
         if n >= 7:
@@ -163,8 +147,6 @@ def appearance_report(f: FoldingInstructions, n: int) -> AppearanceReport:
                 f"{len(winners)} factors share the latest first start {s} at n={n}")
         winners.sort(key=lambda w: w.translate(_SORT_TABLE))
     p = phi(n)
-    if n >= 3 and s > 6 * p:
-        raise RuntimeError(f"scan produced s={s} > 6*phi(n)={6 * p}; scan corrupted")
     return AppearanceReport(
         n=n,
         phi_n=p,
@@ -172,7 +154,7 @@ def appearance_report(f: FoldingInstructions, n: int) -> AppearanceReport:
         a_value=s + n - 1,
         last_factor=Factor(SignWord.from_text(winners[0].decode()), s),
         factor_count=len(firsts),
-        horizon_used=horizon,
+        horizon_used=6 * p,
     )
 
 
@@ -228,20 +210,33 @@ def band_length(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grid_band(p: int, depth: int, width: int) -> np.ndarray:
-    """_batch.band_first_starts of every grid prefix for the phi-band p."""
-    return _batch.band_first_starts(_grid_prefix_bytes(depth, width, band_length(p)), p)
+def _band(prefixes: tuple, p: int) -> np.ndarray:
+    """_batch.band_first_starts of `prefixes` for the phi-band p, cached on
+    the prefix tuple itself."""
+    return _batch.band_first_starts(prefixes, p)
 
 
-@lru_cache(maxsize=None)
+def s_column(prefixes: tuple, n: int) -> np.ndarray:
+    """S(n) for every prefix of `prefixes` (each at least band_length(n)
+    signs), read from the cached phi-band under the stop rule."""
+    p = phi(n)
+    column = _band(prefixes, p)[:, n - p // 2 - 1]
+    _check_window(n, int(column.max()))
+    return column
+
+
+def _s_from_prefix(prefix: bytes, n: int) -> int:
+    """S(n) of one band prefix."""
+    return int(s_column((prefix,), n)[0])
+
+
 def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
     """s_value for every depth-bit instruction pattern (grid row order).
 
     Pattern i has f_t = +1 iff bit t of i is set.  When width exceeds
     depth, patterns are extended cyclically so the scan horizon is always
     covered by the enumerated bits.  The whole phi-band of n is computed
-    once and each n is read by band_column, which raises on a dirty
-    confirmation window.
+    once and each n is read by s_column.
     """
     width = max(depth, width)
     length = band_length(n)
@@ -249,12 +244,11 @@ def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
         raise ValueError(
             f"width {width} cannot cover the scan horizon for n={n}; "
             f"need {required_instruction_count(length)} instruction bits")
-    return tuple(band_column(_grid_band(phi(n), depth, width), n).tolist())
+    return tuple(s_column(_grid_prefix_bytes(depth, width, length), n).tolist())
 
 
 def clear_caches():
     """Drop memoized grids (used by tests that patch the scan internals)."""
     _grid_rows.cache_clear()
     _grid_prefix_bytes.cache_clear()
-    _grid_band.cache_clear()
-    grid_s_values.cache_clear()
+    _band.cache_clear()

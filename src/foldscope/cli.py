@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

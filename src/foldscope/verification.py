@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _batch, appearance
-from .appearance import band_column, band_length, phi, predicted_s, scan_depth
+from .appearance import band_length, phi, predicted_s, s_column, scan_depth
 # No suite reads S one prefix at a time any more; the name stays importable
 # because perfbench/layers.py traces it.
 from .appearance import _s_from_prefix  # noqa: F401
@@ -32,6 +32,10 @@ from .dfao import ALPHABET, ParallelDFAO, build_pf_evaluator, replace_transition
 from .folding import FoldingInstructions, format_instructions, parse_instructions
 
 DEFAULT_SEED = 31337
+# the formula/automaton sweep enumerates every pattern up to this depth
+EXHAUSTIVE_DFAO_DEPTH = 13
+# verify_bounds enumerates every pattern up to this n and samples above it
+EXHAUSTIVE_BOUNDS_N_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -130,19 +134,12 @@ def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tu
     return tuple(_batch.sign_matrix_to_bytes(_batch.pf_prefix_matrix(rows, length)))
 
 
-@lru_cache(maxsize=None)
-def _sample_band(depth: int, samples: int, seed: int, p: int) -> np.ndarray:
-    """_batch.band_first_starts of every sampled prefix for the phi-band p."""
-    return _batch.band_first_starts(
-        _sample_prefix_bytes(depth, samples, seed, band_length(p)), p)
-
-
 def _s_values(n, depth, sampled, samples, seed):
     """(S values, instruction rows) for every pattern enumerated at n."""
     if not sampled:
         return appearance.grid_s_values(n, depth), _grid_row_tuples(depth, depth)
-    band = _sample_band(depth, samples, seed, phi(n))
-    return band_column(band, n).tolist(), _sample_rows(depth, samples, seed)
+    prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
+    return s_column(prefixes, n).tolist(), _sample_rows(depth, samples, seed)
 
 
 def _check_samples(samples):
@@ -154,7 +151,6 @@ def clear_caches():
     _grid_row_tuples.cache_clear()
     _sample_rows.cache_clear()
     _sample_prefix_bytes.cache_clear()
-    _sample_band.cache_clear()
     appearance.clear_caches()
 
 
@@ -164,11 +160,10 @@ def clear_caches():
 
 def verify_formula_vs_dfao(k_bound: int, depth: int, *, samples: int = 100,
                            seed: int = DEFAULT_SEED,
-                           machine: Optional[ParallelDFAO] = None,
-                           exhaustive_limit: int = 13) -> VerificationOutcome:
+                           machine: Optional[ParallelDFAO] = None) -> VerificationOutcome:
     """Sweep the closed formula against the automaton for all k <= k_bound.
 
-    With 2^depth feasible (depth <= exhaustive_limit) every depth-bit
+    With 2^depth feasible (depth <= EXHAUSTIVE_DFAO_DEPTH) every depth-bit
     instruction pattern is enumerated and every k is fully decided (the
     tracks are extended cyclically by one position when the top power of
     two requires it).  Otherwise the depth-limited grid shrinks to 2^12
@@ -181,7 +176,7 @@ def verify_formula_vs_dfao(k_bound: int, depth: int, *, samples: int = 100,
         raise ValueError(f"k_bound must be >= 1, got {k_bound}")
     _check_samples(samples)
     d = machine if machine is not None else build_pf_evaluator()
-    exhaustive = depth <= exhaustive_limit
+    exhaustive = depth <= EXHAUSTIVE_DFAO_DEPTH
     if exhaustive and depth < k_bound.bit_length():
         raise ValueError(f"depth {depth} cannot evaluate positions up to {k_bound}")
 
@@ -249,9 +244,9 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 # bounds, lemmas, theorem
 
 
-def _extremes_for_n(n, exhaustive_max, samples, seed):
+def _extremes_for_n(n, samples, seed):
     depth = scan_depth(n)
-    values, rows = _s_values(n, depth, n > exhaustive_max, samples, seed)
+    values, rows = _s_values(n, depth, n > EXHAUSTIVE_BOUNDS_N_MAX, samples, seed)
     p = phi(n)
     observed_max = max(values)
     observed_min = min(values)
@@ -267,8 +262,8 @@ def _extremes_for_n(n, exhaustive_max, samples, seed):
     return len(values), depth, counter
 
 
-def verify_bounds(n_lo: int, n_hi: int, *, exhaustive_max: int = 64,
-                  samples: int = 200, seed: int = DEFAULT_SEED) -> VerificationOutcome:
+def verify_bounds(n_lo: int, n_hi: int, *, samples: int = 200,
+                  seed: int = DEFAULT_SEED) -> VerificationOutcome:
     """Check that max_f S_f(n) = 6*phi(n) (n >= 3) and min_f S_f(n) =
     4*phi(n) (n >= 7) are attained over the enumerated instruction sets."""
     if n_lo < 3:
@@ -276,14 +271,14 @@ def verify_bounds(n_lo: int, n_hi: int, *, exhaustive_max: int = 64,
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
     _check_samples(samples)
-    sampled = n_hi > exhaustive_max
+    sampled = n_hi > EXHAUSTIVE_BOUNDS_N_MAX
     return _run_suite(
         "bounds", n_lo, n_hi,
-        lambda n: _extremes_for_n(n, exhaustive_max, samples, seed),
+        lambda n: _extremes_for_n(n, samples, seed),
         mode="sampled" if sampled else "exhaustive",
         sample_count=(samples + 4) if sampled else None,
         seed=seed if sampled else None,
-        details={"exhaustive_n_max": min(n_hi, exhaustive_max),
+        details={"exhaustive_n_max": min(n_hi, EXHAUSTIVE_BOUNDS_N_MAX),
                  "min_checked_from": max(n_lo, 7)},
     )
 
@@ -448,10 +443,9 @@ NON_QUALIFYING_TAILS = ("+;++-", "-;--+", "++;++--", "+-+-;+++-", "+;+-+")
 
 def _s_rows(instructions, ns) -> list:
     """Per instruction set, a map n -> S(n) for every n in ns, each phi-band
-    computed once over all the sets and read by band_column."""
-    prefixes = [appearance._prefix_bytes(f, band_length(ns[-1])) for f in instructions]
-    bands = {p: _batch.band_first_starts(prefixes, p) for p in {phi(n) for n in ns}}
-    columns = {n: band_column(bands[phi(n)], n).tolist() for n in ns}
+    computed once over all the sets and read by s_column."""
+    prefixes = tuple(appearance._prefix_bytes(f, band_length(ns[-1])) for f in instructions)
+    columns = {n: s_column(prefixes, n).tolist() for n in ns}
     return [{n: columns[n][i] for n in ns} for i in range(len(prefixes))]
 
 

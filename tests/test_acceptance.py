@@ -57,8 +57,7 @@ def test_criterion_2_formula_dfao_equivalence():
 
 def test_criterion_3_bounds():
     start = time.time()
-    outcome = verify_bounds(3, 128, exhaustive_max=64, samples=200,
-                            seed=DEFAULT_SEED)
+    outcome = verify_bounds(3, 128, samples=200, seed=DEFAULT_SEED)
     elapsed = time.time() - start
     ok = (outcome.passed
           and outcome.details["exhaustive_n_max"] == 64

@@ -228,22 +228,19 @@ def test_grid_s_values_width_check():
 
 # --- scan edge paths (reachable only through a patched scanner) -------------
 
-def test_horizon_doubles_until_window_is_clean(regular, monkeypatch):
+def test_dirty_confirmation_window_raises(regular, monkeypatch):
     real_scan = appearance_mod._scan_first_starts
-    calls = []
 
     def late_factor_scan(prefix, n, limit):
+        # a new factor turns up at the last start scanned
         firsts = real_scan(prefix, n, limit)
-        if not calls:
-            # pretend some factor only shows up at the end of the window
-            firsts[b"@" * n] = limit
-        calls.append(limit)
+        firsts[b"@" * n] = limit
         return firsts
 
     monkeypatch.setattr(appearance_mod, "_scan_first_starts", late_factor_scan)
-    report = appearance_mod.appearance_report(regular, 2)
-    assert report.horizon_used == 2 * 6 * phi(2)
-    assert calls == [24, 48]
+    for read in (appearance_report, s_value, distinct_factors):
+        with pytest.raises(RuntimeError, match="confirmation window not clean"):
+            read(regular, 2)
 
 
 def test_tied_latest_factors_is_an_error(regular, monkeypatch):

@@ -148,14 +148,19 @@ def test_verify_all_runs_every_suite(capsys):
     assert all(json.loads(line)["passed"] for line in out.strip().splitlines())
 
 
-def test_verify_bounds_usage_error(capsys):
+def test_verify_bounds_usage_error(capsys, tmp_path):
     negative = "samples must be >= 0"
     for argv, message in (
-            (("bounds", "--n-lo", "1"), "n >= 3"),
-            (("bounds", "--n-lo", "65", "--n-hi", "65", "--samples", "-5"), negative),
-            (("theorem", "--samples", "-1"), negative),
-            (("formula-dfao", "--samples", "-1"), negative)):
-        code, out, err = run(capsys, "verify", "--claim", *argv)
+            (("verify", "--claim", "bounds", "--n-lo", "1"), "n >= 3"),
+            (("verify", "--claim", "bounds", "--n-lo", "65", "--n-hi", "65",
+              "--samples", "-5"), negative),
+            (("verify", "--claim", "theorem", "--samples", "-1"), negative),
+            (("verify", "--claim", "formula-dfao", "--samples", "-1"), negative),
+            # an --out that cannot be written is a usage error, not a failed suite
+            (("verify", "--claim", "lemma3", "--n-lo", "7", "--n-hi", "7",
+              "--out", str(tmp_path / "missing" / "r.jsonl")), "error: "),
+            (("export", "dfao-dot", "--out", str(tmp_path)), "error: ")):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
 
 
