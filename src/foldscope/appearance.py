@@ -44,10 +44,11 @@ _SORT_TABLE = bytes(0 if c == _MINUS else (1 if c == _PLUS else c)
 
 
 class AmbiguousLastFactor(RuntimeError):
-    """Two distinct factors tied for the latest first start with n >= 7.
+    """Two distinct factors tied for the latest first start.
 
-    Distinct factors occupy distinct windows, so their first starts are
-    distinct; seeing this means the scan itself is corrupted.
+    Each start is the start of one window, so distinct factors have
+    distinct first starts at every n; seeing this means the scan itself is
+    corrupted.
     """
 
 
@@ -142,10 +143,8 @@ def appearance_report(f: FoldingInstructions, n: int) -> AppearanceReport:
     firsts, s = _first_starts(f, n)
     winners = [w for w, start in firsts.items() if start == s]
     if len(winners) != 1:
-        if n >= 7:
-            raise AmbiguousLastFactor(
-                f"{len(winners)} factors share the latest first start {s} at n={n}")
-        winners.sort(key=lambda w: w.translate(_SORT_TABLE))
+        raise AmbiguousLastFactor(
+            f"{len(winners)} factors share the latest first start {s} at n={n}")
     p = phi(n)
     return AppearanceReport(
         n=n,

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import appearance
-from .folding import required_instruction_count
+from .appearance import scan_depth
 from .verification import VerificationOutcome
 
 # expected value sets for S_f(n) and A_f(n), n = 1..6
@@ -47,10 +47,6 @@ EXPECTED_ROWS_N2 = {
     (1, -1, -1): 5, (1, -1, 1): 4, (1, 1, -1): 4, (1, 1, 1): 6,
 }
 
-# every scanned value for n <= 6 stays within S <= 48, so a depth covering
-# twice that horizon pins all bits any scan can read
-_SMALL_N_HORIZON = 48
-
 
 @dataclass(frozen=True)
 class ClassifierTable:
@@ -68,16 +64,15 @@ class ClassifierTable:
     value_set: tuple[int, ...]
 
 
-def synthesis_depth(n: int) -> int:
-    """Instruction bits enumerated when synthesizing the table for n."""
-    return required_instruction_count(2 * _SMALL_N_HORIZON + n)
-
-
 def synthesize_table(n: int) -> ClassifierTable:
-    """Enumerate, detect relevant bits, and tabulate S_f(n) for n in 1..6."""
+    """Enumerate, detect relevant bits, and tabulate S_f(n) for n in 1..6.
+
+    Every scan_depth(n)-bit prefix is enumerated: the bits the scan for n
+    can read, the same depth rule every verify suite uses.
+    """
     if not 1 <= n <= 6:
         raise ValueError(f"classifier tables exist for 1 <= n <= 6, got n={n}")
-    depth = synthesis_depth(n)
+    depth = scan_depth(n)
     values = appearance.grid_s_values(n, depth)
     total = 1 << depth
 
@@ -119,7 +114,7 @@ def check_reported_sets() -> VerificationOutcome:
     for n in range(1, 7):
         table = synthesize_table(n)
         tables[n] = table
-        cases += 1 << synthesis_depth(n)
+        cases += 1 << scan_depth(n)
         if table.value_set != EXPECTED_S_SETS[n]:
             counter = {"n": n, "kind": "s_set",
                        "expected": list(EXPECTED_S_SETS[n]),
@@ -136,16 +131,14 @@ def check_reported_sets() -> VerificationOutcome:
                        "allowed": list(EXPECTED_BIT_SUPERSETS[n]),
                        "observed": list(table.relevant_bits)}
             break
-    if counter is None and tables[1].rows != EXPECTED_ROWS_N1:
-        counter = {"n": 1, "kind": "rows",
-                   "observed": {str(k): v for k, v in tables[1].rows.items()}}
-    if counter is None and tables[2].rows != EXPECTED_ROWS_N2:
-        counter = {"n": 2, "kind": "rows",
-                   "observed": {str(k): v for k, v in tables[2].rows.items()}}
+    for n, expected in ((1, EXPECTED_ROWS_N1), (2, EXPECTED_ROWS_N2)):
+        if counter is None and tables[n].rows != expected:
+            counter = {"n": n, "kind": "rows",
+                       "observed": {str(k): v for k, v in tables[n].rows.items()}}
 
     return VerificationOutcome(
         claim_id="small-n-tables", n_range=(1, 6),
-        instruction_depth=max(synthesis_depth(n) for n in range(1, 7)),
+        instruction_depth=max(scan_depth(n) for n in range(1, 7)),
         mode="exhaustive", passed=counter is None,
         cases_checked=cases, counterexample=counter,
         details={"relevant_bits": {n: list(t.relevant_bits)

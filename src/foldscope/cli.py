@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classifier, verification
@@ -17,8 +18,22 @@ from .appearance import (appearance_report, phi, predicted_a, predicted_s,
 from .dfao import build_pf_evaluator, export_dot, export_table, run_dfao, tracked_input
 from .folding import parse_instructions, pf_prefix, pf_value
 
-CLAIMS = ("formula-dfao", "bounds", "lemma1", "lemma2", "lemma3", "theorem",
-          "corollary-tails", "monotonicity", "all")
+# claim -> (the verification function, the verify flags it takes).  Only
+# the flags given are forwarded, so every default is the function's own;
+# --n-hi/--n-max is forwarded as n_max where the function names it so.
+VERIFY_SUITES = {
+    "formula-dfao": ("verify_formula_vs_dfao", ("k_bound", "depth", "samples", "seed")),
+    "bounds": ("verify_bounds", ("n_lo", "n_hi", "samples", "seed")),
+    "lemma1": ("verify_lemma_first_occurrence", ("n_lo", "n_hi")),
+    "lemma2": ("verify_lemma_last_factor", ("n_lo", "n_hi")),
+    "lemma3": ("verify_lemma_shared_start", ("n_lo", "n_hi")),
+    "theorem": ("verify_theorem", ("n_lo", "n_hi", "mode", "samples", "seed")),
+    "corollary-tails": ("verify_corollary_tails", ("n_hi",)),
+    "monotonicity": ("verify_monotonicity_and_symmetry", ("depth", "n_max")),
+    "all": ("run_all", ("n_max", "k_bound", "samples", "seed")),
+}
+CLAIMS = tuple(VERIFY_SUITES)
+VERIFY_FLAGS = ("n_lo", "n_hi", "k_bound", "depth", "mode", "samples", "seed")
 
 EXPORT_TARGETS = ("dfao-dot", "dfao-table", "classifier-csv")
 
@@ -66,13 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run brute-force verification suites")
     p.add_argument("--claim", choices=CLAIMS, required=True)
-    p.add_argument("--n-lo", type=int, default=None)
-    p.add_argument("--n-hi", "--n-max", dest="n_hi", type=int, default=None)
-    p.add_argument("--k-bound", type=int, default=4096)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
+    p.add_argument("--n-lo", type=int)
+    p.add_argument("--n-hi", "--n-max", dest="n_hi", type=int)
+    p.add_argument("--k-bound", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--mode", choices=("exhaustive", "sampled"))
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None, help="write the JSONL report here")
 
     p = sub.add_parser("classify", help="exact S table for one small length")
@@ -87,6 +102,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     return parser
+
+
+def _probe_out(path: str) -> None:
+    """Raise OSError before any work if `path` cannot be written; leave it as found."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _emit(text: str, out_path):
@@ -176,42 +200,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claim = args.claim
-    n_lo, n_hi = args.n_lo, args.n_hi
-    outcomes = []
-    if claim == "formula-dfao":
-        default_depth = max(13, args.k_bound.bit_length())
-        outcomes.append(verification.verify_formula_vs_dfao(
-            args.k_bound, args.depth if args.depth is not None else default_depth,
-            samples=min(args.samples, 100), seed=args.seed))
-    elif claim == "bounds":
-        outcomes.append(verification.verify_bounds(
-            n_lo if n_lo is not None else 3, n_hi if n_hi is not None else 64,
-            samples=args.samples, seed=args.seed))
-    elif claim in ("lemma1", "lemma2", "lemma3"):
-        fn = {"lemma1": verification.verify_lemma_first_occurrence,
-              "lemma2": verification.verify_lemma_last_factor,
-              "lemma3": verification.verify_lemma_shared_start}[claim]
-        outcomes.append(fn(n_lo if n_lo is not None else 7,
-                           n_hi if n_hi is not None else 64))
-    elif claim == "theorem":
-        outcomes.append(verification.verify_theorem(
-            n_lo if n_lo is not None else 7, n_hi if n_hi is not None else 64,
-            args.mode, samples=args.samples, seed=args.seed))
-    elif claim == "corollary-tails":
-        outcomes.append(verification.verify_corollary_tails(
-            n_hi=n_hi if n_hi is not None else 64))
-    elif claim == "monotonicity":
-        outcomes.append(verification.verify_monotonicity_and_symmetry(
-            args.depth if args.depth is not None else 8,
-            n_hi if n_hi is not None else 32))
-    else:
-        outcomes.extend(verification.run_all(
-            n_max=n_hi if n_hi is not None else 64,
-            k_bound=args.k_bound,
-            depth=args.depth if args.depth is not None
-                  else max(13, args.k_bound.bit_length()),
-            samples=args.samples, seed=args.seed))
+    suite, takes = VERIFY_SUITES[args.claim]
+    given = {flag: v for flag in VERIFY_FLAGS if (v := getattr(args, flag)) is not None}
+    if "n_max" in takes and "n_hi" in given:
+        given["n_max"] = given.pop("n_hi")
+    refused = [f"--{flag.replace('_', '-')}" for flag in given if flag not in takes]
+    if refused:
+        raise ValueError(f"--claim {args.claim} does not take {', '.join(refused)}")
+    # looked up at call time, so patched and traced suites see CLI runs
+    result = getattr(verification, suite)(**given)
+    outcomes = result if isinstance(result, list) else [result]
     _emit("".join(o.to_json() + "\n" for o in outcomes), args.out)
     return 0 if all(o.passed for o in outcomes) else 1
 
@@ -239,8 +237,6 @@ def _cmd_export(args) -> int:
     else:
         if args.n is None:
             raise ValueError("classifier-csv needs -n (1..6)")
-        if not 1 <= args.n <= 6:
-            raise ValueError(f"classifier tables cover n in 1..6, got n={args.n}")
         _emit(classifier.export_table_csv(classifier.synthesize_table(args.n)),
               args.out)
     return 0
@@ -261,6 +257,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _probe_out(args.out)
         return _HANDLERS[args.command](args)
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

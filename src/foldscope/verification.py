@@ -36,6 +36,8 @@ DEFAULT_SEED = 31337
 EXHAUSTIVE_DFAO_DEPTH = 13
 # verify_bounds enumerates every pattern up to this n and samples above it
 EXHAUSTIVE_BOUNDS_N_MAX = 64
+# verify_theorem enumerates every pattern up to this scan depth (n <= 4096)
+EXHAUSTIVE_THEOREM_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,9 @@ class VerificationOutcome:
     """Result of one brute-force claim check.
 
     `mode` is "exhaustive" (all 2^instruction_depth prefixes per n) or
-    "sampled" (sample_count seeded prefixes, extremal streams included);
-    `passed` is true iff `counterexample` is absent.
+    "sampled" (distinct seeded prefixes, extremal streams included, the
+    fewest at any sampled n counted in sample_count; for formula-dfao, grid
+    patterns plus streams); `passed` is true iff `counterexample` is absent.
     """
 
     claim_id: str
@@ -82,17 +85,26 @@ class VerificationOutcome:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _run_suite(claim_id, n_lo, n_hi, check_n, **fields) -> VerificationOutcome:
+def _run_suite(claim_id, n_lo, n_hi, check_n, *, sampled_from=None, seed=None,
+               details=None) -> VerificationOutcome:
     """One outcome from check_n(n) -> (cases, depth, counterexample) over
-    n_lo..n_hi; every n is checked and the lowest-n counterexample wins."""
-    results = [check_n(n) for n in range(n_lo, n_hi + 1)]
+    n_lo..n_hi; every n is checked and the lowest-n counterexample wins.
+    The n >= sampled_from are sampled at `seed`; sample_count is the fewest
+    cases (distinct prefixes) checked at any of them."""
+    ns = range(n_lo, n_hi + 1)
+    results = [check_n(n) for n in ns]
     counter = next((c for _, _, c in results if c is not None), None)
+    sampled = [cases for n, (cases, _, _) in zip(ns, results)
+               if sampled_from is not None and n >= sampled_from]
     return VerificationOutcome(
         claim_id=claim_id, n_range=(n_lo, n_hi),
         instruction_depth=max(depth for _, depth, _ in results),
+        mode="sampled" if sampled else "exhaustive",
         passed=counter is None,
         cases_checked=sum(cases for cases, _, _ in results),
-        counterexample=counter, **fields)
+        sample_count=min(sampled) if sampled else None,
+        seed=seed if sampled else None,
+        counterexample=counter, details=details or {})
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +170,12 @@ def clear_caches():
 # formula vs automaton
 
 
-def verify_formula_vs_dfao(k_bound: int, depth: int, *, samples: int = 100,
-                           seed: int = DEFAULT_SEED,
+def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
+                           samples: int = 100, seed: int = DEFAULT_SEED,
                            machine: Optional[ParallelDFAO] = None) -> VerificationOutcome:
     """Sweep the closed formula against the automaton for all k <= k_bound.
 
+    `depth` defaults to max(EXHAUSTIVE_DFAO_DEPTH, k_bound.bit_length()).
     With 2^depth feasible (depth <= EXHAUSTIVE_DFAO_DEPTH) every depth-bit
     instruction pattern is enumerated and every k is fully decided (the
     tracks are extended cyclically by one position when the top power of
@@ -175,6 +188,7 @@ def verify_formula_vs_dfao(k_bound: int, depth: int, *, samples: int = 100,
     if k_bound < 1:
         raise ValueError(f"k_bound must be >= 1, got {k_bound}")
     _check_samples(samples)
+    depth = max(EXHAUSTIVE_DFAO_DEPTH, k_bound.bit_length()) if depth is None else depth
     d = machine if machine is not None else build_pf_evaluator()
     exhaustive = depth <= EXHAUSTIVE_DFAO_DEPTH
     if exhaustive and depth < k_bound.bit_length():
@@ -262,7 +276,7 @@ def _extremes_for_n(n, samples, seed):
     return len(values), depth, counter
 
 
-def verify_bounds(n_lo: int, n_hi: int, *, samples: int = 200,
+def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
                   seed: int = DEFAULT_SEED) -> VerificationOutcome:
     """Check that max_f S_f(n) = 6*phi(n) (n >= 3) and min_f S_f(n) =
     4*phi(n) (n >= 7) are attained over the enumerated instruction sets."""
@@ -271,13 +285,10 @@ def verify_bounds(n_lo: int, n_hi: int, *, samples: int = 200,
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
     _check_samples(samples)
-    sampled = n_hi > EXHAUSTIVE_BOUNDS_N_MAX
     return _run_suite(
         "bounds", n_lo, n_hi,
         lambda n: _extremes_for_n(n, samples, seed),
-        mode="sampled" if sampled else "exhaustive",
-        sample_count=(samples + 4) if sampled else None,
-        seed=seed if sampled else None,
+        sampled_from=EXHAUSTIVE_BOUNDS_N_MAX + 1, seed=seed,
         details={"exhaustive_n_max": min(n_hi, EXHAUSTIVE_BOUNDS_N_MAX),
                  "min_checked_from": max(n_lo, 7)},
     )
@@ -325,11 +336,11 @@ def _lemma1_for_n(n):
     return _grid_lemma(n, check)
 
 
-def verify_lemma_first_occurrence(n_lo: int, n_hi: int) -> VerificationOutcome:
+def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The window of length n at 6*phi(n) occurs in the prefix of length
     6*phi(n)+n-1 only at starts 4*phi(n) or 6*phi(n)."""
     _check_lemma_range(n_lo, n_hi)
-    return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n, mode="exhaustive")
+    return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n)
 
 
 def _lemma2_for_n(n):
@@ -348,7 +359,7 @@ def _lemma2_for_n(n):
     return _grid_lemma(n, check)
 
 
-def verify_lemma_last_factor(n_lo: int, n_hi: int) -> VerificationOutcome:
+def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The factor with the latest first start is exactly the window at
     6*phi(n), cross-checked against a direct substring search.
 
@@ -356,7 +367,7 @@ def verify_lemma_last_factor(n_lo: int, n_hi: int) -> VerificationOutcome:
     automatically unique; the direct search keeps the scan honest.
     """
     _check_lemma_range(n_lo, n_hi)
-    return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n, mode="exhaustive")
+    return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)
 
 
 def _lemma3_for_n(n):
@@ -373,11 +384,11 @@ def _lemma3_for_n(n):
     return _grid_lemma(n, check)
 
 
-def verify_lemma_shared_start(n_lo: int, n_hi: int) -> VerificationOutcome:
+def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The windows of lengths n and phi(n) starting at 6*phi(n) first
     appear at the same index."""
     _check_lemma_range(n_lo, n_hi)
-    return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n, mode="exhaustive")
+    return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n)
 
 
 def _theorem_for_n(n, sampled, samples, seed, predictor):
@@ -411,7 +422,7 @@ def _theorem_for_n(n, sampled, samples, seed, predictor):
     return len(rows), depth, counter
 
 
-def verify_theorem(n_lo: int, n_hi: int, mode: str = "exhaustive", *,
+def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
                    samples: int = 200, seed: int = DEFAULT_SEED,
                    predictor: Optional[Callable] = None) -> VerificationOutcome:
     """Scanned s_value equals the closed form for every enumerated (f, n),
@@ -420,18 +431,15 @@ def verify_theorem(n_lo: int, n_hi: int, mode: str = "exhaustive", *,
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
     _check_samples(samples)
-    if mode == "exhaustive" and scan_depth(n_hi) > 16:
+    if mode == "exhaustive" and scan_depth(n_hi) > EXHAUSTIVE_THEOREM_DEPTH:
         raise ValueError(f"exhaustive depth {scan_depth(n_hi)} exceeds the "
-                         f"16-bit desk-scale budget; use sampled mode")
+                         f"{EXHAUSTIVE_THEOREM_DEPTH}-bit budget; use sampled mode")
     pred = predictor if predictor is not None else predicted_s
     sampled = mode == "sampled"
     return _run_suite(
         "theorem", n_lo, n_hi,
         lambda n: _theorem_for_n(n, sampled, samples, seed, pred),
-        mode=mode,
-        sample_count=(samples + 4) if sampled else None,
-        seed=seed if sampled else None,
-    )
+        sampled_from=n_lo if sampled else None, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +518,7 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     )
 
 
-def verify_monotonicity_and_symmetry(depth: int, n_max: int) -> VerificationOutcome:
+def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> VerificationOutcome:
     """s_value is nondecreasing in n and invariant under global negation,
     for every depth-bit pattern extended cyclically.
 
@@ -568,14 +576,15 @@ def _cyclic_instruction_text(depth: int, index: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_all(*, n_max: int = 64, k_bound: int = 4096, depth: int = 13,
+def run_all(*, n_max: int = 64, k_bound: int = 4096,
             samples: int = 200, seed: int = DEFAULT_SEED) -> list:
-    """Every suite at desk-scale defaults, in a fixed order."""
+    """Every suite at desk-scale defaults, in a fixed order; formula-dfao
+    takes its default depth for k_bound and at most 100 of the samples."""
     if n_max < 7:
         raise ValueError(f"need n_max >= 7 to exercise every claim, got {n_max}")
-    theorem_mode = "exhaustive" if scan_depth(n_max) <= 16 else "sampled"
+    theorem_mode = "sampled" if scan_depth(n_max) > EXHAUSTIVE_THEOREM_DEPTH else "exhaustive"
     return [
-        verify_formula_vs_dfao(k_bound, depth, samples=min(samples, 100), seed=seed),
+        verify_formula_vs_dfao(k_bound, samples=min(samples, 100), seed=seed),
         verify_bounds(3, n_max, samples=samples, seed=seed),
         verify_lemma_first_occurrence(7, min(n_max, 64)),
         verify_lemma_last_factor(7, min(n_max, 64)),

@@ -5,9 +5,9 @@ import pytest
 from foldscope import (check_reported_sets, export_table_csv,
                        make_instructions, s_value, synthesize_table,
                        table_to_json)
+from foldscope.appearance import scan_depth
 from foldscope.classifier import (EXPECTED_A_SETS, EXPECTED_ROWS_N1,
-                                  EXPECTED_ROWS_N2, EXPECTED_S_SETS,
-                                  synthesis_depth)
+                                  EXPECTED_ROWS_N2, EXPECTED_S_SETS)
 from foldscope.folding import instruction
 
 # frozen from the synthesis itself (cross-checked by the subset assertions
@@ -78,7 +78,7 @@ def test_minimality_every_listed_bit_has_a_witness():
     from foldscope.appearance import grid_s_values
     for n in (1, 3, 6):
         table = synthesize_table(n)
-        depth = synthesis_depth(n)
+        depth = scan_depth(n)
         values = grid_s_values(n, depth)
         for t in table.relevant_bits:
             assert any(values[i] != values[i ^ (1 << t)]
@@ -87,7 +87,8 @@ def test_minimality_every_listed_bit_has_a_witness():
 
 def test_rows_predict_fresh_instruction_sets():
     # 1000 instruction sets per table, none of them synthesis inputs
-    # (synthesis enumerates bare 7-bit prefixes; these all carry tails)
+    # (synthesis enumerates bare scan_depth(n)-bit prefixes; these all
+    # carry tails)
     rng = random.Random(424242)
     for n in range(1, 7):
         table = synthesize_table(n)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from foldscope.cli import main
+from foldscope import verification
+from foldscope.cli import VERIFY_SUITES, main
 
 
 def run(capsys, *argv):
@@ -156,12 +157,78 @@ def test_verify_bounds_usage_error(capsys, tmp_path):
               "--samples", "-5"), negative),
             (("verify", "--claim", "theorem", "--samples", "-1"), negative),
             (("verify", "--claim", "formula-dfao", "--samples", "-1"), negative),
+            # a flag the claim does not take is refused, not dropped
+            (("verify", "--claim", "corollary-tails", "--n-lo", "30"),
+             "--claim corollary-tails does not take --n-lo"),
+            (("verify", "--claim", "lemma1", "--seed", "3"),
+             "--claim lemma1 does not take --seed"),
+            (("verify", "--claim", "all", "--depth", "16"),
+             "--claim all does not take --depth"),
+            (("verify", "--claim", "bounds", "--mode", "sampled"),
+             "--claim bounds does not take --mode"),
             # an --out that cannot be written is a usage error, not a failed suite
             (("verify", "--claim", "lemma3", "--n-lo", "7", "--n-hi", "7",
               "--out", str(tmp_path / "missing" / "r.jsonl")), "error: "),
             (("export", "dfao-dot", "--out", str(tmp_path)), "error: ")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
+
+
+# one value per verify flag, keyed by the name the claim table uses
+FLAG_ARGV = {"n_lo": ("--n-lo", "7"), "n_hi": ("--n-hi", "8"),
+             "k_bound": ("--k-bound", "64"), "depth": ("--depth", "9"),
+             "mode": ("--mode", "sampled"), "samples": ("--samples", "5"),
+             "seed": ("--seed", "3")}
+
+
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    """Every verification function the CLI can reach fails the test if called."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("a verification suite ran")
+
+    for suite, _ in VERIFY_SUITES.values():
+        monkeypatch.setattr(verification, suite, forbidden)
+
+
+def test_verify_refuses_every_flag_a_claim_does_not_take(capsys, no_suite_runs):
+    refused = 0
+    for claim, (_, takes) in VERIFY_SUITES.items():
+        taken = {"n_hi" if flag == "n_max" else flag for flag in takes}
+        for flag, argv in FLAG_ARGV.items():
+            if flag in taken:
+                continue
+            code, out, err = run(capsys, "verify", "--claim", claim, *argv)
+            assert code == 2 and out == "", (claim, flag)
+            assert f"--claim {claim} does not take {argv[0]}" in err
+            refused += 1
+    assert refused == 37
+
+
+def test_verify_unwritable_out_fails_before_any_suite(capsys, tmp_path, no_suite_runs):
+    code, out, err = run(capsys, "verify", "--claim", "all", "--n-max", "64",
+                         "--out", str(tmp_path / "missing" / "r.jsonl"))
+    assert code == 2 and out == "" and "error: " in err
+
+
+def test_verify_usage_error_keeps_existing_out_file(capsys, tmp_path):
+    out_file = tmp_path / "report.jsonl"
+    out_file.write_text("earlier report\n")
+    code, out, _ = run(capsys, "verify", "--claim", "bounds", "--n-lo", "1",
+                       "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert out_file.read_text() == "earlier report\n"
+    code, _, _ = run(capsys, "verify", "--claim", "bounds", "--n-lo", "1",
+                     "--out", str(tmp_path / "new.jsonl"))
+    assert code == 2 and not (tmp_path / "new.jsonl").exists()
+
+
+def test_verify_formula_dfao_forwards_every_sample(capsys):
+    code, out, _ = run(capsys, "verify", "--claim", "formula-dfao", "--k-bound", "64",
+                       "--depth", "16", "--samples", "300")
+    record = json.loads(out)
+    assert code == 0 and record["passed"] is True
+    assert record["details"]["stream_count"] == 304
 
 
 def test_verify_bad_claim(capsys):

@@ -137,6 +137,16 @@ def test_bounds_sampled_tail(clean_caches):
     assert outcome.seed is not None
 
 
+def test_sample_count_is_the_fewest_distinct_prefixes(clean_caches):
+    # duplicate draws are dropped: 191 of 204 streams are distinct at
+    # n = 65, 66 and only 103 of the 128 possible ones at n = 7, 8
+    bounds = verify_bounds(65, 66)
+    assert (bounds.sample_count, bounds.cases_checked) == (191, 2 * 191)
+    theorem = verify_theorem(7, 9, "sampled")
+    assert theorem.sample_count == 103
+    assert verify_bounds(63, 66).sample_count == 191  # n = 63, 64 are a grid
+
+
 # --- lemmas -----------------------------------------------------------------
 
 @pytest.mark.parametrize("verify", [verify_lemma_first_occurrence,
