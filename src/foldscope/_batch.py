@@ -75,8 +75,9 @@ def _window_keys(bits: np.ndarray, k: int) -> list:
     lexicographically, for j = 0..k, and is equal exactly when they are.
 
     Up to 64 signs a key is the window itself packed MSB-first; beyond
-    that it is a dense rank of the pair of half-window ranks (prefix
-    doubling).  Ranks are shared across the rows of `bits`.
+    that it is a dense rank of the pair of half-window ranks, packed as
+    left << 32 | right (prefix doubling).  Ranks are shared across the
+    rows of `bits`.
     """
     keys = [bits]
     for j in range(k):
@@ -90,7 +91,8 @@ def _window_keys(bits: np.ndarray, k: int) -> list:
             # two 64-sign codes do not fit one integer: rank them first
             prev = _dense_rank(prev)
             keys[-1] = prev
-        pairs = prev[:, :-h].astype(np.int64) * (int(prev.max()) + 1) + prev[:, h:]
+        # int32 ranks are non-negative, so the pair packs into one int64
+        pairs = (prev[:, :-h].astype(np.int64) << 32) | prev[:, h:]
         keys.append(_dense_rank(pairs))
     return keys
 

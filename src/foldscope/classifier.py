@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import appearance
 from .appearance import scan_depth
-from .verification import VerificationOutcome
+from .verification import VerificationOutcome, _run_suite
 
 # expected value sets for S_f(n) and A_f(n), n = 1..6
 EXPECTED_S_SETS = {
@@ -108,42 +108,32 @@ def check_reported_sets() -> VerificationOutcome:
     relevant bits stay within the documented supersets, and the explicit
     row classifications for n = 1 and n = 2.
     """
-    cases = 0
-    counter = None
-    tables = {}
-    for n in range(1, 7):
-        table = synthesize_table(n)
-        tables[n] = table
-        cases += 1 << scan_depth(n)
+    tables = {n: synthesize_table(n) for n in range(1, 7)}
+    expected_rows = {1: EXPECTED_ROWS_N1, 2: EXPECTED_ROWS_N2}
+
+    def check_n(n, _sampled):
+        table = tables[n]
+        a_set = tuple(v + n - 1 for v in table.value_set)
+        counter = None
         if table.value_set != EXPECTED_S_SETS[n]:
             counter = {"n": n, "kind": "s_set",
                        "expected": list(EXPECTED_S_SETS[n]),
                        "observed": list(table.value_set)}
-            break
-        a_set = tuple(v + n - 1 for v in table.value_set)
-        if a_set != EXPECTED_A_SETS[n]:
+        elif a_set != EXPECTED_A_SETS[n]:
             counter = {"n": n, "kind": "a_set",
                        "expected": list(EXPECTED_A_SETS[n]),
                        "observed": list(a_set)}
-            break
-        if not set(table.relevant_bits) <= set(EXPECTED_BIT_SUPERSETS[n]):
+        elif not set(table.relevant_bits) <= set(EXPECTED_BIT_SUPERSETS[n]):
             counter = {"n": n, "kind": "relevant_bits",
                        "allowed": list(EXPECTED_BIT_SUPERSETS[n]),
                        "observed": list(table.relevant_bits)}
-            break
-    for n, expected in ((1, EXPECTED_ROWS_N1), (2, EXPECTED_ROWS_N2)):
-        if counter is None and tables[n].rows != expected:
+        elif n in expected_rows and table.rows != expected_rows[n]:
             counter = {"n": n, "kind": "rows",
-                       "observed": {str(k): v for k, v in tables[n].rows.items()}}
+                       "observed": {str(k): v for k, v in table.rows.items()}}
+        return 1 << scan_depth(n), scan_depth(n), counter
 
-    return VerificationOutcome(
-        claim_id="small-n-tables", n_range=(1, 6),
-        instruction_depth=max(scan_depth(n) for n in range(1, 7)),
-        mode="exhaustive", passed=counter is None,
-        cases_checked=cases, counterexample=counter,
-        details={"relevant_bits": {n: list(t.relevant_bits)
-                                   for n, t in tables.items()}},
-    )
+    return _run_suite("small-n-tables", 1, 6, check_n, details={
+        "relevant_bits": {n: list(t.relevant_bits) for n, t in tables.items()}})
 
 
 def export_table_csv(table: ClassifierTable) -> str:

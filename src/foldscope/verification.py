@@ -36,8 +36,9 @@ DEFAULT_SEED = 31337
 EXHAUSTIVE_DFAO_DEPTH = 13
 # verify_bounds enumerates every pattern up to this n and samples above it
 EXHAUSTIVE_BOUNDS_N_MAX = 64
-# verify_theorem enumerates every pattern up to this scan depth (n <= 4096)
-EXHAUSTIVE_THEOREM_DEPTH = 16
+# exhaustive verify_theorem and the lemmas enumerate every pattern up to
+# this scan depth (n <= 256); deeper grids are refused before any work
+EXHAUSTIVE_DEPTH_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class VerificationOutcome:
     "sampled" (distinct seeded prefixes, extremal streams included, the
     fewest at any sampled n counted in sample_count; for formula-dfao, grid
     patterns plus streams); `passed` is true iff `counterexample` is absent.
+    Every suite indexed by n checks all of n_range and reports the
+    counterexample at the lowest failing n.
     """
 
     claim_id: str
@@ -87,15 +90,19 @@ class VerificationOutcome:
 
 def _run_suite(claim_id, n_lo, n_hi, check_n, *, sampled_from=None, seed=None,
                details=None) -> VerificationOutcome:
-    """One outcome from check_n(n) -> (cases, depth, counterexample) over
-    n_lo..n_hi; every n is checked and the lowest-n counterexample wins.
-    The n >= sampled_from are sampled at `seed`; sample_count is the fewest
-    cases (distinct prefixes) checked at any of them."""
+    """The one per-n skeleton: an outcome from check_n(n, sampled) ->
+    (cases, depth, counterexample) over n_lo..n_hi.
+
+    The skeleton alone decides which n are sampled (n >= sampled_from,
+    drawn at `seed`) and passes that flag to check_n; sample_count is the
+    fewest cases (distinct prefixes) checked at any sampled n.  Every n is
+    checked and counted, and the lowest-n counterexample wins.
+    """
     ns = range(n_lo, n_hi + 1)
-    results = [check_n(n) for n in ns]
+    is_sampled = [sampled_from is not None and n >= sampled_from for n in ns]
+    results = [check_n(n, sampled) for n, sampled in zip(ns, is_sampled)]
     counter = next((c for _, _, c in results if c is not None), None)
-    sampled = [cases for n, (cases, _, _) in zip(ns, results)
-               if sampled_from is not None and n >= sampled_from]
+    sampled = [cases for (cases, _, _), flag in zip(results, is_sampled) if flag]
     return VerificationOutcome(
         claim_id=claim_id, n_range=(n_lo, n_hi),
         instruction_depth=max(depth for _, depth, _ in results),
@@ -258,9 +265,9 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 # bounds, lemmas, theorem
 
 
-def _extremes_for_n(n, samples, seed):
+def _extremes_for_n(n, sampled, samples, seed):
     depth = scan_depth(n)
-    values, rows = _s_values(n, depth, n > EXHAUSTIVE_BOUNDS_N_MAX, samples, seed)
+    values, rows = _s_values(n, depth, sampled, samples, seed)
     p = phi(n)
     observed_max = max(values)
     observed_min = min(values)
@@ -287,18 +294,23 @@ def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
     _check_samples(samples)
     return _run_suite(
         "bounds", n_lo, n_hi,
-        lambda n: _extremes_for_n(n, samples, seed),
+        lambda n, sampled: _extremes_for_n(n, sampled, samples, seed),
         sampled_from=EXHAUSTIVE_BOUNDS_N_MAX + 1, seed=seed,
         details={"exhaustive_n_max": min(n_hi, EXHAUSTIVE_BOUNDS_N_MAX),
                  "min_checked_from": max(n_lo, 7)},
     )
 
 
-def _check_lemma_range(n_lo, n_hi):
+def _check_lemma_range(n_lo, n_hi, exhaustive=True):
+    """Refuse n below the lemmas' range, an empty range, and an exhaustive
+    grid deeper than EXHAUSTIVE_DEPTH_MAX, before any work."""
     if n_lo < 7:
         raise ValueError(f"the lemmas are claimed for n >= 7 only, got n_lo={n_lo}")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
+    if exhaustive and scan_depth(n_hi) > EXHAUSTIVE_DEPTH_MAX:
+        raise ValueError(f"exhaustive depth {scan_depth(n_hi)} at n={n_hi} exceeds "
+                         f"the {EXHAUSTIVE_DEPTH_MAX}-bit budget")
 
 
 def _occurrences(prefix: bytes, target: bytes, end: int):
@@ -325,7 +337,7 @@ def _grid_lemma(n, check):
     return len(prefixes), depth, None
 
 
-def _lemma1_for_n(n):
+def _lemma1_for_n(n, _sampled):
     p = phi(n)
 
     def check(pb, i):
@@ -343,7 +355,7 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
     return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n)
 
 
-def _lemma2_for_n(n):
+def _lemma2_for_n(n, _sampled):
     p = phi(n)
     s_values = appearance.grid_s_values(n, scan_depth(n))
 
@@ -370,7 +382,7 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
     return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)
 
 
-def _lemma3_for_n(n):
+def _lemma3_for_n(n, _sampled):
     p = phi(n)
 
     def check(pb, i):
@@ -427,19 +439,15 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
                    predictor: Optional[Callable] = None) -> VerificationOutcome:
     """Scanned s_value equals the closed form for every enumerated (f, n),
     and the value depends on (f_{k+1}, f_{k+2}) only."""
-    _check_lemma_range(n_lo, n_hi)
+    _check_lemma_range(n_lo, n_hi, exhaustive=mode == "exhaustive")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
     _check_samples(samples)
-    if mode == "exhaustive" and scan_depth(n_hi) > EXHAUSTIVE_THEOREM_DEPTH:
-        raise ValueError(f"exhaustive depth {scan_depth(n_hi)} exceeds the "
-                         f"{EXHAUSTIVE_THEOREM_DEPTH}-bit budget; use sampled mode")
     pred = predictor if predictor is not None else predicted_s
-    sampled = mode == "sampled"
     return _run_suite(
         "theorem", n_lo, n_hi,
-        lambda n: _theorem_for_n(n, sampled, samples, seed, pred),
-        sampled_from=n_lo if sampled else None, seed=seed)
+        lambda n, sampled: _theorem_for_n(n, sampled, samples, seed, pred),
+        sampled_from=n_lo if mode == "sampled" else None, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +538,22 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     width = max(depth, scan_depth(n_max))
     columns = {n: appearance.grid_s_values(n, depth, width)
                for n in range(1, n_max + 1)}
-    total = 1 << depth
-    mask = total - 1
-    counter = None
-    for i in range(total):
-        prev = None
-        for n in range(1, n_max + 1):
-            s = columns[n][i]
-            if prev is not None and s < prev:
-                counter = {"n": n, "s_at_n": s, "s_at_n_minus_1": prev,
-                           "kind": "monotonicity",
-                           "instructions": _cyclic_instruction_text(depth, i)}
-                break
-            prev = s
-            flipped = columns[n][~i & mask]
-            if flipped != s:
-                counter = {"n": n, "s": s, "s_negated": flipped,
-                           "kind": "negation",
-                           "instructions": _cyclic_instruction_text(depth, i)}
-                break
-        if counter:
-            break
+    mask = (1 << depth) - 1
+
+    def check_n(n, _sampled):
+        """Per pattern, S(n - 1) <= S(n) and S(n) equals the negated pattern's."""
+        for i, s in enumerate(columns[n]):
+            negated = columns[n][~i & mask]
+            if n > 1 and s < columns[n - 1][i]:
+                fields = {"kind": "monotonicity", "s_at_n": s,
+                          "s_at_n_minus_1": columns[n - 1][i]}
+            elif negated != s:
+                fields = {"kind": "negation", "s": s, "s_negated": negated}
+            else:
+                continue
+            return mask + 1, depth, {"n": n, **fields,
+                                     "instructions": _cyclic_instruction_text(depth, i)}
+        return mask + 1, depth, None
 
     details: dict = {"width": width}
     if n_max >= 7:
@@ -558,14 +561,7 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
         details["s7_values"] = sorted(sevens)
         details["s7_universal_48"] = sevens == {48}
         details["s7_max_48"] = max(sevens) == 48
-
-    return VerificationOutcome(
-        claim_id="monotonicity", n_range=(1, n_max),
-        instruction_depth=depth, mode="exhaustive",
-        passed=counter is None,
-        cases_checked=total * n_max,
-        counterexample=counter, details=details,
-    )
+    return _run_suite("monotonicity", 1, n_max, check_n, details=details)
 
 
 def _cyclic_instruction_text(depth: int, index: int) -> str:
@@ -582,7 +578,7 @@ def run_all(*, n_max: int = 64, k_bound: int = 4096,
     takes its default depth for k_bound and at most 100 of the samples."""
     if n_max < 7:
         raise ValueError(f"need n_max >= 7 to exercise every claim, got {n_max}")
-    theorem_mode = "sampled" if scan_depth(n_max) > EXHAUSTIVE_THEOREM_DEPTH else "exhaustive"
+    theorem_mode = "sampled" if scan_depth(n_max) > EXHAUSTIVE_DEPTH_MAX else "exhaustive"
     return [
         verify_formula_vs_dfao(k_bound, samples=min(samples, 100), seed=seed),
         verify_bounds(3, n_max, samples=samples, seed=seed),

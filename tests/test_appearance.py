@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -219,6 +220,21 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
     assert band.shape == (count, p - p // 2)
     for row, got in zip(rows, band[:, n - p // 2 - 1]):
         assert got == max(appearance_mod._scan_first_starts(row, n, 12 * p).values())
+
+
+def test_window_keys_equal_exactly_when_windows_are():
+    # 0^64 1^64 0^63 1 0^64 plus padding: the 64-sign windows rank so that
+    # a pair key of left * max_rank + right would merge two distinct
+    # 128-sign windows
+    row = [0] * 64 + [1] * 64 + [0] * 63 + [1] + [0] * 64 + [0] * 64
+    bits = np.array([row], dtype=np.uint8)
+    keys = _batch._window_keys(bits, 7)
+    for j, key in enumerate(keys):
+        windows = np.lib.stride_tricks.sliding_window_view(bits[0], 1 << j)
+        _, window_ids = np.unique(windows, axis=0, return_inverse=True)
+        assert key.shape == (1, len(windows))
+        assert (np.unique(key[0], return_inverse=True)[1].ravel()
+                == window_ids.ravel()).all(), j
 
 
 def test_grid_s_values_width_check():

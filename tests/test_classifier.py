@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from foldscope import classifier
 from foldscope import (check_reported_sets, export_table_csv,
                        make_instructions, s_value, synthesize_table,
                        table_to_json)
@@ -71,6 +72,48 @@ def test_check_reported_sets_passes():
     assert outcome.mode == "exhaustive"
     assert outcome.details["relevant_bits"] == {
         n: list(bits) for n, bits in EXPECTED_RELEVANT_BITS.items()}
+
+
+# the passing outcome, byte for byte as first recorded
+REPORTED_SETS_JSON = (
+    '{"cases": 432, "claim": "small-n-tables", "counterexample": null, '
+    '"details": {"relevant_bits": {"1": [0, 1], "2": [0, 1, 2], '
+    '"3": [1, 3, 4], "4": [1, 3, 4], "5": [1, 2, 4, 5], '
+    '"6": [0, 1, 2, 4, 5]}}, "instruction_depth": 7, "mode": "exhaustive", '
+    '"n_range": [1, 6], "passed": true, "sample_count": null, "seed": null}')
+
+
+def test_check_reported_sets_json_is_pinned():
+    assert check_reported_sets().to_json() == REPORTED_SETS_JSON
+
+
+def test_check_reported_sets_catches_a_wrong_value_set(monkeypatch):
+    monkeypatch.setitem(classifier.EXPECTED_S_SETS, 4, (14, 16, 22))
+    outcome = check_reported_sets()
+    assert not outcome.passed
+    assert outcome.counterexample == {"n": 4, "kind": "s_set",
+                                      "expected": [14, 16, 22],
+                                      "observed": [14, 16, 22, 24]}
+
+
+def test_check_reported_sets_catches_a_wrong_row(monkeypatch):
+    monkeypatch.setattr(classifier, "EXPECTED_ROWS_N2",
+                        {**EXPECTED_ROWS_N2, (1, 1, 1): 5})
+    outcome = check_reported_sets()
+    assert not outcome.passed
+    assert outcome.counterexample["n"] == 2
+    assert outcome.counterexample["kind"] == "rows"
+    assert outcome.counterexample["observed"]["(1, 1, 1)"] == 6
+
+
+def test_check_reported_sets_reports_the_lowest_failing_n(monkeypatch):
+    # n = 2 (its rows) and n = 4 (its value set) both fail; every n counts
+    monkeypatch.setitem(classifier.EXPECTED_S_SETS, 4, (14, 16, 22))
+    monkeypatch.setattr(classifier, "EXPECTED_ROWS_N2",
+                        {**EXPECTED_ROWS_N2, (1, 1, 1): 5})
+    outcome = check_reported_sets()
+    assert (outcome.counterexample["n"], outcome.counterexample["kind"]) == (2, "rows")
+    assert outcome.cases_checked == 432
 
 
 def test_minimality_every_listed_bit_has_a_witness():

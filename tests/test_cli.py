@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from foldscope import verification
+from foldscope import _batch, appearance, verification
 from foldscope.cli import VERIFY_SUITES, main
 
 
@@ -209,6 +209,27 @@ def test_verify_unwritable_out_fails_before_any_suite(capsys, tmp_path, no_suite
     code, out, err = run(capsys, "verify", "--claim", "all", "--n-max", "64",
                          "--out", str(tmp_path / "missing" / "r.jsonl"))
     assert code == 2 and out == "" and "error: " in err
+
+
+def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch):
+    def forbidden(*args):
+        pytest.fail("a grid was built")
+
+    monkeypatch.setattr(appearance, "_grid_prefix_bytes", forbidden)
+    monkeypatch.setattr(_batch, "pf_prefix_matrix", forbidden)
+    # the cap is n = 256, the last n of scan depth 12
+    assert appearance.scan_depth(256) == verification.EXHAUSTIVE_DEPTH_MAX
+    for argv, message in (
+            (("--claim", "theorem", "--n-hi", "4096"), "depth 16 at n=4096"),
+            (("--claim", "lemma1", "--n-lo", "4096", "--n-hi", "4096"),
+             "depth 16 at n=4096"),
+            (("--claim", "theorem", "--n-lo", "257", "--n-hi", "257"),
+             "depth 13 at n=257"),
+            (("--claim", "lemma2", "--n-hi", "257"), "depth 13 at n=257"),
+            (("--claim", "lemma3", "--n-hi", "257"), "depth 13 at n=257")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"exhaustive {message} exceeds the 12-bit budget" in err
 
 
 def test_verify_usage_error_keeps_existing_out_file(capsys, tmp_path):

@@ -49,6 +49,19 @@ def kernel_from_scan(scan):
     return kernel
 
 
+def kernel_with_s(n, row, value):
+    """The real band kernel, except that prefix `row` of every band holding
+    n reads S(n) = value."""
+    real = _batch.band_first_starts
+
+    def kernel(prefixes, p):
+        out = real(prefixes, p)
+        if p == phi(n):
+            out[row, n - p // 2 - 1] = value
+        return out
+    return kernel
+
+
 # --- outcome type -----------------------------------------------------------
 
 def test_outcome_consistency_enforced():
@@ -274,6 +287,15 @@ def test_corollary_families_match_prediction():
         assert s_value(f6, n) == 6 * phi(n)
 
 
+def test_corollary_tails_catch_one_wrong_family_value(clean_caches, monkeypatch):
+    # the first family row is "----;+-", whose S(9) is 4 * 16
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 0, 50))
+    outcome = verify_corollary_tails(n_hi=16)
+    assert not outcome.passed
+    assert outcome.counterexample == {"n": 9, "expected": 64, "observed": 50,
+                                      "instructions": "----;+-"}
+
+
 def test_monotonicity_and_symmetry():
     outcome = verify_monotonicity_and_symmetry(8, 16)
     assert outcome.passed
@@ -281,6 +303,36 @@ def test_monotonicity_and_symmetry():
     assert outcome.details["s7_values"] == [32, 48]
     assert outcome.details["s7_universal_48"] is False
     assert outcome.details["s7_max_48"] is True
+
+
+def test_monotonicity_catches_a_dip(clean_caches, monkeypatch):
+    # pattern 0 (all -1) has S(8) = 48 and S(9) = 96
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 0, 1))
+    outcome = verify_monotonicity_and_symmetry(8, 16)
+    assert not outcome.passed and outcome.cases_checked == 256 * 16
+    assert outcome.counterexample == {"n": 9, "kind": "monotonicity",
+                                      "s_at_n": 1, "s_at_n_minus_1": 48,
+                                      "instructions": ";--------"}
+
+
+def test_monotonicity_catches_a_negation_break(clean_caches, monkeypatch):
+    # 50 stays above S(8) but differs from S(9) = 96 of the negated pattern
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 0, 50))
+    outcome = verify_monotonicity_and_symmetry(8, 16)
+    assert not outcome.passed
+    assert outcome.counterexample == {"n": 9, "kind": "negation",
+                                      "s": 50, "s_negated": 96,
+                                      "instructions": ";--------"}
+
+
+def test_monotonicity_reports_the_lowest_failing_n(clean_caches, monkeypatch):
+    # pattern 0 breaks at n = 12 and pattern 1 at n = 9: n = 9 is reported
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(12, 0, 50))
+    # the second edit wraps the first
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 1, 50))
+    outcome = verify_monotonicity_and_symmetry(8, 16)
+    assert outcome.counterexample["n"] == 9
+    assert outcome.counterexample["instructions"] == ";+-------"
 
 
 # --- determinism -------------------------------------------------------------
