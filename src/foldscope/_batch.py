@@ -1,10 +1,11 @@
 """Internal numpy helpers for bulk enumeration.
 
 Everything here is plumbing for the verification suites: sign grids over
-instruction bits, bulk sequence prefixes, the band kernel that reads the
-latest first start for every n of a phi-band off one sort per prefix,
-and a vectorized runner that drives a DFAO's transition table over many
-instruction streams at once.  The scalar implementations in folding.py /
+instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
+rows every scan reads, the band kernel that reads the latest first start
+for every n of a phi-band off one sort per prefix, and a vectorized
+runner that drives a DFAO's transition table over many instruction
+streams at once.  The scalar implementations in folding.py /
 appearance.py / dfao.py stay the reference; tests cross-check these
 against them.
 """
@@ -19,47 +20,43 @@ PLUS = ord("+")
 MINUS = ord("-")
 
 
-def sign_grid(depth: int) -> np.ndarray:
-    """All 2^depth instruction patterns as a (2^depth, depth) array of +-1.
+def sign_grid(depth: int, width: int = 0) -> np.ndarray:
+    """All 2^depth instruction patterns as a (2^depth, max(depth, width))
+    array of +-1.
 
-    Row i encodes f_t = +1 iff bit t of i is set, so row 0 is all -1 and
-    the last row is all +1.
+    Row i encodes f_t = +1 iff bit (t mod depth) of i is set, so row 0 is
+    all -1, the last row is all +1, and columns past depth repeat the
+    pattern cyclically.
     """
+    cols = np.arange(max(depth, width), dtype=np.uint32) % depth
     idx = np.arange(1 << depth, dtype=np.uint32)[:, None]
-    bits = (idx >> np.arange(depth, dtype=np.uint32)[None, :]) & 1
+    bits = (idx >> cols[None, :]) & 1
     return (2 * bits.astype(np.int8) - 1)
 
 
-def extend_cyclic(rows: np.ndarray, width: int) -> np.ndarray:
-    """Repeat columns periodically up to `width` (identity if wide enough)."""
-    m, w = rows.shape
-    if w >= width:
-        return rows
-    reps = -(-width // w)
-    return np.tile(rows, (1, reps))[:, :width]
-
-
 def pf_prefix_matrix(rows: np.ndarray, length: int) -> np.ndarray:
-    """Sequence prefixes P[1:length] for every instruction row.
+    """Sequence prefixes P[1:length] for every instruction row, as a
+    (rows, length) uint8 matrix of b'+'/b'-'.
 
     rows[:, s] supplies f_s; requires enough columns for every position.
     """
     m, w = rows.shape
     if length.bit_length() > w:
         raise ValueError(f"{w} instruction columns cannot cover positions up to {length}")
-    out = np.empty((m, length), dtype=np.int8)
+    same_sign = np.where(rows > 0, np.uint8(PLUS), np.uint8(MINUS))
+    flipped_sign = np.where(rows > 0, np.uint8(MINUS), np.uint8(PLUS))
+    out = np.empty((m, length), dtype=np.uint8)
     for s, same, flipped in position_blocks(length):
-        out[:, same.start::same.step] = rows[:, s:s + 1]
-        out[:, flipped.start::flipped.step] = -rows[:, s:s + 1]
+        out[:, same.start::same.step] = same_sign[:, s:s + 1]
+        out[:, flipped.start::flipped.step] = flipped_sign[:, s:s + 1]
     return out
 
 
-def sign_matrix_to_bytes(values: np.ndarray) -> list[bytes]:
-    """Each +-1 row rendered as a b'+'/b'-' bytestring."""
-    chars = np.where(values > 0, np.uint8(PLUS), np.uint8(MINUS))
-    m, length = chars.shape
-    raw = chars.tobytes()
-    return [raw[i * length:(i + 1) * length] for i in range(m)]
+def prefix_rows(rows: np.ndarray, length: int) -> tuple:
+    """P[1:length] of every instruction row, one b'+'/b'-' bytes each (the
+    form the band kernel and the lemma checks read)."""
+    raw = pf_prefix_matrix(rows, length).tobytes()
+    return tuple(raw[i * length:(i + 1) * length] for i in range(len(rows)))
 
 
 # Prefix bytes per chunk of the band kernel.  Its working set peaks near

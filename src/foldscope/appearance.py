@@ -191,16 +191,10 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grid_rows(depth: int, width: int) -> np.ndarray:
-    """All 2^depth instruction patterns, cyclically extended to `width` bits."""
-    return _batch.extend_cyclic(_batch.sign_grid(depth), width)
-
-
-@lru_cache(maxsize=None)
 def _grid_prefix_bytes(depth: int, width: int, length: int) -> tuple:
-    """Sequence prefixes (as bytes) for every pattern of _grid_rows."""
-    rows = _grid_rows(depth, width)
-    return tuple(_batch.sign_matrix_to_bytes(_batch.pf_prefix_matrix(rows, length)))
+    """Sequence prefixes (as bytes) for every pattern of
+    _batch.sign_grid(depth, width)."""
+    return _batch.prefix_rows(_batch.sign_grid(depth, width), length)
 
 
 def band_length(n: int) -> int:
@@ -232,22 +226,17 @@ def _s_from_prefix(prefix: bytes, n: int) -> int:
 def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
     """s_value for every depth-bit instruction pattern (grid row order).
 
-    Pattern i has f_t = +1 iff bit t of i is set.  When width exceeds
-    depth, patterns are extended cyclically so the scan horizon is always
-    covered by the enumerated bits.  The whole phi-band of n is computed
-    once and each n is read by s_column.
+    Pattern i has f_t = +1 iff bit (t mod depth) of i is set: when width
+    exceeds depth, patterns repeat cyclically so the band prefix is covered
+    by the enumerated bits.  The whole phi-band of n is computed once and
+    each n is read by s_column.
     """
-    width = max(depth, width)
-    length = band_length(n)
-    if required_instruction_count(length) > width:
-        raise ValueError(
-            f"width {width} cannot cover the scan horizon for n={n}; "
-            f"need {required_instruction_count(length)} instruction bits")
-    return tuple(s_column(_grid_prefix_bytes(depth, width, length), n).tolist())
+    # width 0 and width depth name one grid, so they share one cache entry
+    prefixes = _grid_prefix_bytes(depth, max(depth, width), band_length(n))
+    return tuple(s_column(prefixes, n).tolist())
 
 
 def clear_caches():
     """Drop memoized grids (used by tests that patch the scan internals)."""
-    _grid_rows.cache_clear()
     _grid_prefix_bytes.cache_clear()
     _band.cache_clear()

@@ -37,8 +37,12 @@ EXHAUSTIVE_DFAO_DEPTH = 13
 # verify_bounds enumerates every pattern up to this n and samples above it
 EXHAUSTIVE_BOUNDS_N_MAX = 64
 # exhaustive verify_theorem and the lemmas enumerate every pattern up to
-# this scan depth (n <= 256); deeper grids are refused before any work
+# this scan depth (n <= 256), and monotonicity up to this grid width;
+# deeper grids are refused before any work
 EXHAUSTIVE_DEPTH_MAX = 12
+# the formula/automaton sweep checks positions k up to at most this bound
+# (the largest sweep in use); larger bounds are refused before any work
+K_BOUND_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,18 +118,9 @@ def _run_suite(claim_id, n_lo, n_hi, check_n, *, sampled_from=None, seed=None,
         counterexample=counter, details=details or {})
 
 
-@lru_cache(maxsize=None)
-def _grid_row_tuples(depth: int, width: int) -> tuple:
-    rows = appearance._grid_rows(depth, width)
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
 def _row_text(row) -> str:
+    """The instruction text of one enumerated row (a sequence of +-1)."""
     return format_instructions(FoldingInstructions(row))
-
-
-def _grid_instruction_text(depth: int, width: int, index: int) -> str:
-    return _row_text(_grid_row_tuples(depth, width)[index])
 
 
 @lru_cache(maxsize=None)
@@ -150,13 +145,13 @@ def _sample_rows(width: int, samples: int, seed: int) -> tuple:
 @lru_cache(maxsize=None)
 def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tuple:
     rows = np.array(_sample_rows(width, samples, seed), dtype=np.int8)
-    return tuple(_batch.sign_matrix_to_bytes(_batch.pf_prefix_matrix(rows, length)))
+    return _batch.prefix_rows(rows, length)
 
 
 def _s_values(n, depth, sampled, samples, seed):
     """(S values, instruction rows) for every pattern enumerated at n."""
     if not sampled:
-        return appearance.grid_s_values(n, depth), _grid_row_tuples(depth, depth)
+        return appearance.grid_s_values(n, depth), _batch.sign_grid(depth).tolist()
     prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
     return s_column(prefixes, n).tolist(), _sample_rows(depth, samples, seed)
 
@@ -167,7 +162,6 @@ def _check_samples(samples):
 
 
 def clear_caches():
-    _grid_row_tuples.cache_clear()
     _sample_rows.cache_clear()
     _sample_prefix_bytes.cache_clear()
     appearance.clear_caches()
@@ -194,6 +188,8 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
     """
     if k_bound < 1:
         raise ValueError(f"k_bound must be >= 1, got {k_bound}")
+    if k_bound > K_BOUND_MAX:
+        raise ValueError(f"k_bound {k_bound} exceeds the sweep budget of {K_BOUND_MAX}")
     _check_samples(samples)
     depth = max(EXHAUSTIVE_DFAO_DEPTH, k_bound.bit_length()) if depth is None else depth
     d = machine if machine is not None else build_pf_evaluator()
@@ -201,29 +197,27 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
     if exhaustive and depth < k_bound.bit_length():
         raise ValueError(f"depth {depth} cannot evaluate positions up to {k_bound}")
 
-    def sweep(rows, text):
+    def sweep(rows):
         cases, skipped, mismatch = _batch.compare_formula_vs_dfao(d, rows, k_bound)
         counter = None
         if mismatch is not None:
             j, k, want, got = mismatch
-            counter = {"instructions": text(j), "k": k, "formula": want, "dfao": got}
+            counter = {"instructions": _row_text(rows[j].tolist()), "k": k,
+                       "formula": want, "dfao": got}
         return cases, skipped, counter
 
     if exhaustive:
         free, width = depth, max(depth, k_bound.bit_length() + 1)
     else:
         free, width = min(depth, 12), depth
-    cases, skipped, counter = sweep(appearance._grid_rows(free, width),
-                                    lambda j: _grid_instruction_text(free, width, j))
+    cases, skipped, counter = sweep(_batch.sign_grid(free, width))
     details: dict = {"k_bound": k_bound, "range_is_k": True,
                      "grid_patterns": 1 << free, "grid_skipped_k": skipped}
     sample_count = None
     if not exhaustive:
         long_width = max(depth + 1, k_bound.bit_length() + 1)
         stream_rows = _sample_rows(long_width, samples, seed)
-        more_cases, skipped, stream_counter = sweep(
-            np.array(stream_rows, dtype=np.int8),
-            lambda j: format_instructions(FoldingInstructions(stream_rows[j])))
+        more_cases, skipped, stream_counter = sweep(np.array(stream_rows, dtype=np.int8))
         cases += more_cases
         counter = counter or stream_counter
         details["stream_count"] = len(stream_rows)
@@ -332,7 +326,7 @@ def _grid_lemma(n, check):
         bad = check(pb, i)
         if bad is not None:
             counter = {"n": n, **bad,
-                       "instructions": _grid_instruction_text(depth, depth, i)}
+                       "instructions": _row_text(_batch.sign_grid(depth)[i].tolist())}
             return len(prefixes), depth, counter
     return len(prefixes), depth, None
 
@@ -413,11 +407,10 @@ def _theorem_for_n(n, sampled, samples, seed, predictor):
 
     counter = None
     for value, row in zip(values, rows):
-        f = FoldingInstructions(row)
-        pred = predictor(f, n)
+        pred = predictor(FoldingInstructions(row), n)
         if value != pred:
             counter = {"n": n, "computed": value, "predicted": pred,
-                       "instructions": format_instructions(f)}
+                       "instructions": _row_text(row)}
             break
     if counter is None:
         # dependence: fixing (f_{k+1}, f_{k+2}) must pin the value
@@ -476,7 +469,7 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     """
     if n_hi < 7:
         raise ValueError(f"need n_hi >= 7, got {n_hi}")
-    heads = _grid_row_tuples(4, 4)
+    heads = _batch.sign_grid(4).tolist()
     ns = range(7, n_hi + 1)
     catalog_ns = range(7, 65)
     families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
@@ -536,6 +529,9 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     if depth < 1 or n_max < 1:
         raise ValueError("depth and n_max must be >= 1")
     width = max(depth, scan_depth(n_max))
+    if width > EXHAUSTIVE_DEPTH_MAX:
+        raise ValueError(f"monotonicity grid width {width} exceeds the "
+                         f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
     columns = {n: appearance.grid_s_values(n, depth, width)
                for n in range(1, n_max + 1)}
     mask = (1 << depth) - 1
@@ -551,8 +547,8 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
                 fields = {"kind": "negation", "s": s, "s_negated": negated}
             else:
                 continue
-            return mask + 1, depth, {"n": n, **fields,
-                                     "instructions": _cyclic_instruction_text(depth, i)}
+            text = ";" + _row_text(_batch.sign_grid(depth)[i].tolist())
+            return mask + 1, depth, {"n": n, **fields, "instructions": text}
         return mask + 1, depth, None
 
     details: dict = {"width": width}
@@ -562,11 +558,6 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
         details["s7_universal_48"] = sevens == {48}
         details["s7_max_48"] = max(sevens) == 48
     return _run_suite("monotonicity", 1, n_max, check_n, details=details)
-
-
-def _cyclic_instruction_text(depth: int, index: int) -> str:
-    bits = tuple(1 if (index >> t) & 1 else -1 for t in range(depth))
-    return format_instructions(FoldingInstructions((), bits))
 
 
 # ---------------------------------------------------------------------------

@@ -213,23 +213,31 @@ def test_verify_unwritable_out_fails_before_any_suite(capsys, tmp_path, no_suite
 
 def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch):
     def forbidden(*args):
-        pytest.fail("a grid was built")
+        pytest.fail("a grid or sweep was built")
 
     monkeypatch.setattr(appearance, "_grid_prefix_bytes", forbidden)
+    monkeypatch.setattr(_batch, "sign_grid", forbidden)
     monkeypatch.setattr(_batch, "pf_prefix_matrix", forbidden)
+    monkeypatch.setattr(_batch, "compare_formula_vs_dfao", forbidden)
     # the cap is n = 256, the last n of scan depth 12
     assert appearance.scan_depth(256) == verification.EXHAUSTIVE_DEPTH_MAX
+    depth_16 = "exhaustive depth 16 at n=4096 exceeds the 12-bit budget"
+    depth_13 = "exhaustive depth 13 at n=257 exceeds the 12-bit budget"
+    width_13 = "monotonicity grid width 13 exceeds the 12-bit budget"
+    k_bound = "k_bound 65537 exceeds the sweep budget of 65536"
     for argv, message in (
-            (("--claim", "theorem", "--n-hi", "4096"), "depth 16 at n=4096"),
-            (("--claim", "lemma1", "--n-lo", "4096", "--n-hi", "4096"),
-             "depth 16 at n=4096"),
-            (("--claim", "theorem", "--n-lo", "257", "--n-hi", "257"),
-             "depth 13 at n=257"),
-            (("--claim", "lemma2", "--n-hi", "257"), "depth 13 at n=257"),
-            (("--claim", "lemma3", "--n-hi", "257"), "depth 13 at n=257")):
+            (("--claim", "theorem", "--n-hi", "4096"), depth_16),
+            (("--claim", "lemma1", "--n-lo", "4096", "--n-hi", "4096"), depth_16),
+            (("--claim", "theorem", "--n-lo", "257", "--n-hi", "257"), depth_13),
+            (("--claim", "lemma2", "--n-hi", "257"), depth_13),
+            (("--claim", "lemma3", "--n-hi", "257"), depth_13),
+            (("--claim", "monotonicity", "--depth", "13"), width_13),
+            (("--claim", "monotonicity", "--n-max", "257"), width_13),
+            (("--claim", "formula-dfao", "--k-bound", "65537"), k_bound),
+            (("--claim", "all", "--k-bound", "65537"), k_bound)):
         code, out, err = run(capsys, "verify", *argv)
-        assert code == 2 and out == ""
-        assert f"exhaustive {message} exceeds the 12-bit budget" in err
+        assert code == 2 and out == "", argv
+        assert message in err, argv
 
 
 def test_verify_usage_error_keeps_existing_out_file(capsys, tmp_path):

@@ -215,15 +215,34 @@ def test_prefix_matches_pointwise(head, tail, finite_set, length):
                 generate(f, length)
         return
     expected = [pf_value(f, k) for k in range(1, length + 1)]
+    text = "".join("+" if v == 1 else "-" for v in expected).encode()
     assert list(pf_prefix(f, length).values) == expected
-    assert _prefix_bytes(f, length).decode() == "".join("+" if v == 1 else "-"
-                                                        for v in expected)
+    assert _prefix_bytes(f, length) == text
     columns = [instruction(f, s) for s in range(length.bit_length())]
     rows = np.array([columns, [-v for v in columns]], dtype=np.int8)
     matrix = _batch.pf_prefix_matrix(rows, length)
     assert matrix.shape == (2, length)
-    assert matrix[0].tolist() == expected
-    assert matrix[1].tolist() == [-v for v in expected]
+    assert bytes(matrix[0]) == text
+    assert bytes(matrix[1]) == text.translate(bytes.maketrans(b"+-", b"-+"))
+
+
+def test_sign_grid_rows_are_the_periodic_sets():
+    # row i of the cyclic grid is the purely periodic set with period
+    # bits_i (f_t = +1 iff bit t of i is set), the set a monotonicity
+    # counterexample names, and its byte row is that set's prefix
+    for depth in range(1, 7):
+        assert _batch.sign_grid(depth).shape == (1 << depth, depth)
+        for width in (depth, depth + 1, 2 * depth + 3):
+            grid = _batch.sign_grid(depth, width)
+            assert grid.shape == (1 << depth, width)
+            length = min((1 << width) - 1, 700)
+            prefixes = _batch.prefix_rows(grid, length)
+            assert len(prefixes) == 1 << depth
+            for i, row in enumerate(grid.tolist()):
+                f = FoldingInstructions((), tuple(1 if (i >> t) & 1 else -1
+                                                  for t in range(depth)))
+                assert row == [instruction(f, t) for t in range(width)]
+                assert prefixes[i] == _prefix_bytes(f, length)
 
 
 @given(bits=st.lists(signs, min_size=8, max_size=8),
