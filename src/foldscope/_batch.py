@@ -3,9 +3,9 @@
 Everything here is plumbing for the verification suites: sign grids over
 instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
-for every n of a phi-band off one sort per prefix, and a vectorized
-runner that drives a DFAO's transition table over many instruction
-streams at once.  The scalar implementations in folding.py /
+for every n of a phi-band off one sort per prefix, and the level-order
+automaton sweep that checks a DFAO against pf_prefix_matrix over many
+instruction rows at once.  The scalar implementations in folding.py /
 appearance.py / dfao.py stay the reference; tests cross-check these
 against them.
 """
@@ -169,27 +169,6 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     return out
 
 
-def transition_tables(dfao) -> tuple[np.ndarray, np.ndarray]:
-    """(T, out): T[state, sign01, bit] -> state, out[state] with 0 = undefined."""
-    t = np.zeros((dfao.state_count, 2, 2), dtype=np.uint8)
-    for (state, (sign, bit)), target in dfao.transitions.items():
-        t[state, (sign + 1) >> 1, bit] = target
-    out = np.zeros(dfao.state_count, dtype=np.int8)
-    for state, val in enumerate(dfao.output):
-        out[state] = 0 if val is None else val
-    return t, out
-
-
-def decidable_width(k: int) -> int:
-    """Track length needed before the automaton's output is defined for k.
-
-    One past the lowest set bit of k, and never less than the full
-    expansion: max(bit_length(k), trailing_zeros(k) + 2).
-    """
-    s = (k & -k).bit_length() - 1
-    return max(k.bit_length(), s + 2)
-
-
 def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     """Run the DFAO and the closed formula over every (row, k) pair.
 
@@ -198,41 +177,44 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     (row_index, k, formula_value, dfao_value_or_None) minimizing (k, row).
     skipped_ks lists the positions the track length cannot decide.
 
-    The k values are walked as a DFS over the lsd-first digit trie so that
-    positions sharing low digits share their state trajectories; this is
-    what keeps full 2^16-position sweeps fast.
+    The k values are swept level by level over their lsd-first digits:
+    after level i a chunk of rows holds one automaton state per low-bit
+    pattern, column c for k = c (mod 2^(i+1)), and level i + 1 steps every
+    column by digit 0 and by digit 1 through one flat (4*state + 2*sign +
+    bit) table, concatenating the two halves.  Columns past the top k are
+    dropped as they appear, and the last level steps straight to the
+    output byte, which is compared with the b'+'/b'-' rows of
+    pf_prefix_matrix, the one sequence generator.
     """
-    t, out = transition_tables(dfao)
     m, w = rows.shape
-    sgn01 = ((rows + 1) >> 1).astype(np.uint8)
-    digit_cols = [np.ascontiguousarray(sgn01[:, i]) for i in range(w)]
-    skipped = [k for k in (1 << (w - 1),) if k <= k_max]
-    skipped += list(range(1 << w, k_max + 1))
-    cases = 0
-    best = None
-
-    start_vec = np.full(m, dfao.start_state, dtype=np.uint8)
-    stack = [(0, 0, start_vec)]
-    while stack:
-        i, kpart, state = stack.pop()
-        if i == w:
-            k = kpart
-            if k == 0 or k > k_max or decidable_width(k) > w:
-                continue
-            got = out[state]
-            s = (k & -k).bit_length() - 1
-            want = rows[:, s] if (k >> s) & 3 == 1 else -rows[:, s]
-            cases += m
-            bad = got != want
-            if bad.any():
-                j = int(np.argmax(bad))
-                if best is None or (k, j) < (best[1], best[0]):
-                    val = int(got[j])
-                    best = (j, k, int(want[j]), val if val else None)
-            continue
-        if kpart > k_max:
-            continue
-        col = digit_cols[i]
-        stack.append((i + 1, kpart, t[state, col, 0]))
-        stack.append((i + 1, kpart + (1 << i), t[state, col, 1]))
-    return cases, sorted(skipped), best
+    top = min(k_max, (1 << w) - 1)
+    undecidable = 1 << (w - 1)
+    skipped = [k for k in (undecidable,) if k <= k_max] + list(range(1 << w, k_max + 1))
+    cases = m * (top - (undecidable <= top))
+    state_type = np.min_scalar_type(4 * dfao.state_count)
+    table = np.empty(4 * dfao.state_count, dtype=state_type)
+    for (state, (sign, bit)), target in dfao.transitions.items():
+        table[4 * state + (sign + 1) + bit] = target
+    out = np.array([{1: PLUS, -1: MINUS}.get(v, 0) for v in dfao.output], dtype=np.uint8)
+    tables = [table] * (w - 1) + [out[table]]
+    signs = np.where(rows > 0, 2, 0).astype(state_type)
+    # a chunk's working set peaks near 16 bytes per cell (the takes widen
+    # their indices), so four budgets of cells stay near one megabyte
+    step, best = max(1, 4 * CHUNK_ELEMENTS // (top + 1)), None
+    for lo in range(0, m, step):
+        chunk = rows[lo:lo + step]
+        cells = np.full((len(chunk), 1), dfao.start_state, dtype=state_type)
+        for i, tab in enumerate(tables):
+            base = cells * state_type.type(4) + signs[lo:lo + step, i:i + 1]
+            ones = base[:, :max(0, top + 1 - (1 << i))] + 1
+            cells = np.concatenate((tab.take(base), tab.take(ones)), axis=1)
+        want = pf_prefix_matrix(chunk, top)
+        bad = cells[:, 1:] != want
+        bad[:, undecidable - 1:undecidable] = False
+        cols = np.flatnonzero(bad.any(axis=0))
+        if cols.size and (best is None or cols[0] + 1 < best[1]):
+            c = cols[0]
+            j = int(np.argmax(bad[:, c]))
+            got = {PLUS: 1, MINUS: -1}.get(int(cells[j, c + 1]))
+            best = (lo + j, int(c) + 1, 1 if want[j, c] == PLUS else -1, got)
+    return cases, skipped, best

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from . import _batch
 from .folding import FoldingInstructions, instruction
 
 # canonical symbol order used by every export and table
@@ -124,10 +123,20 @@ def lsd2_digits(k: int, width: int) -> tuple[int, ...]:
     return tuple((k >> i) & 1 for i in range(width))
 
 
+def decidable_width(k: int) -> int:
+    """Track length needed before the automaton's output is defined for k.
+
+    One past the lowest set bit of k, and never less than the full
+    expansion: max(bit_length(k), trailing_zeros(k) + 2).
+    """
+    s = (k & -k).bit_length() - 1
+    return max(k.bit_length(), s + 2)
+
+
 def tracked_input(f: FoldingInstructions, k: int, width: Optional[int] = None) -> TrackedInput:
     """Tracks for evaluating P_f[k]; default width is the decidable minimum."""
     if width is None:
-        width = _batch.decidable_width(k)
+        width = decidable_width(k)
     return TrackedInput(lsd2_digits(k, width),
                         tuple(instruction(f, s) for s in range(width)))
 

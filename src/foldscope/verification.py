@@ -184,7 +184,9 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
     patterns extended cyclically to `depth` track pairs, and seeded random
     streams long enough for every k are added on top; positions the short
     tracks cannot decide are reported in details and covered by the long
-    streams.
+    streams.  One level-order sweep checks both against pf_prefix_matrix.
+    Past K_BOUND_MAX.bit_length() + 1 tracks every k <= K_BOUND_MAX reads
+    only zero padding, so deeper `depth` is refused before any work.
     """
     if k_bound < 1:
         raise ValueError(f"k_bound must be >= 1, got {k_bound}")
@@ -192,6 +194,9 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
         raise ValueError(f"k_bound {k_bound} exceeds the sweep budget of {K_BOUND_MAX}")
     _check_samples(samples)
     depth = max(EXHAUSTIVE_DFAO_DEPTH, k_bound.bit_length()) if depth is None else depth
+    if depth > K_BOUND_MAX.bit_length() + 1:
+        raise ValueError(f"depth {depth} exceeds the sweep budget of "
+                         f"{K_BOUND_MAX.bit_length() + 1} tracks")
     d = machine if machine is not None else build_pf_evaluator()
     exhaustive = depth <= EXHAUSTIVE_DFAO_DEPTH
     if exhaustive and depth < k_bound.bit_length():
@@ -296,8 +301,8 @@ def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
 
 
 def _check_lemma_range(n_lo, n_hi, exhaustive=True):
-    """Refuse n below the lemmas' range, an empty range, and an exhaustive
-    grid deeper than EXHAUSTIVE_DEPTH_MAX, before any work."""
+    """Refuse n < 7 (the lemmas' and tails' range), an empty range, and an
+    exhaustive grid deeper than EXHAUSTIVE_DEPTH_MAX, before any work."""
     if n_lo < 7:
         raise ValueError(f"the lemmas are claimed for n >= 7 only, got n_lo={n_lo}")
     if n_hi < n_lo:
@@ -465,10 +470,10 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
 
     The catalog's mixed-branch witnesses always search the fixed window
     7..64 the catalog is calibrated for (two entries first switch branch
-    at n = 17), independent of n_hi.
+    at n = 17), independent of n_hi.  n_hi past n = 256 (scan depth above
+    EXHAUSTIVE_DEPTH_MAX) is refused before any work.
     """
-    if n_hi < 7:
-        raise ValueError(f"need n_hi >= 7, got {n_hi}")
+    _check_lemma_range(7, n_hi)
     heads = _batch.sign_grid(4).tolist()
     ns = range(7, n_hi + 1)
     catalog_ns = range(7, 65)

@@ -216,6 +216,7 @@ def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch)
         pytest.fail("a grid or sweep was built")
 
     monkeypatch.setattr(appearance, "_grid_prefix_bytes", forbidden)
+    monkeypatch.setattr(appearance, "_prefix_bytes", forbidden)
     monkeypatch.setattr(_batch, "sign_grid", forbidden)
     monkeypatch.setattr(_batch, "pf_prefix_matrix", forbidden)
     monkeypatch.setattr(_batch, "compare_formula_vs_dfao", forbidden)
@@ -225,16 +226,19 @@ def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch)
     depth_13 = "exhaustive depth 13 at n=257 exceeds the 12-bit budget"
     width_13 = "monotonicity grid width 13 exceeds the 12-bit budget"
     k_bound = "k_bound 65537 exceeds the sweep budget of 65536"
+    tracks = "depth 19 exceeds the sweep budget of 18 tracks"
     for argv, message in (
             (("--claim", "theorem", "--n-hi", "4096"), depth_16),
             (("--claim", "lemma1", "--n-lo", "4096", "--n-hi", "4096"), depth_16),
             (("--claim", "theorem", "--n-lo", "257", "--n-hi", "257"), depth_13),
             (("--claim", "lemma2", "--n-hi", "257"), depth_13),
             (("--claim", "lemma3", "--n-hi", "257"), depth_13),
+            (("--claim", "corollary-tails", "--n-hi", "257"), depth_13),
             (("--claim", "monotonicity", "--depth", "13"), width_13),
             (("--claim", "monotonicity", "--n-max", "257"), width_13),
             (("--claim", "formula-dfao", "--k-bound", "65537"), k_bound),
-            (("--claim", "all", "--k-bound", "65537"), k_bound)):
+            (("--claim", "all", "--k-bound", "65537"), k_bound),
+            (("--claim", "formula-dfao", "--depth", "19"), tracks)):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "", argv
         assert message in err, argv

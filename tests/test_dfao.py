@@ -6,6 +6,7 @@ from foldscope import (ALPHABET, OutputUndefined, ParallelDFAO, TrackedInput,
                        lsd2_digits, make_instructions, parse_table, pf_value,
                        run_dfao, tracked_input, unreachable_states)
 from foldscope import _batch
+from foldscope.verification import dfao_mutation_catalog
 
 signs = st.sampled_from((-1, 1))
 
@@ -113,16 +114,41 @@ def test_padding_invariance(bits, k, pad):
     assert run_dfao(evaluator, tracked_input(f, k, width)) == value
 
 
-def test_batch_runner_agrees_with_scalar(evaluator):
-    rows = _batch.sign_grid(5, 8)
-    cases, skipped, mismatch = _batch.compare_formula_vs_dfao(evaluator, rows, 127)
-    assert mismatch is None and skipped == []
-    # spot-check the same pairs through the scalar runner
-    for j in (0, 7, 31):
-        f = make_instructions([int(v) for v in rows[j]])
-        for k in (1, 2, 31, 64, 127):
-            inp = tracked_input(f, k, 8)
-            assert run_dfao(evaluator, inp) == pf_value(f, k)
+def _brute_force_sweep(machine, rows, k_max):
+    """(cases, skipped, mismatch) of the batch sweep, one scalar run per
+    (row, k): least k first, then least row."""
+    m, w = rows.shape
+    cases, skipped, mismatch = 0, [], None
+    for k in range(1, k_max + 1):
+        if k >> w or (k & -k).bit_length() + 1 > w:
+            skipped.append(k)
+            continue
+        for j in range(m):
+            f = make_instructions([int(v) for v in rows[j]])
+            try:
+                got = run_dfao(machine, tracked_input(f, k, w))
+            except OutputUndefined:
+                got = None
+            cases += 1
+            if mismatch is None and got != pf_value(f, k):
+                mismatch = (j, k, pf_value(f, k), got)
+    return cases, skipped, mismatch
+
+
+def test_batch_runner_agrees_with_scalar(evaluator, monkeypatch):
+    # 16 rows of 6 tracks: at k_max = 40, k = 32 is undecidable and a small
+    # budget splits the rows into chunks of 4, so a wrong merge of the
+    # chunks' first mismatches shows; k_max = 12 drops whole bit-1 halves
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 41)
+    rows = _batch.sign_grid(4, 6)
+    machines = [evaluator] + [m for _, m in dfao_mutation_catalog(evaluator)]
+    caught = 0
+    for machine in machines:
+        for k_max in (12, 40):
+            expected = _brute_force_sweep(machine, rows, k_max)
+            assert _batch.compare_formula_vs_dfao(machine, rows, k_max) == expected
+        caught += expected[2] is not None
+    assert expected[:2] == (16 * 39, [32]) and caught == 20
 
 
 # --- exports ----------------------------------------------------------------
