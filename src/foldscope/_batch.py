@@ -3,11 +3,12 @@
 Everything here is plumbing for the verification suites: sign grids over
 instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
-for every n of a phi-band off one sort per prefix, and the level-order
+for every n of a phi-band off one sort per prefix, and the split-digit
 automaton sweep that checks a DFAO against pf_prefix_matrix over many
-instruction rows at once.  The scalar implementations in folding.py /
-appearance.py / dfao.py stay the reference; tests cross-check these
-against them.
+instruction rows at once (one pass over the low digits, one over the
+high digits from every state, one gather per row).  The scalar
+implementations in folding.py / appearance.py / dfao.py stay the
+reference; tests cross-check these against them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
 
 
 # Prefix bytes per chunk of the band kernel.  Its working set peaks near
-# 65 bytes per prefix byte, so a chunk stays near one megabyte.
+# 65 bytes per prefix byte, so a chunk stays near one megabyte.  The
+# automaton sweep takes 16 times as many output cells per chunk, at about
+# one byte each.
 CHUNK_ELEMENTS = 1 << 14
 
 # Window codes of 2^j signs for j <= 6 fit these unsigned types.
@@ -177,14 +180,17 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     (row_index, k, formula_value, dfao_value_or_None) minimizing (k, row).
     skipped_ks lists the positions the track length cannot decide.
 
-    The k values are swept level by level over their lsd-first digits:
-    after level i a chunk of rows holds one automaton state per low-bit
-    pattern, column c for k = c (mod 2^(i+1)), and level i + 1 steps every
+    Each k is split as lo + 2^low * hi at low = w - w // 2 lsd-first
+    digits.  For a chunk of rows, one level-order pass runs the low digits
+    from the start state, giving the state A[lo] after them, and a second
+    runs the high digits from every state q, giving the output byte
+    B[q, hi].  After level i a pass holds one state per digit pattern,
+    column c for digits = c (mod 2^(i+1)), and level i + 1 steps every
     column by digit 0 and by digit 1 through one flat (4*state + 2*sign +
-    bit) table, concatenating the two halves.  Columns past the top k are
-    dropped as they appear, and the last level steps straight to the
-    output byte, which is compared with the b'+'/b'-' rows of
-    pf_prefix_matrix, the one sequence generator.
+    bit) table, concatenating the two halves; columns past the top digit
+    value are dropped as they appear.  A row's outputs in k order are then
+    one gather, B.T[:, A] flattened, and are compared with its b'+'/b'-'
+    row of pf_prefix_matrix, the one sequence generator.
     """
     m, w = rows.shape
     top = min(k_max, (1 << w) - 1)
@@ -196,25 +202,35 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     for (state, (sign, bit)), target in dfao.transitions.items():
         table[4 * state + (sign + 1) + bit] = target
     out = np.array([{1: PLUS, -1: MINUS}.get(v, 0) for v in dfao.output], dtype=np.uint8)
-    tables = [table] * (w - 1) + [out[table]]
     signs = np.where(rows > 0, 2, 0).astype(state_type)
-    # a chunk's working set peaks near 16 bytes per cell (the takes widen
-    # their indices), so four budgets of cells stay near one megabyte
-    step, best = max(1, 4 * CHUNK_ELEMENTS // (top + 1)), None
-    for lo in range(0, m, step):
-        chunk = rows[lo:lo + step]
-        cells = np.full((len(chunk), 1), dfao.start_state, dtype=state_type)
-        for i, tab in enumerate(tables):
-            base = cells * state_type.type(4) + signs[lo:lo + step, i:i + 1]
-            ones = base[:, :max(0, top + 1 - (1 << i))] + 1
-            cells = np.concatenate((tab.take(base), tab.take(ones)), axis=1)
+    low = w - w // 2
+    every_state = np.arange(dfao.state_count, dtype=state_type)[:, None]
+
+    def sweep(cells, digit_signs, count):
+        for i in range(digit_signs.shape[-1]):
+            base = cells * state_type.type(4) + digit_signs[..., i:i + 1]
+            ones = base[..., :max(0, count - (1 << i))] + 1
+            cells = np.concatenate((table.take(base), table.take(ones)), axis=-1)
+        return cells
+
+    # A chunk holds about 16 budgets of output cells, one byte each in its
+    # formula rows; the passes hold about (states + 1) * sqrt(cells) per
+    # row, and the gather and the compare go one row at a time.
+    step, best = max(1, 16 * CHUNK_ELEMENTS // (top + 1)), None
+    for first in range(0, m, step):
+        chunk, chunk_signs = rows[first:first + step], signs[first:first + step]
+        r = len(chunk)
+        after_low = sweep(np.full((r, 1), dfao.start_state, dtype=state_type),
+                          chunk_signs[:, :low], top + 1)
+        from_every = np.broadcast_to(every_state, (r, dfao.state_count, 1))
+        after_high = out.take(sweep(from_every, chunk_signs[:, None, low:], (top >> low) + 1))
         want = pf_prefix_matrix(chunk, top)
-        bad = cells[:, 1:] != want
-        bad[:, undecidable - 1:undecidable] = False
-        cols = np.flatnonzero(bad.any(axis=0))
-        if cols.size and (best is None or cols[0] + 1 < best[1]):
-            c = cols[0]
-            j = int(np.argmax(bad[:, c]))
-            got = {PLUS: 1, MINUS: -1}.get(int(cells[j, c + 1]))
-            best = (lo + j, int(c) + 1, 1 if want[j, c] == PLUS else -1, got)
+        for j in range(r):
+            got = np.take(after_high[j].T, after_low[j], axis=1).ravel()[1:top + 1]
+            bad = np.flatnonzero(got != want[j])
+            bad = bad[bad != undecidable - 1]
+            if bad.size and (best is None or bad[0] + 1 < best[1]):
+                c = bad[0]
+                best = (first + j, int(c) + 1, 1 if want[j, c] == PLUS else -1,
+                        {PLUS: 1, MINUS: -1}.get(int(got[c])))
     return cases, skipped, best

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldscope import _batch, appearance, verification
-from foldscope.cli import VERIFY_SUITES, main
+from foldscope.cli import CLAIMS, EXPORT_TARGETS, VERIFY_SUITES, main
 
 
 def run(capsys, *argv):
@@ -348,3 +352,81 @@ def test_export_bad_target(capsys):
     with pytest.raises(SystemExit) as err:
         main(["export", "everything"])
     assert err.value.code == 2
+
+
+# --- fuzz -------------------------------------------------------------------
+
+# A bounded grammar of command lines.  Sizes stay small, or past a cap that
+# refuses them before any work, so every example runs in milliseconds.
+INSTRUCTIONS = ("+;+", "+;+-", "++-;+-", " -;+ ", "+-", "", "+x")
+FLAG_VALUES = {
+    "--n-lo": (-1, 0, 3, 7), "--n-hi": (-1, 0, 5, 9, 12),
+    "--k-bound": (-1, 0, 1, 40, 65537), "--depth": (-1, 0, 1, 4, 19),
+    "--mode": ("exhaustive", "sampled", "both"), "--samples": (-1, 0, 2),
+    "--seed": (0, 7), "--format": ("text", "json", "csv", "xml"),
+}
+
+
+def _flag(name, values=None):
+    return st.sampled_from(values or FLAG_VALUES[name]).map(lambda v: [name, str(v)])
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map(lambda t: [token for part in t for token in part])
+
+
+def _command(head, optional):
+    extras = st.lists(st.one_of(*optional), max_size=2).map(lambda fs: sum(fs, []))
+    junk = st.sampled_from(([],) * 6 + (["--bogus"], ["-n"]))
+    return _joined(head, extras, junk)
+
+
+def _verify_head(claim):
+    # the size flags a claim reads are always given, so no default-sized run
+    head = [st.just(["verify", "--claim", claim])]
+    if claim in ("formula-dfao", "all"):
+        head.append(_flag("--k-bound"))
+    if claim != "formula-dfao":
+        head.append(_flag("--n-hi"))
+    return _joined(*head)
+
+
+instr = _flag("-f", INSTRUCTIONS)
+small_n = _flag("-n", (-1, 1, 2, 7, 12))
+fmt = _flag("--format")
+COMMANDS = st.one_of(
+    _command(_joined(st.just(["seq"]), instr, small_n), [fmt, st.just(["--oeis"])]),
+    _command(_joined(st.just(["eval"]), instr, _flag("-k", (-3, 0, 1, 6, 2 ** 70))),
+             [fmt, _flag("--method", ("formula", "dfao", "both", "neither"))]),
+    _command(_joined(st.just(["appearance"]), instr, small_n),
+             [fmt, st.just(["--predict"])]),
+    _command(_joined(st.just(["predict"]), instr, small_n), [fmt]),
+    _command(st.sampled_from(CLAIMS + ("nope",)).flatmap(_verify_head),
+             [_flag(name) for name in FLAG_VALUES if name != "--format"]
+             + [st.just(["--out", "OUT"]), st.just(["--out", "MISSING"])]),
+    _command(_joined(st.just(["classify"]), _flag("-n", (-1, 0, 1, 3, 7))),
+             [fmt, st.just(["--out", "OUT"])]),
+    _command(_joined(st.just(["export"]), st.sampled_from(EXPORT_TARGETS + ("everything",))
+                     .map(lambda t: [t])),
+             [_flag("-n", (0, 2, 9)), st.just(["--out", "OUT"])]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=COMMANDS)
+def test_cli_fuzz_keeps_the_exit_code_contract(argv):
+    # 0 on success, 1 on a failed check, 2 on a usage error with an empty
+    # stdout; never an uncaught exception
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"OUT": f"{tmp}/out.txt", "MISSING": f"{tmp}/missing/out.txt"}
+        argv = [paths.get(token, token) for token in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -136,17 +136,27 @@ def _brute_force_sweep(machine, rows, k_max):
 
 
 def test_batch_runner_agrees_with_scalar(evaluator, monkeypatch):
-    # 16 rows of 6 tracks: at k_max = 40, k = 32 is undecidable and a small
-    # budget splits the rows into chunks of 4, so a wrong merge of the
-    # chunks' first mismatches shows; k_max = 12 drops whole bit-1 halves
-    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 41)
-    rows = _batch.sign_grid(4, 6)
+    # A small budget splits the 16 rows of 6 tracks into chunks of 2 at
+    # k_max = 40, where k = 32 is undecidable, and of 7 at k_max = 12,
+    # which drops whole bit-1 halves, so a wrong merge of the chunks'
+    # first mismatches shows.  Widths 2, 3 and the odd 7 split the digits
+    # unevenly between the low and the high pass, and k_max = 10 < 2^4
+    # leaves the width-7 high pass with only the zero digits.
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 6)
+    chunks, fill = [], _batch.pf_prefix_matrix
+    monkeypatch.setattr(_batch, "pf_prefix_matrix",
+                        lambda rows, length: chunks.append(len(rows)) or fill(rows, length))
+    grids = (((2, 2), (3, 5)), ((3, 3), (7, 9)), ((3, 7), (10, 130)), ((4, 6), (12, 40)))
     machines = [evaluator] + [m for _, m in dfao_mutation_catalog(evaluator)]
     caught = 0
     for machine in machines:
-        for k_max in (12, 40):
-            expected = _brute_force_sweep(machine, rows, k_max)
-            assert _batch.compare_formula_vs_dfao(machine, rows, k_max) == expected
+        for shape, k_maxes in grids:
+            rows = _batch.sign_grid(*shape)
+            for k_max in k_maxes:
+                expected = _brute_force_sweep(machine, rows, k_max)
+                chunks.clear()
+                assert _batch.compare_formula_vs_dfao(machine, rows, k_max) == expected
+        assert len(chunks) >= 3 and max(chunks) > 1
         caught += expected[2] is not None
     assert expected[:2] == (16 * 39, [32]) and caught == 20
 
