@@ -3,12 +3,14 @@
 Everything here is plumbing for the verification suites: sign grids over
 instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
-for every n of a phi-band off one sort per prefix, and the split-digit
-automaton sweep that checks a DFAO against pf_prefix_matrix over many
-instruction rows at once (one pass over the low digits, one over the
-high digits from every state, one gather per row).  The scalar
-implementations in folding.py / appearance.py / dfao.py stay the
-reference; tests cross-check these against them.
+for every n of a phi-band off one sort per prefix, the target-LCP kernel
+that compares every window of a phi-band with the one at 6p for the
+lemma checks, and the split-digit automaton sweep that checks a DFAO
+against pf_prefix_matrix over many instruction rows at once (one pass
+over the low digits, one over the high digits from every state, one
+gather per row).  The scalar implementations in folding.py /
+appearance.py / dfao.py stay the reference; tests cross-check these
+against them.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
     return tuple(raw[i * length:(i + 1) * length] for i in range(len(rows)))
 
 
-# Prefix bytes per chunk of the band kernel.  Its working set peaks near
-# 65 bytes per prefix byte, so a chunk stays near one megabyte.  The
+# Prefix bytes per chunk of the band and target-LCP kernels.  Their
+# working sets peak near 115 and 54 bytes per prefix byte (tracemalloc,
+# p = 64..256), so a chunk stays within about two megabytes.  The
 # automaton sweep takes 16 times as many output cells per chunk, at about
 # one byte each.
 CHUNK_ELEMENTS = 1 << 14
@@ -143,6 +146,21 @@ def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray:
+    """kernel(bits) over chunks of about CHUNK_ELEMENTS prefix bytes, stacked
+    into one (rows, columns) array; bits holds the first `length` signs of
+    each prefix of the chunk as one 0/1 uint8 row."""
+    out = np.empty((len(prefixes), columns), dtype=dtype)
+    if len(prefixes) and len(prefixes[0]) < length:
+        raise ValueError(f"need prefixes of {length} signs, got {len(prefixes[0])}")
+    step = max(1, CHUNK_ELEMENTS // length)
+    for lo in range(0, len(prefixes), step):
+        chunk = prefixes[lo:lo + step]
+        raw = np.frombuffer(b"".join(pb[:length] for pb in chunk), dtype=np.uint8)
+        out[lo:lo + step] = kernel((raw.reshape(len(chunk), length) == PLUS).astype(np.uint8))
+    return out
+
+
 def band_first_starts(prefixes, p: int) -> np.ndarray:
     """Latest first start, over starts 1..12p, for every n of a phi-band.
 
@@ -157,19 +175,59 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     start in its run, and the result is the largest of those.  Rows are
     processed in chunks of about CHUNK_ELEMENTS prefix bytes.
     """
-    length = 13 * p - 1
-    rows = len(prefixes)
-    out = np.empty((rows, p - p // 2), dtype=np.int32)
-    if rows and len(prefixes[0]) < length:
-        raise ValueError(f"band of phi={p} needs prefixes of {length} signs, "
-                         f"got {len(prefixes[0])}")
-    step = max(1, CHUNK_ELEMENTS // length)
-    for lo in range(0, rows, step):
-        chunk = prefixes[lo:lo + step]
-        raw = np.frombuffer(b"".join(pb[:length] for pb in chunk), dtype=np.uint8)
-        bits = (raw.reshape(len(chunk), length) == PLUS).astype(np.uint8)
-        out[lo:lo + step] = _chunk_first_starts(bits, p)
-    return out
+    return _by_chunks(prefixes, 13 * p - 1, p - p // 2, np.int32,
+                      lambda bits: _chunk_first_starts(bits, p))
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Exact bit length of every entry of an unsigned integer array, found
+    by halving the bits searched (a float log2 rounds near 2^64)."""
+    out = np.zeros(x.shape, dtype=np.int32)
+    shift = 4 * x.dtype.itemsize
+    while shift:
+        high = x >> x.dtype.type(shift)
+        nonzero = high != 0
+        out += nonzero * np.int32(shift)
+        x = np.where(nonzero, high, x)
+        shift //= 2
+    return out + (x != 0)
+
+
+def _chunk_target_lcp(bits: np.ndarray, p: int) -> np.ndarray:
+    """target_lcp for one chunk of 0/1 rows of length 7p - 1."""
+    # blocks of w <= 64 signs, each one packed code: no dense rank needed
+    w = min(p, 64)
+    codes = _window_keys(bits, w.bit_length() - 1)[-1]
+    target, m = 6 * p - 1, 6 * p
+    # the XOR of the first differing block pair, and the equal blocks before it
+    first_diff = np.zeros((len(bits), m), dtype=codes.dtype)
+    equal_blocks = np.zeros((len(bits), m), dtype=np.int32)
+    for b in range(0, p, w):
+        x = codes[:, b:b + m] ^ codes[:, target + b:target + b + 1]
+        undecided = first_diff == 0
+        equal_blocks += undecided & (x == 0)
+        first_diff = np.where(undecided, x, first_diff)
+    # codes are MSB-first, so a block's common prefix is w - bit length
+    return np.minimum(equal_blocks * w + w - _bit_length(first_diff), p)
+
+
+def target_lcp(prefixes, p: int) -> np.ndarray:
+    """Common-prefix length, capped at p, of every window up to start 6p
+    with the window at start 6p, for a whole phi-band.
+
+    `prefixes` are equal-length b'+'/b'-' strings of at least 7p - 1
+    signs and p is a power of two.  Entry [r, i] of the (rows, 6p) uint16
+    result is the longest common prefix, at most p signs, of prefix r's
+    windows at starts i + 1 and 6p, so the length-n window at 6p (n <= p)
+    occurs at start i + 1 exactly when it is at least n.
+
+    Windows are compared in blocks of min(p, 64) signs, each block one
+    packed _window_keys code: the first block pair whose XOR is nonzero
+    fixes the common prefix by its bit length.  Rows are processed in
+    chunks of about CHUNK_ELEMENTS prefix bytes.
+    """
+    return _by_chunks(prefixes, 7 * p - 1, 6 * p, np.uint16,
+                      lambda bits: _chunk_target_lcp(bits, p))
 
 
 def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):

@@ -189,8 +189,14 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bulk enumeration used by the verification and classifier modules
 
+# Entries kept by each memoized grid, band, LCP array and sample, so a
+# long-lived process holds a bounded number of them.  `verify --claim all
+# --n-max 64` fills at most 18 (the band cache), so nothing is evicted
+# there; one depth-12 entry (n <= 256) is at most about 14 MB.
+CACHE_SIZE = 32
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _grid_prefix_bytes(depth: int, width: int, length: int) -> tuple:
     """Sequence prefixes (as bytes) for every pattern of
     _batch.sign_grid(depth, width)."""
@@ -202,7 +208,7 @@ def band_length(n: int) -> int:
     return 13 * phi(n) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _band(prefixes: tuple, p: int) -> np.ndarray:
     """_batch.band_first_starts of `prefixes` for the phi-band p, cached on
     the prefix tuple itself."""

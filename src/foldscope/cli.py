@@ -37,6 +37,14 @@ VERIFY_FLAGS = ("n_lo", "n_hi", "k_bound", "depth", "mode", "samples", "seed")
 
 EXPORT_TARGETS = ("dfao-dot", "dfao-table", "classifier-csv")
 
+# Per-instance size caps, refused with exit 2 before any work.  The
+# appearance scan keeps about 4n distinct factors of n bytes each, so its
+# memory grows as n^2: n = 4096 took 0.34 s and 96 MB peak RSS, n = 8192
+# 0.76 s and 295 MB.  seq -n 2^22 took 0.87 s and 102 MB, 2^24 3.1 s and
+# 321 MB (2-core Xeon).
+APPEARANCE_N_MAX = 1 << 12
+SEQ_LENGTH_MAX = 1 << 22
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -122,6 +130,8 @@ def _emit(text: str, out_path):
 
 
 def _cmd_seq(args) -> int:
+    if args.length > SEQ_LENGTH_MAX:
+        raise ValueError(f"seq length {args.length} exceeds the cap of {SEQ_LENGTH_MAX}")
     f = parse_instructions(args.instructions)
     word = pf_prefix(f, args.length)
     if args.format == "json":
@@ -163,6 +173,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_appearance(args) -> int:
+    if args.n > APPEARANCE_N_MAX:
+        raise ValueError(f"appearance n={args.n} exceeds the cap of {APPEARANCE_N_MAX}")
     f = parse_instructions(args.instructions)
     report = appearance_report(f, args.n)
     record = report_to_json(report)

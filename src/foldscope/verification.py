@@ -11,6 +11,12 @@ The enumeration depth for length n is scan_depth(n): the scan reads the
 sequence out to 12*phi(n) + n - 1 positions, so instruction bits beyond
 that depth are never consulted.  The dependence check inside
 verify_theorem confirms the bits that do matter.
+
+Every suite reads its grid whole: S values come from the band kernel
+through s_column, and the three lemmas, which all compare windows with
+the one at 6*phi(n), read one target-LCP array per phi-band
+(_batch.target_lcp) with a few numpy compares per n.  Only the first
+failing row of an n is looked at on its own, to build its counterexample.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _batch, appearance
-from .appearance import band_length, phi, predicted_s, s_column, scan_depth
+from .appearance import CACHE_SIZE, band_length, phi, predicted_s, s_column, scan_depth
 # No suite reads S one prefix at a time any more; the name stays importable
 # because perfbench/layers.py traces it.
 from .appearance import _s_from_prefix  # noqa: F401
@@ -123,7 +129,7 @@ def _row_text(row) -> str:
     return format_instructions(FoldingInstructions(row))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _sample_rows(width: int, samples: int, seed: int) -> tuple:
     """Seeded sample of instruction streams; extremal streams always first."""
     rng = random.Random(seed * 1_000_003 + width * 1_009 + samples)
@@ -142,7 +148,7 @@ def _sample_rows(width: int, samples: int, seed: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tuple:
     rows = np.array(_sample_rows(width, samples, seed), dtype=np.int8)
     return _batch.prefix_rows(rows, length)
@@ -164,6 +170,7 @@ def _check_samples(samples):
 def clear_caches():
     _sample_rows.cache_clear()
     _sample_prefix_bytes.cache_clear()
+    _target_lcp.cache_clear()
     appearance.clear_caches()
 
 
@@ -312,70 +319,88 @@ def _check_lemma_range(n_lo, n_hi, exhaustive=True):
                          f"the {EXHAUSTIVE_DEPTH_MAX}-bit budget")
 
 
-def _occurrences(prefix: bytes, target: bytes, end: int):
-    """1-based starts of every occurrence of target within prefix[0:end]."""
-    out = []
-    pos = prefix.find(target, 0, end)
-    while pos != -1:
-        out.append(pos + 1)
-        pos = prefix.find(target, pos + 1, end)
-    return out
+@lru_cache(maxsize=CACHE_SIZE)
+def _target_lcp(prefixes: tuple, p: int) -> np.ndarray:
+    """_batch.target_lcp of `prefixes` for the phi-band p, cached on the
+    prefix tuple itself."""
+    return _batch.target_lcp(prefixes, p)
 
 
-def _grid_lemma(n, check):
-    """check(prefix, index) -> counterexample fields or None, applied to
-    every depth-bit grid prefix for n until the first failure."""
+def _lemma_grid(n):
+    """(depth, prefixes, target LCP array) of the depth-bit grid for n; the
+    array is computed once per phi-band and serves every lemma at every n
+    of it."""
     depth = scan_depth(n)
     prefixes = appearance._grid_prefix_bytes(depth, depth, band_length(n))
-    for i, pb in enumerate(prefixes):
-        bad = check(pb, i)
-        if bad is not None:
-            counter = {"n": n, **bad,
-                       "instructions": _row_text(_batch.sign_grid(depth)[i].tolist())}
-            return len(prefixes), depth, counter
-    return len(prefixes), depth, None
+    return depth, prefixes, _target_lcp(prefixes, phi(n))
+
+
+def _first_failure(n, depth, fail, fields):
+    """(cases, depth, counterexample) of a lemma at n from its per-row
+    failure mask; fields(i) gives the counterexample fields of the first
+    failing row i, built from that row alone."""
+    bad = np.flatnonzero(fail)
+    counter = None
+    if bad.size:
+        i = int(bad[0])
+        counter = {"n": n, **fields(i),
+                   "instructions": _row_text(_batch.sign_grid(depth)[i].tolist())}
+    return len(fail), depth, counter
 
 
 def _lemma1_for_n(n, _sampled):
     p = phi(n)
-
-    def check(pb, i):
-        target = pb[6 * p - 1:6 * p - 1 + n]
-        occ = _occurrences(pb, target, 6 * p + n - 1)
-        if 6 * p not in occ or not set(occ) <= {4 * p, 6 * p}:
-            return {"occurrences": occ, "allowed": [4 * p, 6 * p]}
-    return _grid_lemma(n, check)
+    depth, _, lcp = _lemma_grid(n)
+    # the window at 6p occurs at start i + 1 <= 6p exactly when lcp >= n
+    occurs = lcp >= n
+    allowed = np.zeros(6 * p, dtype=bool)
+    allowed[[4 * p - 1, 6 * p - 1]] = True
+    fail = (occurs & ~allowed).any(axis=1) | ~occurs[:, 6 * p - 1]
+    return _first_failure(n, depth, fail, lambda i: {
+        "occurrences": (np.flatnonzero(occurs[i]) + 1).tolist(),
+        "allowed": [4 * p, 6 * p]})
 
 
 def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The window of length n at 6*phi(n) occurs in the prefix of length
-    6*phi(n)+n-1 only at starts 4*phi(n) or 6*phi(n)."""
+    6*phi(n)+n-1 only at starts 4*phi(n) or 6*phi(n).
+
+    The occurrences are the starts whose window shares at least n signs
+    with it, read off the target-LCP array of the phi-band.
+    """
     _check_lemma_range(n_lo, n_hi)
     return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n)
 
 
 def _lemma2_for_n(n, _sampled):
     p = phi(n)
-    s_values = appearance.grid_s_values(n, scan_depth(n))
+    depth, prefixes, lcp = _lemma_grid(n)
+    s = np.array(appearance.grid_s_values(n, depth))
+    # the target's first occurrence; it equals S only if the window at S
+    # is the target, so one compare covers both halves of the lemma
+    direct_first = (lcp >= n).argmax(axis=1) + 1
+    fail = direct_first != s
 
-    def check(pb, i):
-        s = s_values[i]
-        target = pb[6 * p - 1:6 * p - 1 + n]
-        latest_window = pb[s - 1:s - 1 + n]
-        direct_first = pb.find(target) + 1
-        if latest_window != target or direct_first != s:
-            return {"s": s, "latest_factor": latest_window.decode(),
-                    "expected_factor": target.decode(),
-                    "direct_first_start": direct_first}
-    return _grid_lemma(n, check)
+    def fields(i):
+        pb, si = prefixes[i], int(s[i])
+        return {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
+                "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
+                "direct_first_start": int(direct_first[i])}
+    return _first_failure(n, depth, fail, fields)
 
 
 def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The factor with the latest first start is exactly the window at
-    6*phi(n), cross-checked against a direct substring search.
+    6*phi(n), cross-checked against a direct search.
 
     Distinct factors have distinct first starts, so the maximizer is
-    automatically unique; the direct search keeps the scan honest.
+    automatically unique; the direct search keeps the scan honest.  It is
+    the first start whose window shares at least n signs with the one at
+    6*phi(n), read off _batch.target_lcp.  That is still a direct search:
+    every window is compared with the one fixed window, sign block by sign
+    block.  It shares with the band kernel that gives S only the exact bit
+    packing of _batch._window_keys, not its sort, dense ranks or
+    neighbour LCPs, so a fault in those cannot show in both.
     """
     _check_lemma_range(n_lo, n_hi)
     return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)
@@ -383,52 +408,57 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
 
 def _lemma3_for_n(n, _sampled):
     p = phi(n)
-
-    def check(pb, i):
-        short = pb[6 * p - 1:6 * p - 1 + n]
-        full = pb[6 * p - 1:6 * p - 1 + p]
-        first_short = pb.find(short) + 1
-        first_full = pb.find(full) + 1
-        if first_short != first_full:
-            return {"first_start_len_n": first_short,
-                    "first_start_len_phi": first_full}
-    return _grid_lemma(n, check)
+    depth, _, lcp = _lemma_grid(n)
+    first_short = (lcp >= n).argmax(axis=1) + 1
+    first_full = (lcp >= p).argmax(axis=1) + 1
+    return _first_failure(n, depth, first_short != first_full, lambda i: {
+        "first_start_len_n": int(first_short[i]),
+        "first_start_len_phi": int(first_full[i])})
 
 
 def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The windows of lengths n and phi(n) starting at 6*phi(n) first
-    appear at the same index."""
+    appear at the same index: the first starts whose window shares at
+    least n, and all phi(n), signs with the one at 6*phi(n)."""
     _check_lemma_range(n_lo, n_hi)
     return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n)
 
 
-def _theorem_for_n(n, sampled, samples, seed, predictor):
+def _theorem_for_n(n, sampled, samples, seed, predictor, patterns):
     depth = scan_depth(n)
     k = phi(n).bit_length() - 1
     if k + 2 >= depth:
         raise ValueError(f"instruction depth {depth} at n={n} does not reach "
                          f"f_{k + 2}, which the closed form reads")
     values, rows = _s_values(n, depth, sampled, samples, seed)
+    key = (depth, k, sampled)
+    if key not in patterns:
+        # per pattern: its instruction set, and the first pattern with the
+        # same (f_{k+1}, f_{k+2})
+        pair = np.asarray(rows)[:, k + 1:k + 3] > 0
+        _, firsts, group = np.unique(2 * pair[:, 0] + pair[:, 1],
+                                     return_index=True, return_inverse=True)
+        patterns[key] = [FoldingInstructions(row) for row in rows], firsts[group.ravel()]
+    instructions, leader = patterns[key]
 
     counter = None
-    for value, row in zip(values, rows):
-        pred = predictor(FoldingInstructions(row), n)
+    for value, f, row in zip(values, instructions, rows):
+        pred = predictor(f, n)
         if value != pred:
             counter = {"n": n, "computed": value, "predicted": pred,
                        "instructions": _row_text(row)}
             break
     if counter is None:
         # dependence: fixing (f_{k+1}, f_{k+2}) must pin the value
-        groups: dict = {}
-        for value, row in zip(values, rows):
-            pair = (row[k + 1], row[k + 2])
-            first_value, first_row = groups.setdefault(pair, (value, row))
-            if first_value != value:
-                counter = {"n": n, "pair": list(pair),
-                           "s_first": first_value, "s_second": value,
-                           "instructions": _row_text(first_row),
-                           "instructions_other": _row_text(row)}
-                break
+        s = np.asarray(values)
+        other = np.flatnonzero(s != s[leader])
+        if other.size:
+            j = int(other[0])
+            i = int(leader[j])
+            counter = {"n": n, "pair": [rows[j][k + 1], rows[j][k + 2]],
+                       "s_first": int(s[i]), "s_second": int(s[j]),
+                       "instructions": _row_text(rows[i]),
+                       "instructions_other": _row_text(rows[j])}
     return len(rows), depth, counter
 
 
@@ -442,9 +472,10 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
     _check_samples(samples)
     pred = predictor if predictor is not None else predicted_s
+    patterns: dict = {}  # built once per depth, not once per n
     return _run_suite(
         "theorem", n_lo, n_hi,
-        lambda n, sampled: _theorem_for_n(n, sampled, samples, seed, pred),
+        lambda n, sampled: _theorem_for_n(n, sampled, samples, seed, pred, patterns),
         sampled_from=n_lo if mode == "sampled" else None, seed=seed)
 
 

@@ -222,6 +222,51 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
         assert got == max(appearance_mod._scan_first_starts(row, n, 12 * p).values())
 
 
+def brute_target_lcp(pb, p):
+    target = pb[6 * p - 1:7 * p - 1]
+    return [next((c for c in range(p) if pb[i + c] != target[c]), p)
+            for i in range(6 * p)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(0, 8), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(j=7, extra=0, seed=1)
+@example(j=8, extra=0, seed=2)
+def test_target_lcp_matches_byte_comparison(j, extra, seed):
+    # p = 1..256: one block of p signs up to 64, two and four 64-sign blocks
+    p = 1 << j
+    length = 7 * p - 1 + extra
+    rng = random.Random(seed)
+    rows = []
+    for i in range(7):
+        pb = bytearray(rng.choice(b"+-") for _ in range(length))
+        # copies of the target with one sign changed give common prefixes
+        # of every length, across block boundaries too
+        for _ in range(i % 4):
+            to, cut = rng.randrange(6 * p - 1), rng.randrange(p + 1)
+            pb[to:to + p] = pb[6 * p - 1:7 * p - 1]
+            if cut < p:
+                pb[to + cut] = ord("+") if pb[to + cut] == ord("-") else ord("-")
+        rows.append(bytes(pb))
+    chunks = []
+    real_chunk = _batch._chunk_target_lcp
+    with pytest.MonkeyPatch.context() as mp:
+        # two rows per chunk: four chunks, the last one partial
+        mp.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
+        mp.setattr(_batch, "_chunk_target_lcp",
+                   lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
+        got = _batch.target_lcp(rows, p)
+    assert chunks == [2, 2, 2, 1]
+    assert got.dtype == np.uint16 and got.shape == (len(rows), 6 * p)
+    for row, lcp in zip(rows, got):
+        assert lcp.tolist() == brute_target_lcp(row, p)
+
+
+def test_bit_length_is_exact_near_two_to_the_64():
+    x = np.array([0, 1, 2, 3, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert _batch._bit_length(x).tolist() == [int(v).bit_length() for v in x.tolist()]
+
+
 def test_window_keys_equal_exactly_when_windows_are():
     # 0^64 1^64 0^63 1 0^64 plus padding: the 64-sign windows rank so that
     # a pair key of left * max_rank + right would merge two distinct

@@ -6,8 +6,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldscope import _batch, appearance, verification
-from foldscope.cli import CLAIMS, EXPORT_TARGETS, VERIFY_SUITES, main
+from foldscope import _batch, appearance, cli, verification
+from foldscope.cli import (APPEARANCE_N_MAX, CLAIMS, EXPORT_TARGETS, SEQ_LENGTH_MAX,
+                           VERIFY_SUITES, main)
+from foldscope.folding import SignWord
 
 
 def run(capsys, *argv):
@@ -248,6 +250,37 @@ def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch)
         assert message in err, argv
 
 
+def test_per_instance_commands_refuse_sizes_past_their_caps(capsys, monkeypatch):
+    # the prefix and the scan are stubbed, so the caps themselves run cheaply
+    sizes = []
+    real_report = appearance.appearance_report
+
+    def fake_prefix(f, length):
+        sizes.append(length)
+        return SignWord((1,))
+
+    def fake_report(f, n):
+        sizes.append(n)
+        return real_report(f, 7)
+
+    monkeypatch.setattr(cli, "pf_prefix", fake_prefix)
+    monkeypatch.setattr(cli, "appearance_report", fake_report)
+    # both caps keep the single-query sizes (n <= 256, length <= 2^14)
+    assert APPEARANCE_N_MAX >= 256 and SEQ_LENGTH_MAX >= 1 << 14
+    for argv, message in (
+            (("seq", "-n", str(SEQ_LENGTH_MAX + 1)),
+             f"seq length {SEQ_LENGTH_MAX + 1} exceeds the cap of {SEQ_LENGTH_MAX}"),
+            (("appearance", "-n", str(APPEARANCE_N_MAX + 1)),
+             f"appearance n={APPEARANCE_N_MAX + 1} exceeds the cap of {APPEARANCE_N_MAX}")):
+        code, out, err = run(capsys, argv[0], "-f", "+;+", *argv[1:])
+        assert code == 2 and out == "", argv
+        assert message in err, argv
+    assert sizes == []
+    assert run(capsys, "seq", "-f", "+;+", "-n", str(SEQ_LENGTH_MAX))[0] == 0
+    assert run(capsys, "appearance", "-f", "+;+", "-n", str(APPEARANCE_N_MAX))[0] == 0
+    assert sizes == [SEQ_LENGTH_MAX, APPEARANCE_N_MAX]
+
+
 def test_verify_usage_error_keeps_existing_out_file(capsys, tmp_path):
     out_file = tmp_path / "report.jsonl"
     out_file.write_text("earlier report\n")
@@ -393,12 +426,15 @@ def _verify_head(claim):
 
 instr = _flag("-f", INSTRUCTIONS)
 small_n = _flag("-n", (-1, 1, 2, 7, 12))
+# seq and appearance also draw a size just past their cap
+seq_n = _flag("-n", (-1, 1, 2, 7, 12, SEQ_LENGTH_MAX + 1))
+appearance_n = _flag("-n", (-1, 1, 2, 7, 12, APPEARANCE_N_MAX + 1))
 fmt = _flag("--format")
 COMMANDS = st.one_of(
-    _command(_joined(st.just(["seq"]), instr, small_n), [fmt, st.just(["--oeis"])]),
+    _command(_joined(st.just(["seq"]), instr, seq_n), [fmt, st.just(["--oeis"])]),
     _command(_joined(st.just(["eval"]), instr, _flag("-k", (-3, 0, 1, 6, 2 ** 70))),
              [fmt, _flag("--method", ("formula", "dfao", "both", "neither"))]),
-    _command(_joined(st.just(["appearance"]), instr, small_n),
+    _command(_joined(st.just(["appearance"]), instr, appearance_n),
              [fmt, st.just(["--predict"])]),
     _command(_joined(st.just(["predict"]), instr, small_n), [fmt]),
     _command(st.sampled_from(CLAIMS + ("nope",)).flatmap(_verify_head),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foldscope import _batch
-from foldscope import (make_instructions, parse_instructions, pf_value, phi,
+from foldscope import (make_instructions, parse_instructions, pf_value, phi, predicted_s,
                        verify_bounds, verify_corollary_tails,
                        verify_formula_vs_dfao, verify_lemma_first_occurrence,
                        verify_lemma_last_factor, verify_lemma_shared_start,
@@ -60,6 +60,25 @@ def kernel_with_s(n, row, value):
             out[row, n - p // 2 - 1] = value
         return out
     return kernel
+
+
+def grid_with_copied_target(n, row, to, break_after=False):
+    """The real lemma grids, except that in prefix `row` of the band of n
+    the length-n window at 6*phi(n) is copied to start `to`, and with
+    break_after the sign just after the copy differs from the target's."""
+    real = appearance_mod._grid_prefix_bytes
+
+    def grid(depth, width, length):
+        rows = list(real(depth, width, length))
+        if length == appearance_mod.band_length(n):
+            p = phi(n)
+            pb = bytearray(rows[row])
+            pb[to - 1:to - 1 + n] = pb[6 * p - 1:6 * p - 1 + n]
+            if break_after:
+                pb[to - 1 + n] = ord("+") if pb[6 * p - 1 + n] == ord("-") else ord("-")
+            rows[row] = bytes(pb)
+        return tuple(rows)
+    return grid
 
 
 # --- outcome type -----------------------------------------------------------
@@ -179,6 +198,50 @@ def test_lemmas_reject_small_n(verify):
         verify(6, 8)
 
 
+# Each counterexample below is pinned from a per-row bytes.find search of
+# the same crafted grid.
+
+@pytest.mark.parametrize("n, row, to, n_lo, n_hi, cases, counter", [
+    (7, 5, 1, 7, 8, 256, {"allowed": [32, 48], "instructions": "+-+----", "n": 7,
+                          "occurrences": [1, 48]}),
+    # a copied length-12 window holds the length-9 one: n = 9 fails first
+    (12, 9, 20, 9, 16, 2048, {"allowed": [64, 96], "instructions": "+--+----", "n": 9,
+                              "occurrences": [20, 96]}),
+])
+def test_lemma1_reports_a_stray_occurrence(clean_caches, monkeypatch, n, row, to,
+                                           n_lo, n_hi, cases, counter):
+    monkeypatch.setattr(appearance_mod, "_grid_prefix_bytes",
+                        grid_with_copied_target(n, row, to))
+    outcome = verify_lemma_first_occurrence(n_lo, n_hi)
+    assert not outcome.passed and outcome.cases_checked == cases
+    assert outcome.counterexample == counter
+
+
+@pytest.mark.parametrize("n, row, to, n_lo, n_hi, cases, counter", [
+    (7, 3, 2, 7, 8, 256, {"first_start_len_n": 2, "first_start_len_phi": 48,
+                          "instructions": "++-----", "n": 7}),
+    (11, 6, 30, 9, 16, 2048, {"first_start_len_n": 30, "first_start_len_phi": 96,
+                              "instructions": "-++-----", "n": 9}),
+])
+def test_lemma3_reports_split_first_starts(clean_caches, monkeypatch, n, row, to,
+                                           n_lo, n_hi, cases, counter):
+    monkeypatch.setattr(appearance_mod, "_grid_prefix_bytes",
+                        grid_with_copied_target(n, row, to, break_after=True))
+    outcome = verify_lemma_shared_start(n_lo, n_hi)
+    assert not outcome.passed and outcome.cases_checked == cases
+    assert outcome.counterexample == counter
+
+
+def test_lemma2_reports_the_row_that_moved(clean_caches, monkeypatch):
+    monkeypatch.setattr(appearance_mod, "_grid_prefix_bytes",
+                        grid_with_copied_target(7, 3, 2, break_after=True))
+    outcome = verify_lemma_last_factor(7, 8)
+    assert not outcome.passed and outcome.cases_checked == 256
+    assert outcome.counterexample == {
+        "direct_first_start": 2, "expected_factor": "+++--+-", "instructions": "++-----",
+        "latest_factor": "-+++--+", "n": 7, "s": 47}
+
+
 def test_lemma1_regular_first_occurrence_at_48(regular):
     # the length-7 window at 48 occurs nowhere earlier for the regular fold
     from foldscope.appearance import _prefix_bytes
@@ -221,6 +284,23 @@ def test_theorem_swapped_branches_fail_everywhere():
     ce = outcome.counterexample
     assert ce["computed"] != ce["predicted"]
     assert ce["n"] == 7
+
+
+def test_theorem_dependence_check_names_both_patterns(clean_caches, monkeypatch):
+    # pattern 1 ("+-------") reads S(9) = 80 and the predictor agrees, so
+    # only the dependence check sees that pattern 0, with the same
+    # (f_4, f_5), reads 96
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 1, 80))
+    pattern_1 = (1,) + (-1,) * 7
+
+    def agreeing(f, n):
+        return 80 if n == 9 and f.prefix == pattern_1 else predicted_s(f, n)
+
+    outcome = verify_theorem(7, 16, predictor=agreeing)
+    assert not outcome.passed and outcome.cases_checked == 2304
+    assert outcome.counterexample == {
+        "instructions": "--------", "instructions_other": "+-------", "n": 9,
+        "pair": [-1, -1], "s_first": 96, "s_second": 80}
 
 
 def test_theorem_depth_guard_names_n_and_depth(monkeypatch):
