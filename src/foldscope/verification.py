@@ -12,11 +12,15 @@ sequence out to 12*phi(n) + n - 1 positions, so instruction bits beyond
 that depth are never consulted.  The dependence check inside
 verify_theorem confirms the bits that do matter.
 
-Every suite reads its grid whole: S values come from the band kernel
-through s_column, and the three lemmas, which all compare windows with
+Every per-n suite reads its grid whole through one accessor, _grid(n,
+...) -> (depth, rows, prefixes): rows is an int8 array (the sign grid, or
+the cached seeded sample) and S is the numpy column s_column(prefixes, n)
+from the band kernel.  The three lemmas, which all compare windows with
 the one at 6*phi(n), read one target-LCP array per phi-band
-(_batch.target_lcp) with a few numpy compares per n.  Only the first
-failing row of an n is looked at on its own, to build its counterexample.
+(_batch.target_lcp) with a few numpy compares per n.  Each check builds
+a per-row failure mask, and one helper, _first_failure, turns its first
+failing row into the counterexample; only that row is looked at on its
+own.
 """
 
 from __future__ import annotations
@@ -125,13 +129,14 @@ def _run_suite(claim_id, n_lo, n_hi, check_n, *, sampled_from=None, seed=None,
 
 
 def _row_text(row) -> str:
-    """The instruction text of one enumerated row (a sequence of +-1)."""
-    return format_instructions(FoldingInstructions(row))
+    """The instruction text of one enumerated row (an int8 array of +-1)."""
+    return format_instructions(FoldingInstructions(row.tolist()))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _sample_rows(width: int, samples: int, seed: int) -> tuple:
-    """Seeded sample of instruction streams; extremal streams always first."""
+def _sample_rows(width: int, samples: int, seed: int) -> np.ndarray:
+    """Seeded sample of distinct instruction streams as a read-only
+    (rows, width) int8 array; extremal streams always first."""
     rng = random.Random(seed * 1_000_003 + width * 1_009 + samples)
     specials = [
         (1,) * width,
@@ -140,26 +145,39 @@ def _sample_rows(width: int, samples: int, seed: int) -> tuple:
         tuple(-1 if i % 2 == 0 else 1 for i in range(width)),
     ]
     draws = [tuple(rng.choice((-1, 1)) for _ in range(width)) for _ in range(samples)]
-    seen, out = set(), []
-    for row in specials + draws:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return tuple(out)
+    rows = np.array(list(dict.fromkeys(specials + draws)), dtype=np.int8)
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tuple:
-    rows = np.array(_sample_rows(width, samples, seed), dtype=np.int8)
-    return _batch.prefix_rows(rows, length)
+    return _batch.prefix_rows(_sample_rows(width, samples, seed), length)
 
 
-def _s_values(n, depth, sampled, samples, seed):
-    """(S values, instruction rows) for every pattern enumerated at n."""
-    if not sampled:
-        return appearance.grid_s_values(n, depth), _batch.sign_grid(depth).tolist()
-    prefixes = _sample_prefix_bytes(depth, samples, seed, band_length(n))
-    return s_column(prefixes, n).tolist(), _sample_rows(depth, samples, seed)
+def _grid(n, sampled=False, samples=0, seed=0):
+    """(depth, rows, prefixes) of every pattern enumerated at n: the
+    scan_depth(n)-bit sign grid, or with `sampled` the seeded streams of
+    that width, and their band prefixes, which s_column reads."""
+    depth, length = scan_depth(n), band_length(n)
+    if sampled:
+        return (depth, _sample_rows(depth, samples, seed),
+                _sample_prefix_bytes(depth, samples, seed, length))
+    return (depth, _batch.sign_grid(depth),
+            appearance._grid_prefix_bytes(depth, depth, length))
+
+
+def _first_failure(n, depth, rows, fail, fields):
+    """(cases, depth, counterexample) of a check at n from its per-row
+    failure mask: fields(i) gives the counterexample fields of the first
+    failing row i, built from that row alone, and may replace its
+    instruction text."""
+    bad = np.flatnonzero(fail)
+    counter = None
+    if bad.size:
+        i = int(bad[0])
+        counter = {"n": n, "instructions": _row_text(rows[i]), **fields(i)}
+    return len(fail), depth, counter
 
 
 def _check_samples(samples):
@@ -214,7 +232,7 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
         counter = None
         if mismatch is not None:
             j, k, want, got = mismatch
-            counter = {"instructions": _row_text(rows[j].tolist()), "k": k,
+            counter = {"instructions": _row_text(rows[j]), "k": k,
                        "formula": want, "dfao": got}
         return cases, skipped, counter
 
@@ -229,7 +247,7 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
     if not exhaustive:
         long_width = max(depth + 1, k_bound.bit_length() + 1)
         stream_rows = _sample_rows(long_width, samples, seed)
-        more_cases, skipped, stream_counter = sweep(np.array(stream_rows, dtype=np.int8))
+        more_cases, skipped, stream_counter = sweep(stream_rows)
         cases += more_cases
         counter = counter or stream_counter
         details["stream_count"] = len(stream_rows)
@@ -272,21 +290,17 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 
 
 def _extremes_for_n(n, sampled, samples, seed):
-    depth = scan_depth(n)
-    values, rows = _s_values(n, depth, sampled, samples, seed)
+    depth, rows, prefixes = _grid(n, sampled, samples, seed)
+    s = s_column(prefixes, n)
     p = phi(n)
-    observed_max = max(values)
-    observed_min = min(values)
-    counter = None
-    if observed_max != 6 * p:
-        counter = {"n": n, "kind": "max", "expected": 6 * p,
-                   "observed": observed_max,
-                   "instructions": _row_text(rows[values.index(observed_max)])}
-    elif n >= 7 and observed_min != 4 * p:
-        counter = {"n": n, "kind": "min", "expected": 4 * p,
-                   "observed": observed_min,
-                   "instructions": _row_text(rows[values.index(observed_min)])}
-    return len(values), depth, counter
+    # the max first, then (from n = 7) the min; the counterexample is the
+    # first row that reads the failing extreme
+    kind, expected, observed = "max", 6 * p, int(s.max())
+    if observed == expected and n >= 7:
+        kind, expected, observed = "min", 4 * p, int(s.min())
+    fail = (s == observed) & (observed != expected)
+    return _first_failure(n, depth, rows, fail, lambda i: {
+        "kind": kind, "expected": expected, "observed": observed})
 
 
 def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
@@ -322,41 +336,20 @@ def _check_lemma_range(n_lo, n_hi, exhaustive=True):
 @lru_cache(maxsize=CACHE_SIZE)
 def _target_lcp(prefixes: tuple, p: int) -> np.ndarray:
     """_batch.target_lcp of `prefixes` for the phi-band p, cached on the
-    prefix tuple itself."""
+    prefix tuple itself: one array serves every lemma at every n of the
+    band."""
     return _batch.target_lcp(prefixes, p)
-
-
-def _lemma_grid(n):
-    """(depth, prefixes, target LCP array) of the depth-bit grid for n; the
-    array is computed once per phi-band and serves every lemma at every n
-    of it."""
-    depth = scan_depth(n)
-    prefixes = appearance._grid_prefix_bytes(depth, depth, band_length(n))
-    return depth, prefixes, _target_lcp(prefixes, phi(n))
-
-
-def _first_failure(n, depth, fail, fields):
-    """(cases, depth, counterexample) of a lemma at n from its per-row
-    failure mask; fields(i) gives the counterexample fields of the first
-    failing row i, built from that row alone."""
-    bad = np.flatnonzero(fail)
-    counter = None
-    if bad.size:
-        i = int(bad[0])
-        counter = {"n": n, **fields(i),
-                   "instructions": _row_text(_batch.sign_grid(depth)[i].tolist())}
-    return len(fail), depth, counter
 
 
 def _lemma1_for_n(n, _sampled):
     p = phi(n)
-    depth, _, lcp = _lemma_grid(n)
+    depth, rows, prefixes = _grid(n)
     # the window at 6p occurs at start i + 1 <= 6p exactly when lcp >= n
-    occurs = lcp >= n
+    occurs = _target_lcp(prefixes, p) >= n
     allowed = np.zeros(6 * p, dtype=bool)
     allowed[[4 * p - 1, 6 * p - 1]] = True
     fail = (occurs & ~allowed).any(axis=1) | ~occurs[:, 6 * p - 1]
-    return _first_failure(n, depth, fail, lambda i: {
+    return _first_failure(n, depth, rows, fail, lambda i: {
         "occurrences": (np.flatnonzero(occurs[i]) + 1).tolist(),
         "allowed": [4 * p, 6 * p]})
 
@@ -374,19 +367,18 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
 
 def _lemma2_for_n(n, _sampled):
     p = phi(n)
-    depth, prefixes, lcp = _lemma_grid(n)
-    s = np.array(appearance.grid_s_values(n, depth))
+    depth, rows, prefixes = _grid(n)
+    s = s_column(prefixes, n)
     # the target's first occurrence; it equals S only if the window at S
     # is the target, so one compare covers both halves of the lemma
-    direct_first = (lcp >= n).argmax(axis=1) + 1
-    fail = direct_first != s
+    direct_first = (_target_lcp(prefixes, p) >= n).argmax(axis=1) + 1
 
     def fields(i):
         pb, si = prefixes[i], int(s[i])
         return {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
                 "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
                 "direct_first_start": int(direct_first[i])}
-    return _first_failure(n, depth, fail, fields)
+    return _first_failure(n, depth, rows, direct_first != s, fields)
 
 
 def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
@@ -408,10 +400,11 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
 
 def _lemma3_for_n(n, _sampled):
     p = phi(n)
-    depth, _, lcp = _lemma_grid(n)
+    depth, rows, prefixes = _grid(n)
+    lcp = _target_lcp(prefixes, p)
     first_short = (lcp >= n).argmax(axis=1) + 1
     first_full = (lcp >= p).argmax(axis=1) + 1
-    return _first_failure(n, depth, first_short != first_full, lambda i: {
+    return _first_failure(n, depth, rows, first_short != first_full, lambda i: {
         "first_start_len_n": int(first_short[i]),
         "first_start_len_phi": int(first_full[i])})
 
@@ -430,43 +423,42 @@ def _theorem_for_n(n, sampled, samples, seed, predictor, patterns):
     if k + 2 >= depth:
         raise ValueError(f"instruction depth {depth} at n={n} does not reach "
                          f"f_{k + 2}, which the closed form reads")
-    values, rows = _s_values(n, depth, sampled, samples, seed)
+    _, rows, prefixes = _grid(n, sampled, samples, seed)
+    s = s_column(prefixes, n)
     key = (depth, k, sampled)
     if key not in patterns:
         # per pattern: its instruction set, and the first pattern with the
         # same (f_{k+1}, f_{k+2})
-        pair = np.asarray(rows)[:, k + 1:k + 3] > 0
+        pair = rows[:, k + 1:k + 3] > 0
         _, firsts, group = np.unique(2 * pair[:, 0] + pair[:, 1],
                                      return_index=True, return_inverse=True)
-        patterns[key] = [FoldingInstructions(row) for row in rows], firsts[group.ravel()]
+        patterns[key] = ([FoldingInstructions(row) for row in rows.tolist()],
+                         firsts[group.ravel()])
     instructions, leader = patterns[key]
 
-    counter = None
-    for value, f, row in zip(values, instructions, rows):
-        pred = predictor(f, n)
-        if value != pred:
-            counter = {"n": n, "computed": value, "predicted": pred,
-                       "instructions": _row_text(row)}
-            break
-    if counter is None:
-        # dependence: fixing (f_{k+1}, f_{k+2}) must pin the value
-        s = np.asarray(values)
-        other = np.flatnonzero(s != s[leader])
-        if other.size:
-            j = int(other[0])
-            i = int(leader[j])
-            counter = {"n": n, "pair": [rows[j][k + 1], rows[j][k + 2]],
-                       "s_first": int(s[i]), "s_second": int(s[j]),
-                       "instructions": _row_text(rows[i]),
-                       "instructions_other": _row_text(rows[j])}
-    return len(rows), depth, counter
+    predicted = [predictor(f, n) for f in instructions]
+    fail = s != np.array(predicted)
+    if fail.any():
+        return _first_failure(n, depth, rows, fail, lambda i: {
+            "computed": int(s[i]), "predicted": predicted[i]})
+    # dependence: fixing (f_{k+1}, f_{k+2}) must pin the value
+    return _first_failure(n, depth, rows, s != s[leader], lambda j: {
+        "pair": rows[j, k + 1:k + 3].tolist(),
+        "s_first": int(s[leader[j]]), "s_second": int(s[j]),
+        "instructions": _row_text(rows[leader[j]]),
+        "instructions_other": _row_text(rows[j])})
 
 
 def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
                    samples: int = 200, seed: int = DEFAULT_SEED,
                    predictor: Optional[Callable] = None) -> VerificationOutcome:
     """Scanned s_value equals the closed form for every enumerated (f, n),
-    and the value depends on (f_{k+1}, f_{k+2}) only."""
+    and the value depends on (f_{k+1}, f_{k+2}) only.
+
+    The closed form comes from `predictor` (default predicted_s), called
+    as predictor(f, n) with f a FoldingInstructions, once per enumerated
+    row and n; it may depend on n and on every instruction of f.
+    """
     _check_lemma_range(n_lo, n_hi, exhaustive=mode == "exhaustive")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
@@ -486,14 +478,6 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
 NON_QUALIFYING_TAILS = ("+;++-", "-;--+", "++;++--", "+-+-;+++-", "+;+-+")
 
 
-def _s_rows(instructions, ns) -> list:
-    """Per instruction set, a map n -> S(n) for every n in ns, each phi-band
-    computed once over all the sets and read by s_column."""
-    prefixes = tuple(appearance._prefix_bytes(f, band_length(ns[-1])) for f in instructions)
-    columns = {n: s_column(prefixes, n).tolist() for n in ns}
-    return [{n: columns[n][i] for n in ns} for i in range(len(prefixes))]
-
-
 def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     """Tails alternating from f_4 give s = 4*phi(n) for every head and all
     7 <= n <= n_hi; constant tails give 6*phi(n).  A fixed catalog of
@@ -502,48 +486,48 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     The catalog's mixed-branch witnesses always search the fixed window
     7..64 the catalog is calibrated for (two entries first switch branch
     at n = 17), independent of n_hi.  n_hi past n = 256 (scan depth above
-    EXHAUSTIVE_DEPTH_MAX) is refused before any work.
+    EXHAUSTIVE_DEPTH_MAX) is refused before any work.  Cases are counted
+    as a row-by-row reading would: up to the first failing (row, n) of
+    the families, then whole catalog entries up to the first failing one.
     """
     _check_lemma_range(7, n_hi)
     heads = _batch.sign_grid(4).tolist()
-    ns = range(7, n_hi + 1)
-    catalog_ns = range(7, 65)
     families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
-    family_rows = [(factor, FoldingInstructions(head, tail))
-                   for factor, tails in families for head in heads for tail in tails]
-    cases = 0
+    factors, family_sets = zip(*[(factor, FoldingInstructions(head, tail))
+                                 for factor, tails in families
+                                 for head in heads for tail in tails])
+    catalog = tuple(parse_instructions(text) for text in NON_QUALIFYING_TAILS)
+    # one S matrix: family rows, then catalog rows, by n = 7..max(n_hi, 64)
+    ns = range(7, max(n_hi, 64) + 1)
+    prefixes = tuple(appearance._prefix_bytes(f, band_length(ns[-1]))
+                     for f in family_sets + catalog)
+    s = np.stack([s_column(prefixes, n) for n in ns], axis=1)
+    phis = np.array([phi(n) for n in ns])
 
-    def check_families():
-        nonlocal cases
-        s_rows = _s_rows([f for _, f in family_rows], ns)
-        for (factor, f), row in zip(family_rows, s_rows):
-            for n in ns:
-                cases += 1
-                if row[n] != factor * phi(n):
-                    return {"n": n, "expected": factor * phi(n), "observed": row[n],
-                            "instructions": format_instructions(f)}
-        return None
-
-    counter = check_families()
-
-    witnesses = []
-    if counter is None:
-        catalog = [parse_instructions(text) for text in NON_QUALIFYING_TAILS]
-        for text, row in zip(NON_QUALIFYING_TAILS, _s_rows(catalog, catalog_ns)):
-            branch_by_n: dict = {}
-            for n in catalog_ns:
-                cases += 1
-                branch_by_n[n] = row[n] // phi(n)
-            branches = set(branch_by_n.values())
-            if branches != {4, 6}:
-                counter = {"catalog_entry": text,
-                           "branches_seen": sorted(branches),
-                           "expected": "both 4 and 6"}
-                break
-            w4 = next(n for n, b in branch_by_n.items() if b == 4)
-            w6 = next(n for n, b in branch_by_n.items() if b == 6)
-            witnesses.append({"instructions": text, "n_with_4phi": w4,
-                              "n_with_6phi": w6})
+    expected = np.outer(factors, phis[:n_hi - 6])
+    observed = s[:len(family_sets), :n_hi - 6]
+    bad = np.flatnonzero(observed != expected)
+    counter, witnesses = None, []
+    if bad.size:
+        cases = int(bad[0]) + 1
+        r, c = np.unravel_index(bad[0], observed.shape)
+        counter = {"n": 7 + int(c), "expected": int(expected[r, c]),
+                   "observed": int(observed[r, c]),
+                   "instructions": format_instructions(family_sets[r])}
+    else:
+        window = 64 - 6  # the catalog's columns, n = 7..64
+        branch = s[len(family_sets):, :window] // phis[:window]
+        is4, is6 = branch == 4, branch == 6
+        mixed = is4.any(axis=1) & is6.any(axis=1) & (is4 | is6).all(axis=1)
+        good = len(catalog) if mixed.all() else int(mixed.argmin())
+        cases = observed.size + min(good + 1, len(catalog)) * window
+        witnesses = [{"instructions": NON_QUALIFYING_TAILS[e],
+                      "n_with_4phi": 7 + int(is4[e].argmax()),
+                      "n_with_6phi": 7 + int(is6[e].argmax())} for e in range(good)]
+        if good < len(catalog):
+            counter = {"catalog_entry": NON_QUALIFYING_TAILS[good],
+                       "branches_seen": sorted(set(branch[good].tolist())),
+                       "expected": "both 4 and 6"}
 
     return VerificationOutcome(
         claim_id="corollary-tails", n_range=(7, n_hi),
@@ -568,31 +552,31 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     if width > EXHAUSTIVE_DEPTH_MAX:
         raise ValueError(f"monotonicity grid width {width} exceeds the "
                          f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
-    columns = {n: appearance.grid_s_values(n, depth, width)
-               for n in range(1, n_max + 1)}
-    mask = (1 << depth) - 1
+    rows = _batch.sign_grid(depth)
+    # S by (n - 1, pattern); the negation of pattern i is pattern
+    # 2^depth - 1 - i, so a column read in reverse holds the negated S
+    columns = np.array([
+        s_column(appearance._grid_prefix_bytes(depth, width, band_length(n)), n)
+        for n in range(1, n_max + 1)])
 
     def check_n(n, _sampled):
         """Per pattern, S(n - 1) <= S(n) and S(n) equals the negated pattern's."""
-        for i, s in enumerate(columns[n]):
-            negated = columns[n][~i & mask]
-            if n > 1 and s < columns[n - 1][i]:
-                fields = {"kind": "monotonicity", "s_at_n": s,
-                          "s_at_n_minus_1": columns[n - 1][i]}
-            elif negated != s:
-                fields = {"kind": "negation", "s": s, "s_negated": negated}
-            else:
-                continue
-            text = ";" + _row_text(_batch.sign_grid(depth)[i].tolist())
-            return mask + 1, depth, {"n": n, **fields, "instructions": text}
-        return mask + 1, depth, None
+        s, before = columns[n - 1], columns[max(n - 2, 0)]
+        dip, negated = s < before, s[::-1]
+
+        def fields(i):
+            kind = ({"kind": "monotonicity", "s_at_n": int(s[i]),
+                     "s_at_n_minus_1": int(before[i])} if dip[i] else
+                    {"kind": "negation", "s": int(s[i]), "s_negated": int(negated[i])})
+            return {**kind, "instructions": ";" + _row_text(rows[i])}
+        return _first_failure(n, depth, rows, dip | (s != negated), fields)
 
     details: dict = {"width": width}
     if n_max >= 7:
-        sevens = set(columns[7])
-        details["s7_values"] = sorted(sevens)
-        details["s7_universal_48"] = sevens == {48}
-        details["s7_max_48"] = max(sevens) == 48
+        sevens = sorted(set(columns[6].tolist()))
+        details["s7_values"] = sevens
+        details["s7_universal_48"] = sevens == [48]
+        details["s7_max_48"] = sevens[-1] == 48
     return _run_suite("monotonicity", 1, n_max, check_n, details=details)
 
 
@@ -606,12 +590,16 @@ def run_all(*, n_max: int = 64, k_bound: int = 4096,
     if n_max < 7:
         raise ValueError(f"need n_max >= 7 to exercise every claim, got {n_max}")
     theorem_mode = "sampled" if scan_depth(n_max) > EXHAUSTIVE_DEPTH_MAX else "exhaustive"
-    return [
+    outcomes = [
         verify_formula_vs_dfao(k_bound, samples=min(samples, 100), seed=seed),
         verify_bounds(3, n_max, samples=samples, seed=seed),
         verify_lemma_first_occurrence(7, min(n_max, 64)),
         verify_lemma_last_factor(7, min(n_max, 64)),
         verify_lemma_shared_start(7, min(n_max, 64)),
+    ]
+    # only the lemmas read the target-LCP arrays
+    _target_lcp.cache_clear()
+    return outcomes + [
         verify_theorem(7, n_max, theorem_mode, samples=samples, seed=seed),
         verify_corollary_tails(n_hi=min(n_max, 64)),
         verify_monotonicity_and_symmetry(8, min(n_max, 32)),

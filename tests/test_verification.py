@@ -50,8 +50,8 @@ def kernel_from_scan(scan):
 
 
 def kernel_with_s(n, row, value):
-    """The real band kernel, except that prefix `row` of every band holding
-    n reads S(n) = value."""
+    """The real band kernel, except that prefix `row` (an index or a slice)
+    of every band holding n reads S(n) = value."""
     real = _batch.band_first_starts
 
     def kernel(prefixes, p):
@@ -79,6 +79,12 @@ def grid_with_copied_target(n, row, to, break_after=False):
             rows[row] = bytes(pb)
         return tuple(rows)
     return grid
+
+
+def json_counterexample(outcome):
+    """The counterexample as its JSON line reads back: to_json raises on a
+    numpy scalar, which an equality check alone lets through."""
+    return json.loads(outcome.to_json())["counterexample"]
 
 
 # --- outcome type -----------------------------------------------------------
@@ -131,6 +137,7 @@ def test_formula_dfao_catches_corruption():
     f = parse_instructions(ce["instructions"])
     assert pf_value(f, ce["k"]) == ce["formula"]
     assert ce["dfao"] != ce["formula"]
+    assert json_counterexample(outcome) == ce
 
 
 def test_mutation_catalog_covers_all_transitions(evaluator):
@@ -167,6 +174,35 @@ def test_bounds_sampled_tail(clean_caches):
     outcome = verify_bounds(63, 66, samples=60)
     assert outcome.passed and outcome.mode == "sampled"
     assert outcome.seed is not None
+
+
+# Each counterexample below was recorded from the per-n list search the
+# grid accessor replaced.
+
+@pytest.mark.parametrize("edits, n_lo, n_hi, samples, cases, counter", [
+    # every pattern reads S(9) = 64 but pattern 5 reads 90: no pattern
+    # attains 6 * phi(9) = 96, and the largest value is pattern 5's
+    ([(9, slice(None), 64), (9, 5, 90)], 7, 12, 200, 1280,
+     {"n": 9, "kind": "max", "expected": 96, "observed": 90,
+      "instructions": "+-+-----"}),
+    ([(9, 5, 50)], 7, 12, 200, 1280,
+     {"n": 9, "kind": "min", "expected": 64, "observed": 50,
+      "instructions": "+-+-----"}),
+    ([(66, slice(None), 512), (66, 7, 700)], 65, 67, 20, 72,
+     {"n": 66, "kind": "max", "expected": 768, "observed": 700,
+      "instructions": "+++-+---+--"}),
+    ([(66, 7, 300)], 65, 67, 20, 72,
+     {"n": 66, "kind": "min", "expected": 512, "observed": 300,
+      "instructions": "+++-+---+--"}),
+])
+def test_bounds_report_the_extreme_row(clean_caches, monkeypatch, edits, n_lo, n_hi,
+                                       samples, cases, counter):
+    for edit in edits:  # each edit wraps the one before
+        monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(*edit))
+    outcome = verify_bounds(n_lo, n_hi, samples=samples)
+    assert not outcome.passed and outcome.cases_checked == cases
+    assert outcome.counterexample == counter
+    assert json_counterexample(outcome) == counter
 
 
 def test_sample_count_is_the_fewest_distinct_prefixes(clean_caches):
@@ -215,6 +251,7 @@ def test_lemma1_reports_a_stray_occurrence(clean_caches, monkeypatch, n, row, to
     outcome = verify_lemma_first_occurrence(n_lo, n_hi)
     assert not outcome.passed and outcome.cases_checked == cases
     assert outcome.counterexample == counter
+    assert json_counterexample(outcome) == counter
 
 
 @pytest.mark.parametrize("n, row, to, n_lo, n_hi, cases, counter", [
@@ -230,6 +267,7 @@ def test_lemma3_reports_split_first_starts(clean_caches, monkeypatch, n, row, to
     outcome = verify_lemma_shared_start(n_lo, n_hi)
     assert not outcome.passed and outcome.cases_checked == cases
     assert outcome.counterexample == counter
+    assert json_counterexample(outcome) == counter
 
 
 def test_lemma2_reports_the_row_that_moved(clean_caches, monkeypatch):
@@ -240,6 +278,7 @@ def test_lemma2_reports_the_row_that_moved(clean_caches, monkeypatch):
     assert outcome.counterexample == {
         "direct_first_start": 2, "expected_factor": "+++--+-", "instructions": "++-----",
         "latest_factor": "-+++--+", "n": 7, "s": 47}
+    assert json_counterexample(outcome) == outcome.counterexample
 
 
 def test_lemma1_regular_first_occurrence_at_48(regular):
@@ -284,6 +323,7 @@ def test_theorem_swapped_branches_fail_everywhere():
     ce = outcome.counterexample
     assert ce["computed"] != ce["predicted"]
     assert ce["n"] == 7
+    assert json_counterexample(outcome) == ce
 
 
 def test_theorem_dependence_check_names_both_patterns(clean_caches, monkeypatch):
@@ -301,6 +341,35 @@ def test_theorem_dependence_check_names_both_patterns(clean_caches, monkeypatch)
     assert outcome.counterexample == {
         "instructions": "--------", "instructions_other": "+-------", "n": 9,
         "pair": [-1, -1], "s_first": 96, "s_second": 80}
+    assert json_counterexample(outcome) == outcome.counterexample
+
+
+# Sampled pattern 7 is "+++-+---+--"; with its S(66) raised to 700 the
+# scan disagrees with the closed form, and with a predictor that agrees
+# only the dependence check sees pattern 2, with the same (f_8, f_9), read
+# 512.  Both were recorded from the per-n list search the grid accessor
+# replaced.
+SAMPLED_PATTERN_7 = (1, 1, 1, -1, 1, -1, -1, -1, 1, -1, -1)
+
+
+def agreeing_on_sampled_pattern_7(f, n):
+    return 700 if n == 66 and f.prefix == SAMPLED_PATTERN_7 else predicted_s(f, n)
+
+
+@pytest.mark.parametrize("predictor, counter", [
+    (None, {"n": 66, "computed": 700, "predicted": 512,
+            "instructions": "+++-+---+--"}),
+    (agreeing_on_sampled_pattern_7,
+     {"n": 66, "pair": [1, -1], "s_first": 512, "s_second": 700,
+      "instructions": "+-+-+-+-+-+", "instructions_other": "+++-+---+--"}),
+])
+def test_sampled_theorem_reports_the_sampled_row(clean_caches, monkeypatch,
+                                                 predictor, counter):
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(66, 7, 700))
+    outcome = verify_theorem(65, 67, "sampled", samples=20, predictor=predictor)
+    assert not outcome.passed and outcome.cases_checked == 72
+    assert outcome.counterexample == counter
+    assert json_counterexample(outcome) == counter
 
 
 def test_theorem_depth_guard_names_n_and_depth(monkeypatch):
@@ -318,6 +387,7 @@ def test_dropped_start_detected_by_theorem(clean_caches, monkeypatch):
     assert not outcome.passed
     assert outcome.counterexample["computed"] == 6 * 8
     assert outcome.counterexample["predicted"] == 4 * 8
+    assert json_counterexample(outcome) == outcome.counterexample
 
 
 def test_dropped_start_detected_by_lemma2(clean_caches, monkeypatch):
@@ -326,6 +396,7 @@ def test_dropped_start_detected_by_lemma2(clean_caches, monkeypatch):
     assert not outcome.passed
     ce = outcome.counterexample
     assert ce["direct_first_start"] != ce["s"]
+    assert json_counterexample(outcome) == ce
 
 
 def test_dirty_confirmation_window_raises_on_every_path(clean_caches, monkeypatch):
@@ -374,6 +445,33 @@ def test_corollary_tails_catch_one_wrong_family_value(clean_caches, monkeypatch)
     assert not outcome.passed
     assert outcome.counterexample == {"n": 9, "expected": 64, "observed": 50,
                                       "instructions": "----;+-"}
+    assert json_counterexample(outcome) == outcome.counterexample
+    # rows are read one by one, each over n = 7..16: 3 cases up to n = 9
+    assert outcome.cases_checked == 3
+
+
+def test_corollary_tails_count_cases_up_to_the_failing_row(clean_caches, monkeypatch):
+    # row 33 is "----;-", the first constant-tail row
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 33, 50))
+    outcome = verify_corollary_tails(n_hi=16)
+    assert outcome.cases_checked == 33 * 10 + 3
+    assert outcome.counterexample == {"n": 9, "expected": 96, "observed": 50,
+                                      "instructions": "----;-"}
+    assert json_counterexample(outcome) == outcome.counterexample
+
+
+@pytest.mark.parametrize("n_hi, cases", [(16, 64 * 10 + 2 * 58), (64, 64 * 58 + 2 * 58)])
+def test_corollary_tails_reject_a_one_branch_catalog_entry(monkeypatch, n_hi, cases):
+    # "+;+" is the regular fold, 6 * phi(n) at every n: the catalog stops
+    # there, with the witness of the entry before it
+    monkeypatch.setattr(verification, "NON_QUALIFYING_TAILS", ("+;++-", "+;+", "-;--+"))
+    outcome = verify_corollary_tails(n_hi=n_hi)
+    assert not outcome.passed and outcome.cases_checked == cases
+    assert outcome.counterexample == {"catalog_entry": "+;+", "branches_seen": [6],
+                                      "expected": "both 4 and 6"}
+    assert json_counterexample(outcome) == outcome.counterexample
+    assert outcome.details["catalog_witnesses"] == [
+        {"instructions": "+;++-", "n_with_4phi": 9, "n_with_6phi": 7}]
 
 
 def test_monotonicity_and_symmetry():
@@ -393,6 +491,7 @@ def test_monotonicity_catches_a_dip(clean_caches, monkeypatch):
     assert outcome.counterexample == {"n": 9, "kind": "monotonicity",
                                       "s_at_n": 1, "s_at_n_minus_1": 48,
                                       "instructions": ";--------"}
+    assert json_counterexample(outcome) == outcome.counterexample
 
 
 def test_monotonicity_catches_a_negation_break(clean_caches, monkeypatch):
@@ -403,6 +502,7 @@ def test_monotonicity_catches_a_negation_break(clean_caches, monkeypatch):
     assert outcome.counterexample == {"n": 9, "kind": "negation",
                                       "s": 50, "s_negated": 96,
                                       "instructions": ";--------"}
+    assert json_counterexample(outcome) == outcome.counterexample
 
 
 def test_monotonicity_reports_the_lowest_failing_n(clean_caches, monkeypatch):
@@ -413,6 +513,7 @@ def test_monotonicity_reports_the_lowest_failing_n(clean_caches, monkeypatch):
     outcome = verify_monotonicity_and_symmetry(8, 16)
     assert outcome.counterexample["n"] == 9
     assert outcome.counterexample["instructions"] == ";+-------"
+    assert json_counterexample(outcome) == outcome.counterexample
 
 
 # --- determinism -------------------------------------------------------------
