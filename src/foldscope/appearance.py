@@ -229,17 +229,14 @@ def _s_from_prefix(prefix: bytes, n: int) -> int:
     return int(s_column((prefix,), n)[0])
 
 
-def grid_s_values(n: int, depth: int, width: int = 0) -> tuple:
-    """s_value for every depth-bit instruction pattern (grid row order).
+def grid_s_values(n: int, depth: int) -> np.ndarray:
+    """S(n) for every depth-bit instruction pattern as the numpy column
+    s_column reads from the cached phi-band of n.
 
-    Pattern i has f_t = +1 iff bit (t mod depth) of i is set: when width
-    exceeds depth, patterns repeat cyclically so the band prefix is covered
-    by the enumerated bits.  The whole phi-band of n is computed once and
-    each n is read by s_column.
+    Pattern i has f_t = +1 iff bit t of i is set (grid row order), and
+    depth must cover every bit the scan for n reads.
     """
-    # width 0 and width depth name one grid, so they share one cache entry
-    prefixes = _grid_prefix_bytes(depth, max(depth, width), band_length(n))
-    return tuple(s_column(prefixes, n).tolist())
+    return s_column(_grid_prefix_bytes(depth, depth, band_length(n)), n)
 
 
 def clear_caches():

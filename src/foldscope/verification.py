@@ -50,6 +50,12 @@ EXHAUSTIVE_BOUNDS_N_MAX = 64
 # this scan depth (n <= 256), and monotonicity up to this grid width;
 # deeper grids are refused before any work
 EXHAUSTIVE_DEPTH_MAX = 12
+# sampled suites draw at most this many streams (the largest exhaustive
+# grid); 100,000 draws at width 11 took 0.83 s and 11 MB
+SAMPLES_MAX = 1 << EXHAUSTIVE_DEPTH_MAX
+# bounds and the theorem refuse n above this before any work; cold bounds
+# took 21 s on n = 1025..2048 (2-core Xeon)
+SAMPLED_N_MAX = 2048
 # the formula/automaton sweep checks positions k up to at most this bound
 # (the largest sweep in use); larger bounds are refused before any work
 K_BOUND_MAX = 1 << 16
@@ -181,8 +187,8 @@ def _first_failure(n, depth, rows, fail, fields):
 
 
 def _check_samples(samples):
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    if not 0 <= samples <= SAMPLES_MAX:
+        raise ValueError(f"samples must be >= 0 and at most {SAMPLES_MAX}, got {samples}")
 
 
 def clear_caches():
@@ -307,10 +313,7 @@ def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
                   seed: int = DEFAULT_SEED) -> VerificationOutcome:
     """Check that max_f S_f(n) = 6*phi(n) (n >= 3) and min_f S_f(n) =
     4*phi(n) (n >= 7) are attained over the enumerated instruction sets."""
-    if n_lo < 3:
-        raise ValueError(f"the max bound is only claimed for n >= 3, got n_lo={n_lo}")
-    if n_hi < n_lo:
-        raise ValueError(f"empty range {n_lo}..{n_hi}")
+    _check_range("bounds", n_lo, n_hi, exhaustive=False, n_min=3)
     _check_samples(samples)
     return _run_suite(
         "bounds", n_lo, n_hi,
@@ -321,16 +324,19 @@ def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
     )
 
 
-def _check_lemma_range(n_lo, n_hi, exhaustive=True):
-    """Refuse n < 7 (the lemmas' and tails' range), an empty range, and an
-    exhaustive grid deeper than EXHAUSTIVE_DEPTH_MAX, before any work."""
-    if n_lo < 7:
-        raise ValueError(f"the lemmas are claimed for n >= 7 only, got n_lo={n_lo}")
+def _check_range(claim, n_lo, n_hi, exhaustive=True, n_min=7):
+    """Refuse n below the range `claim` is made for, an empty range, an
+    exhaustive grid deeper than EXHAUSTIVE_DEPTH_MAX, and n above
+    SAMPLED_N_MAX, before any work."""
+    if n_lo < n_min:
+        raise ValueError(f"{claim} is claimed for n >= {n_min} only, got n_lo={n_lo}")
     if n_hi < n_lo:
         raise ValueError(f"empty range {n_lo}..{n_hi}")
     if exhaustive and scan_depth(n_hi) > EXHAUSTIVE_DEPTH_MAX:
         raise ValueError(f"exhaustive depth {scan_depth(n_hi)} at n={n_hi} exceeds "
                          f"the {EXHAUSTIVE_DEPTH_MAX}-bit budget")
+    if n_hi > SAMPLED_N_MAX:
+        raise ValueError(f"n_hi={n_hi} exceeds the budget of n <= {SAMPLED_N_MAX}")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -361,7 +367,7 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
     The occurrences are the starts whose window shares at least n signs
     with it, read off the target-LCP array of the phi-band.
     """
-    _check_lemma_range(n_lo, n_hi)
+    _check_range("lemma1", n_lo, n_hi)
     return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n)
 
 
@@ -394,7 +400,7 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
     packing of _batch._window_keys, not its sort, dense ranks or
     neighbour LCPs, so a fault in those cannot show in both.
     """
-    _check_lemma_range(n_lo, n_hi)
+    _check_range("lemma2", n_lo, n_hi)
     return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)
 
 
@@ -413,7 +419,7 @@ def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutc
     """The windows of lengths n and phi(n) starting at 6*phi(n) first
     appear at the same index: the first starts whose window shares at
     least n, and all phi(n), signs with the one at 6*phi(n)."""
-    _check_lemma_range(n_lo, n_hi)
+    _check_range("lemma3", n_lo, n_hi)
     return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n)
 
 
@@ -459,7 +465,7 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
     as predictor(f, n) with f a FoldingInstructions, once per enumerated
     row and n; it may depend on n and on every instruction of f.
     """
-    _check_lemma_range(n_lo, n_hi, exhaustive=mode == "exhaustive")
+    _check_range("theorem", n_lo, n_hi, exhaustive=mode == "exhaustive")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
     _check_samples(samples)
@@ -490,7 +496,7 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     as a row-by-row reading would: up to the first failing (row, n) of
     the families, then whole catalog entries up to the first failing one.
     """
-    _check_lemma_range(7, n_hi)
+    _check_range("corollary-tails", 7, n_hi)
     heads = _batch.sign_grid(4).tolist()
     families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
     factors, family_sets = zip(*[(factor, FoldingInstructions(head, tail))
@@ -586,9 +592,12 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
 def run_all(*, n_max: int = 64, k_bound: int = 4096,
             samples: int = 200, seed: int = DEFAULT_SEED) -> list:
     """Every suite at desk-scale defaults, in a fixed order; formula-dfao
-    takes its default depth for k_bound and at most 100 of the samples."""
-    if n_max < 7:
-        raise ValueError(f"need n_max >= 7 to exercise every claim, got {n_max}")
+    takes its default depth for k_bound and at most 100 of the samples.
+    n_max and samples past their budgets are refused before any suite."""
+    if not 7 <= n_max <= SAMPLED_N_MAX:
+        raise ValueError(f"need 7 <= n_max <= {SAMPLED_N_MAX} to exercise every "
+                         f"claim within budget, got {n_max}")
+    _check_samples(samples)
     theorem_mode = "sampled" if scan_depth(n_max) > EXHAUSTIVE_DEPTH_MAX else "exhaustive"
     outcomes = [
         verify_formula_vs_dfao(k_bound, samples=min(samples, 100), seed=seed),

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from foldscope import classifier
@@ -126,6 +127,34 @@ def test_minimality_every_listed_bit_has_a_witness():
         for t in table.relevant_bits:
             assert any(values[i] != values[i ^ (1 << t)]
                        for i in range(1 << depth))
+
+
+def test_rows_reproduce_every_grid_pattern():
+    # pattern i has f_t = +1 iff bit t of i is set
+    from foldscope.appearance import grid_s_values
+    for n in range(1, 7):
+        table = synthesize_table(n)
+        values = grid_s_values(n, scan_depth(n))
+        for i, value in enumerate(values.tolist()):
+            key = tuple(1 if (i >> t) & 1 else -1 for t in table.relevant_bits)
+            assert table.rows[key] == value, (n, i)
+
+
+def test_any_column_is_determined_by_its_relevant_bits(monkeypatch):
+    # a seeded random column that ignores bits 1 and 3: the table still
+    # reproduces every entry, so no projection check could have fired
+    depth = scan_depth(6)
+    rng = np.random.default_rng(2024)
+    ignored = (1 << 1) | (1 << 3)
+    column = rng.integers(0, 5, 1 << depth)[np.arange(1 << depth) & ~ignored]
+    monkeypatch.setattr(classifier.appearance, "grid_s_values",
+                        lambda n, d: column)
+    table = synthesize_table(6)
+    assert not {1, 3} & set(table.relevant_bits)
+    assert table.value_set == tuple(sorted(set(column.tolist())))
+    for i, value in enumerate(column.tolist()):
+        key = tuple(1 if (i >> t) & 1 else -1 for t in table.relevant_bits)
+        assert table.rows[key] == value, i
 
 
 def test_rows_predict_fresh_instruction_sets():

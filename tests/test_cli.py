@@ -250,6 +250,34 @@ def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch)
         assert message in err, argv
 
 
+def test_verify_refuses_sampled_sizes_past_their_caps(capsys, monkeypatch):
+    def forbidden(*args):
+        pytest.fail("a sample, grid or sweep was built")
+
+    monkeypatch.setattr(verification, "_sample_rows", forbidden)
+    monkeypatch.setattr(appearance, "_grid_prefix_bytes", forbidden)
+    monkeypatch.setattr(_batch, "compare_formula_vs_dfao", forbidden)
+    # the samples cap is the size of the largest exhaustive grid
+    assert verification.SAMPLES_MAX == 1 << verification.EXHAUSTIVE_DEPTH_MAX == 4096
+    samples = "samples must be >= 0 and at most 4096, got 4097"
+    n_hi = "n_hi=2049 exceeds the budget of n <= 2048"
+    n_max = "need 7 <= n_max <= 2048 to exercise every claim within budget, got 2049"
+    for argv, message in (
+            (("--claim", "bounds", "--n-hi", "2049"), n_hi),
+            (("--claim", "theorem", "--n-lo", "257", "--n-hi", "2049",
+              "--mode", "sampled"), n_hi),
+            (("--claim", "all", "--n-max", "2049"), n_max),
+            (("--claim", "bounds", "--n-lo", "65", "--n-hi", "65",
+              "--samples", "4097"), samples),
+            (("--claim", "theorem", "--n-lo", "65", "--n-hi", "65", "--mode",
+              "sampled", "--samples", "4097"), samples),
+            (("--claim", "formula-dfao", "--depth", "16", "--samples", "4097"), samples),
+            (("--claim", "all", "--samples", "100000000"), "got 100000000")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert message in err, argv
+
+
 def test_per_instance_commands_refuse_sizes_past_their_caps(capsys, monkeypatch):
     # the prefix and the scan are stubbed, so the caps themselves run cheaply
     sizes = []
@@ -393,9 +421,9 @@ def test_export_bad_target(capsys):
 # refuses them before any work, so every example runs in milliseconds.
 INSTRUCTIONS = ("+;+", "+;+-", "++-;+-", " -;+ ", "+-", "", "+x")
 FLAG_VALUES = {
-    "--n-lo": (-1, 0, 3, 7), "--n-hi": (-1, 0, 5, 9, 12),
+    "--n-lo": (-1, 0, 3, 7), "--n-hi": (-1, 0, 5, 9, 12, 2049),
     "--k-bound": (-1, 0, 1, 40, 65537), "--depth": (-1, 0, 1, 4, 19),
-    "--mode": ("exhaustive", "sampled", "both"), "--samples": (-1, 0, 2),
+    "--mode": ("exhaustive", "sampled", "both"), "--samples": (-1, 0, 2, 4097),
     "--seed": (0, 7), "--format": ("text", "json", "csv", "xml"),
 }
 

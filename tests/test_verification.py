@@ -170,6 +170,24 @@ def test_bounds_rejects_too_small_n():
         verify_bounds(1, 8)
 
 
+def test_range_errors_name_the_calling_claim():
+    for suite, args, message in (
+            (verify_bounds, (1, 8), "bounds is claimed for n >= 3 only, got n_lo=1"),
+            (verify_theorem, (5, 10), "theorem is claimed for n >= 7 only, got n_lo=5"),
+            (verify_lemma_first_occurrence, (5, 10), "lemma1 is claimed for n >= 7"),
+            (verify_lemma_last_factor, (6, 10), "lemma2 is claimed for n >= 7"),
+            (verify_lemma_shared_start, (4, 10), "lemma3 is claimed for n >= 7")):
+        with pytest.raises(ValueError, match=message):
+            suite(*args)
+
+
+def test_sampled_caps_admit_their_last_value(clean_caches):
+    last = verification.SAMPLED_N_MAX
+    assert verify_theorem(last, last, "sampled", samples=4).passed
+    assert verify_bounds(last, last, samples=4).passed
+    assert verify_bounds(7, 7, samples=verification.SAMPLES_MAX).passed
+
+
 def test_bounds_sampled_tail(clean_caches):
     outcome = verify_bounds(63, 66, samples=60)
     assert outcome.passed and outcome.mode == "sampled"
