@@ -3,8 +3,9 @@
 # For a length n, S(n) is the least k such that every distinct length-n
 # factor of the sequence STARTS within the first k positions, and
 # A(n) = S(n) + n - 1 is the prefix length that CONTAINS a copy of each.
-# Both are computed by scanning first occurrences up to twice the horizon
-# H = 6*phi(n); a factor first seen past H would mean a broken scan.
+# Both are computed by scanning first occurrences at starts 1..6*phi(n):
+# every factor of every paper-folding sequence already starts there (the
+# residue lemma in the foldscope.appearance docstring).
 
 from foldscope import (appearance_report, distinct_factors, parse_instructions,
                        phi, predicted_a, predicted_s, report_to_json, s_value)

@@ -107,9 +107,9 @@ def _dense_rank(values: np.ndarray) -> np.ndarray:
 
 
 def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
-    """band_first_starts for one chunk of 0/1 rows of length 13p - 1."""
+    """band_first_starts for one chunk of 0/1 rows of length 7p - 1."""
     k = p.bit_length() - 1
-    r, m = bits.shape[0], 12 * p
+    r, m = bits.shape[0], 6 * p
     keys = _window_keys(bits, k)
     order = np.argsort(keys[k], axis=1, kind="stable")
     # Of equal length-p windows, which the stable sort keeps in start
@@ -162,20 +162,20 @@ def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray
 
 
 def band_first_starts(prefixes, p: int) -> np.ndarray:
-    """Latest first start, over starts 1..12p, for every n of a phi-band.
+    """Latest first start, over starts 1..6p, for every n of a phi-band.
 
-    `prefixes` are equal-length b'+'/b'-' strings of at least 13p - 1
+    `prefixes` are equal-length b'+'/b'-' strings of at least 7p - 1
     signs and p is a power of two.  Column c of the (rows, p - p//2)
     result is n = p//2 + 1 + c, and its entry for a row is
-    max(_scan_first_starts(prefix, n, 12p).values()).
+    max(_scan_first_starts(prefix, n, 6p).values()).
 
-    Each row's 12p windows of length p are sorted once; the windows
+    Each row's 6p windows of length p are sorted once; the windows
     sharing a length-n factor are then a run of neighbours whose longest
     common prefix is at least n, the factor's first start is the least
     start in its run, and the result is the largest of those.  Rows are
     processed in chunks of about CHUNK_ELEMENTS prefix bytes.
     """
-    return _by_chunks(prefixes, 13 * p - 1, p - p // 2, np.int32,
+    return _by_chunks(prefixes, 7 * p - 1, p - p // 2, np.int32,
                       lambda bits: _chunk_first_starts(bits, p))
 
 

@@ -12,14 +12,30 @@ where phi(n) = 2^k is the least power of two >= n.  The scan and the
 prediction are deliberately separate code paths; the verification module
 exists to compare them.
 
-Both scans read starts 1..2H at the fixed horizon H = 6*phi(n) and share
-one stop rule, _check_window: a factor first seen in the confirmation
-window (H, 2H] means a corrupted scan, and raises.  The scalar
-_scan_first_starts records the first start of each window in a dict; it
-serves the per-instance reports and is the oracle the tests hold the
-other one to.  Bulk S values (every instruction pattern of a grid or
-sample) come from the band kernel _batch.band_first_starts, which sorts
-the windows of each prefix once and yields S(n) for every n of a
+Both scans read starts 1..6*phi(n) of a prefix of 7*phi(n) - 1 signs;
+the residue lemma proves that horizon.  P_f[k], k = 2^s * r with r odd,
+is f_s or -f_s as r = 1 or 3 (mod 4), so it is fixed by f_s and k mod
+2^(s+2).  Let phi(n) = 2^m.  A window of n <= 2^m positions holds at
+most one multiple of 2^m, its deep position; shifting the window by
+2*phi = 2^(m+1) keeps every other sign.  So the window at c + 2*phi*q
+(1 <= c <= 2*phi, q >= 0) is the window at c except perhaps at its deep
+position, phi*(1 + 2q) or 2*phi*(1 + q) (the window at c ends before
+3*phi).  The first has valuation m and the sign +-f_m as q is even or
+odd.  The second has the sign P_g[1 + q], g = f shifted by m + 1
+instructions, and P_g[1..3] = g_0, g_1, -g_0.  Either way q <= 2 gives
+both deep signs, so for every f and n each length-n factor occurs at a
+start <= 2*phi + 4*phi = 6*phi(n).  The factor set is the windows at
+starts 1..2*phi, each also taken with its deep sign flipped; it has 4n
+members from n = 7 on (Allouche, "The number of factors in a
+paperfolding sequence", 1992; the interleaving is that of Dekking,
+Mendes France & van der Poorten, "Folds!", 1982).  A finite instruction
+set is read only as far as its prefix, which its infinite extensions
+share.
+
+The scalar _scan_first_starts (a dict of first starts) serves the
+per-instance reports and is the oracle the tests hold the other scan to.
+Bulk S values come from the band kernel _batch.band_first_starts, which
+sorts each prefix's windows once and yields S(n) for every n of a
 phi-band (phi/2, phi]; _band caches it per prefix tuple and s_column
 reads one n from it.
 """
@@ -73,11 +89,9 @@ def phi(n: int) -> int:
 
 
 def scan_depth(n: int) -> int:
-    """Instruction bits the first-occurrence scan for length n can touch.
-
-    The scan reads starts 1..2H at the horizon H = 6*phi(n), so it reads
-    the sequence out to 2 * 6*phi(n) + n - 1 positions.
-    """
+    """Instruction bits the verify suites and the classifier enumerate for
+    length n: with phi(n) = 2^m, one above the m + 3 bits f_0..f_(m+2)
+    that the band_length(n) = 7*phi(n) - 1 sign prefix reads."""
     return required_instruction_count(12 * phi(n) + n)
 
 
@@ -90,25 +104,17 @@ def _scan_first_starts(prefix: bytes, n: int, limit: int) -> dict:
     return firsts
 
 
-def _check_window(n: int, s: int) -> None:
-    """The stop rule: S(n) read at the horizon H = 6*phi(n) from a scan of
-    starts 1..2H is final only if no factor first appears in (H, 2H]."""
-    h = 6 * phi(n)
-    if s > h:
-        raise RuntimeError(f"confirmation window not clean at n={n}: s={s} > {h}")
-
-
 def _first_starts(f: FoldingInstructions, n: int) -> tuple[dict, int]:
-    """(first-starts map, S) from one scan of starts 1..12*phi(n) of P_f,
-    with S held to the stop rule.
+    """(first-starts map, S) from one scan of starts 1..6*phi(n) of P_f,
+    which by the residue lemma sees every length-n factor.
 
     Raises InstructionExhausted if a finite instruction set runs out first.
     """
+    if n < 1:
+        raise ValueError(f"factor length must be >= 1, got {n}")
     h = 6 * phi(n)
-    firsts = _scan_first_starts(_prefix_bytes(f, 2 * h + n - 1), n, 2 * h)
-    s = max(firsts.values())
-    _check_window(n, s)
-    return firsts, s
+    firsts = _scan_first_starts(_prefix_bytes(f, h + n - 1), n, h)
+    return firsts, max(firsts.values())
 
 
 def distinct_factors(f: FoldingInstructions, n: int) -> dict:
@@ -117,8 +123,6 @@ def distinct_factors(f: FoldingInstructions, n: int) -> dict:
     Keys are SignWord instances in canonical order (lexicographic with
     -1 before +1); values are 1-based start positions.
     """
-    if n < 1:
-        raise ValueError(f"factor length must be >= 1, got {n}")
     firsts, _ = _first_starts(f, n)
     items = sorted(firsts.items(), key=lambda kv: kv[0].translate(_SORT_TABLE))
     return {SignWord.from_text(w.decode()): start for w, start in items}
@@ -126,8 +130,6 @@ def distinct_factors(f: FoldingInstructions, n: int) -> dict:
 
 def s_value(f: FoldingInstructions, n: int) -> int:
     """Least k such that every length-n factor starts within P_f[1:k]."""
-    if n < 1:
-        raise ValueError(f"factor length must be >= 1, got {n}")
     return _first_starts(f, n)[1]
 
 
@@ -138,8 +140,6 @@ def a_value(f: FoldingInstructions, n: int) -> int:
 
 def appearance_report(f: FoldingInstructions, n: int) -> AppearanceReport:
     """Full appearance data for (f, n), including the last-appearing factor."""
-    if n < 1:
-        raise ValueError(f"factor length must be >= 1, got {n}")
     firsts, s = _first_starts(f, n)
     winners = [w for w, start in firsts.items() if start == s]
     if len(winners) != 1:
@@ -192,7 +192,7 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # Entries kept by each memoized grid, band, LCP array and sample, so a
 # long-lived process holds a bounded number of them.  `verify --claim all
 # --n-max 64` fills at most 18 (the band cache), so nothing is evicted
-# there; one depth-12 entry (n <= 256) is at most about 14 MB.
+# there; at depth 12 (n <= 256) the largest, a target-LCP array, is 12.6 MB.
 CACHE_SIZE = 32
 
 
@@ -204,8 +204,9 @@ def _grid_prefix_bytes(depth: int, width: int, length: int) -> tuple:
 
 
 def band_length(n: int) -> int:
-    """Prefix length shared by every scan in the phi-band of n."""
-    return 13 * phi(n) - 1
+    """Prefix length shared by every scan and target-LCP array in the
+    phi-band of n: the windows at starts 1..6*phi(n) of length phi(n)."""
+    return 7 * phi(n) - 1
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -217,11 +218,9 @@ def _band(prefixes: tuple, p: int) -> np.ndarray:
 
 def s_column(prefixes: tuple, n: int) -> np.ndarray:
     """S(n) for every prefix of `prefixes` (each at least band_length(n)
-    signs), read from the cached phi-band under the stop rule."""
+    signs), read from the cached phi-band."""
     p = phi(n)
-    column = _band(prefixes, p)[:, n - p // 2 - 1]
-    _check_window(n, int(column.max()))
-    return column
+    return _band(prefixes, p)[:, n - p // 2 - 1]
 
 
 def _s_from_prefix(prefix: bytes, n: int) -> int:

@@ -76,8 +76,8 @@ class ClassifierTable:
 def synthesize_table(n: int) -> ClassifierTable:
     """Enumerate, detect relevant bits, and tabulate S_f(n) for n in 1..6.
 
-    Every scan_depth(n)-bit prefix is enumerated: the bits the scan for n
-    can read, the same depth rule every verify suite uses.
+    Every scan_depth(n)-bit prefix is enumerated, one bit past those the
+    scan's 7*phi(n) - 1 signs read: the depth rule every verify suite uses.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"classifier tables exist for 1 <= n <= 6, got n={n}")

@@ -7,8 +7,8 @@ fixed seed above the exhaustive budget.  Every outcome reports exact case
 counts and, on failure, a concrete counterexample with the full
 instruction prefix.
 
-The enumeration depth for length n is scan_depth(n): the scan reads the
-sequence out to 12*phi(n) + n - 1 positions, so instruction bits beyond
+The enumeration depth for length n is scan_depth(n), one bit above those
+the scans' prefix of 7*phi(n) - 1 signs reads, so instruction bits beyond
 that depth are never consulted.  The dependence check inside
 verify_theorem confirms the bits that do matter.
 

@@ -11,6 +11,7 @@ from foldscope import (AppearanceReport, InstructionExhausted, SignWord,
                        predicted_a, predicted_s, report_to_json, s_value,
                        scan_depth)
 from foldscope import appearance as appearance_mod
+from foldscope.folding import pf_prefix, required_instruction_count
 
 signs = st.sampled_from((-1, 1))
 
@@ -64,6 +65,17 @@ def test_factor_counts_regular(regular):
 def test_distinct_factors_exhaustion():
     with pytest.raises(InstructionExhausted):
         distinct_factors(make_instructions([1, 1]), 3)
+
+
+def test_finite_instructions_answer_when_they_cover_the_scan(regular):
+    # the scan reads positions 1..6*phi(n) + n - 1, so exactly that many
+    # instruction bits answer and one fewer runs out
+    for n in (1, 2, 3, 7, 16, 33):
+        bits = required_instruction_count(6 * phi(n) + n - 1)
+        report = appearance_report(make_instructions([1] * bits), n)
+        assert report == appearance_report(regular, n)
+        with pytest.raises(InstructionExhausted):
+            appearance_report(make_instructions([1] * (bits - 1)), n)
 
 
 # --- s and a ----------------------------------------------------------------
@@ -203,7 +215,7 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
     rng = random.Random(seed)
     # one row more than a chunk holds, so the last chunk is a partial one
     count = max(1, _batch.CHUNK_ELEMENTS // length) + 1
-    rows = []
+    rows, pf_rows = [], {}
     for i in range(count):
         if i % 3 == 0:
             # a periodic word with a few flipped signs: long repeated factors
@@ -214,12 +226,21 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
         elif i % 3 == 1:
             rows.append(bytes(rng.choice(b"+-") for _ in range(length)))
         else:
-            bits = tuple(rng.choice((-1, 1)) for _ in range(length.bit_length()))
-            rows.append(appearance_mod._prefix_bytes(make_instructions(bits), length))
+            bits = tuple(rng.choice((-1, 1)) for _ in range((13 * p - 1).bit_length()))
+            pf_rows[i] = make_instructions(bits)
+            rows.append(appearance_mod._prefix_bytes(pf_rows[i], length))
     band = _batch.band_first_starts(rows, p)
     assert band.shape == (count, p - p // 2)
-    for row, got in zip(rows, band[:, n - p // 2 - 1]):
-        assert got == max(appearance_mod._scan_first_starts(row, n, 12 * p).values())
+    for i, (row, got) in enumerate(zip(rows, band[:, n - p // 2 - 1])):
+        if i % 3 == 2:
+            # a paper-folding row: the scalar scan to the old horizon 12*phi
+            # over a longer prefix of the same sequence, so the kernel's
+            # stop at 6*phi is checked as well
+            long_row = appearance_mod._prefix_bytes(pf_rows[i], 13 * p - 1)
+            want = max(appearance_mod._scan_first_starts(long_row, n, 12 * p).values())
+        else:
+            want = max(appearance_mod._scan_first_starts(row, n, 6 * p).values())
+        assert got == want
 
 
 def brute_target_lcp(pb, p):
@@ -287,21 +308,84 @@ def test_grid_s_values_width_check():
         appearance_mod.grid_s_values(9, 4)  # 4 bits cannot cover the scan
 
 
-# --- scan edge paths (reachable only through a patched scanner) -------------
+# --- the residue lemma (appearance module docstring) -----------------------
 
-def test_dirty_confirmation_window_raises(regular, monkeypatch):
+def factor_count(n):
+    """p(n), the number of length-n factors of every paper-folding sequence."""
+    return (2, 4, 8, 12, 18, 23)[n - 1] if n < 7 else 4 * n
+
+
+def residue_set(f, n):
+    """The windows at starts 1..2*phi(n), each also taken with the sign at
+    its deep position (the multiple of phi(n) it covers, if any) flipped."""
+    p = phi(n)
+    prefix = pf_prefix(f, 3 * p - 1).to_text()
+    out = set()
+    for c in range(1, 2 * p + 1):
+        window = prefix[c - 1:c - 1 + n]
+        out.add(window)
+        deep = [d - c for d in range(c, c + n) if d % p == 0]
+        for i in deep:
+            out.add(window[:i] + "+-"[window[i] == "+"] + window[i + 1:])
+    return out
+
+
+def check_factor_set_is_residue_set(f, n):
+    factors = {w.to_text() for w in distinct_factors(f, n)}
+    assert factors == residue_set(f, n)
+    assert len(factors) == appearance_report(f, n).factor_count == factor_count(n)
+
+
+def test_factor_set_is_the_residue_set_on_every_grid_pattern():
+    for n in range(1, 17):
+        depth = scan_depth(n)
+        for i in range(1 << depth):
+            bits = [1 if (i >> t) & 1 else -1 for t in range(depth)]
+            check_factor_set_is_residue_set(make_instructions(bits), n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(head=st.lists(signs, max_size=12), tail=st.lists(signs, min_size=1, max_size=6),
+       n=st.integers(1, 512))
+@example(head=[], tail=[1], n=512)
+def test_factor_set_is_the_residue_set_for_random_f(head, tail, n):
+    check_factor_set_is_residue_set(make_instructions(head, tail), n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(head=st.lists(signs, max_size=12), tail=st.lists(signs, min_size=1, max_size=6),
+       n=st.integers(1, 512))
+@example(head=[], tail=[1, -1], n=257)
+def test_no_factor_first_starts_past_six_phi(head, tail, n):
+    # the scan to the old horizon 12*phi finds no first start past 6*phi,
+    # and so the same factors, at the same first starts, as the scan to 6*phi
+    p = phi(n)
+    prefix = appearance_mod._prefix_bytes(make_instructions(head, tail), 13 * p - 1)
+    wide = appearance_mod._scan_first_starts(prefix, n, 12 * p)
+    assert max(wide.values()) <= 6 * p
+    assert wide == appearance_mod._scan_first_starts(prefix, n, 6 * p)
+
+
+def test_residue_set_check_catches_an_invented_factor(regular, monkeypatch):
     real_scan = appearance_mod._scan_first_starts
 
-    def late_factor_scan(prefix, n, limit):
-        # a new factor turns up at the last start scanned
-        firsts = real_scan(prefix, n, limit)
-        firsts[b"@" * n] = limit
-        return firsts
+    def late_factor_scan(sign):
+        def scan(prefix, n, limit):
+            # a new factor turns up at the last start scanned
+            firsts = real_scan(prefix, n, limit)
+            firsts[sign * n] = limit
+            return firsts
+        return scan
 
-    monkeypatch.setattr(appearance_mod, "_scan_first_starts", late_factor_scan)
-    for read in (appearance_report, s_value, distinct_factors):
-        with pytest.raises(RuntimeError, match="confirmation window not clean"):
-            read(regular, 2)
+    # "@" is no sign, so distinct_factors refuses the word; seven "+" are
+    # signs but no factor of the regular fold, so the sets differ
+    for sign, length, error in ((b"@", 2, ValueError), (b"+", 7, AssertionError)):
+        monkeypatch.setattr(appearance_mod, "_scan_first_starts", late_factor_scan(sign))
+        with pytest.raises(error):
+            check_factor_set_is_residue_set(regular, length)
+
+
+# --- scan edge paths (reachable only through a patched scanner) -------------
 
 
 def test_tied_latest_factors_is_an_error(regular, monkeypatch):

@@ -98,6 +98,15 @@ def test_appearance_small_n(capsys):
     assert code == 0 and "s: 22" in out
 
 
+def test_appearance_finite_instructions_cover_the_scan(capsys):
+    # n = 2 reads positions up to 6*phi(2) + 1 = 13: four instructions
+    # (positions up to 15) answer, three (up to 7) run out
+    code, out, _ = run(capsys, "appearance", "-f", "++++", "-n", "2")
+    assert code == 0 and "s: 6" in out and "horizon: 12" in out
+    code, _, err = run(capsys, "appearance", "-f", "+++", "-n", "2")
+    assert code == 2 and "f_3" in err
+
+
 def test_appearance_json_schema(capsys):
     code, out, _ = run(capsys, "appearance", "-f", "+;+", "-n", "9",
                        "--predict", "--format", "json")

@@ -43,7 +43,7 @@ def kernel_from_scan(scan):
     """A band kernel that reads every (prefix, n) off the scalar `scan`, so
     a scan mutation becomes a mutation of the kernel the suites call."""
     def kernel(prefixes, p):
-        return np.array([[max(scan(pb, n, 12 * p).values())
+        return np.array([[max(scan(pb, n, 6 * p).values())
                           for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
                         dtype=np.int32).reshape(len(prefixes), p - p // 2)
     return kernel
@@ -417,22 +417,28 @@ def test_dropped_start_detected_by_lemma2(clean_caches, monkeypatch):
     assert json_counterexample(outcome) == ce
 
 
-def test_dirty_confirmation_window_raises_on_every_path(clean_caches, monkeypatch):
+def test_late_factor_scan_fails_every_path(clean_caches, monkeypatch):
     real_scan = appearance_mod._scan_first_starts
 
-    def dirty_window_scan(prefix, n, limit):
-        # a new factor turns up at the last start scanned
+    def late_factor_scan(prefix, n, limit):
+        # a new factor turns up at the last start scanned, so every row
+        # reads S = 6*phi(n)
         firsts = real_scan(prefix, n, limit)
         firsts[b"@" * n] = limit
         return firsts
 
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_from_scan(dirty_window_scan))
-    for run in (lambda: verify_theorem(65, 65, "sampled", samples=4),
-                lambda: verify_bounds(65, 65, samples=4),
-                lambda: verify_bounds(7, 7),
-                lambda: verify_corollary_tails(n_hi=7)):
-        with pytest.raises(RuntimeError, match="confirmation window not clean"):
-            run()
+    monkeypatch.setattr(_batch, "band_first_starts", kernel_from_scan(late_factor_scan))
+    outcomes = [verify_theorem(65, 65, "sampled", samples=4),
+                verify_bounds(65, 65, samples=4),
+                verify_bounds(7, 7),
+                verify_corollary_tails(n_hi=7)]
+    assert [json_counterexample(o) for o in outcomes] == [
+        {"n": 65, "instructions": "+-+-+-+-+-+", "computed": 768, "predicted": 512},
+        {"n": 65, "instructions": "+++++++++++", "kind": "min",
+         "expected": 512, "observed": 768},
+        {"n": 7, "instructions": "-------", "kind": "min", "expected": 32, "observed": 48},
+        {"n": 7, "instructions": "----;+-", "expected": 32, "observed": 48}]
+    assert not any(o.passed for o in outcomes)
 
 
 # --- corollary tails and monotonicity ---------------------------------------
