@@ -8,9 +8,11 @@ that compares every window of a phi-band with the one at 6p for the
 lemma checks, and the split-digit automaton sweep that checks a DFAO
 against pf_prefix_matrix over many instruction rows at once (one pass
 over the low digits, one over the high digits from every state, one
-gather per row).  The scalar implementations in folding.py /
-appearance.py / dfao.py stay the reference; tests cross-check these
-against them.
+gather per row).  Both band kernels scan each distinct band prefix once
+(_by_chunks): an exhaustive grid enumerates one instruction bit more
+than a band prefix reads, so its prefixes come in byte-identical twins.
+The scalar implementations in folding.py / appearance.py / dfao.py stay
+the reference; tests cross-check these against them.
 """
 
 from __future__ import annotations
@@ -148,17 +150,27 @@ def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
 
 def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray:
     """kernel(bits) over chunks of about CHUNK_ELEMENTS prefix bytes, stacked
-    into one (rows, columns) array; bits holds the first `length` signs of
-    each prefix of the chunk as one 0/1 uint8 row."""
-    out = np.empty((len(prefixes), columns), dtype=dtype)
-    if len(prefixes) and len(prefixes[0]) < length:
-        raise ValueError(f"need prefixes of {length} signs, got {len(prefixes[0])}")
+    into one fresh (rows, columns) array; bits holds the first `length`
+    signs of each prefix of the chunk as one 0/1 uint8 row.
+
+    The kernel sees each distinct first `length` signs once, in first-seen
+    order, and every prefix gets a copy of the row of its own; a prefix
+    shorter than `length` raises ValueError.
+    """
+    shortest = min(map(len, prefixes), default=length)
+    if shortest < length:
+        raise ValueError(f"need prefixes of {length} signs, the shortest has {shortest}")
+    index = {}
+    inverse = np.array([index.setdefault(pb[:length], len(index)) for pb in prefixes],
+                       dtype=np.intp)
+    distinct = list(index)
+    out = np.empty((len(distinct), columns), dtype=dtype)
     step = max(1, CHUNK_ELEMENTS // length)
-    for lo in range(0, len(prefixes), step):
-        chunk = prefixes[lo:lo + step]
-        raw = np.frombuffer(b"".join(pb[:length] for pb in chunk), dtype=np.uint8)
+    for lo in range(0, len(distinct), step):
+        chunk = distinct[lo:lo + step]
+        raw = np.frombuffer(b"".join(chunk), dtype=np.uint8)
         out[lo:lo + step] = kernel((raw.reshape(len(chunk), length) == PLUS).astype(np.uint8))
-    return out
+    return out[inverse]
 
 
 def band_first_starts(prefixes, p: int) -> np.ndarray:
@@ -172,8 +184,9 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     Each row's 6p windows of length p are sorted once; the windows
     sharing a length-n factor are then a run of neighbours whose longest
     common prefix is at least n, the factor's first start is the least
-    start in its run, and the result is the largest of those.  Rows are
-    processed in chunks of about CHUNK_ELEMENTS prefix bytes.
+    start in its run, and the result is the largest of those.  Each
+    distinct prefix of 7p - 1 signs is sorted once, and the distinct ones
+    are processed in chunks of about CHUNK_ELEMENTS prefix bytes.
     """
     return _by_chunks(prefixes, 7 * p - 1, p - p // 2, np.int32,
                       lambda bits: _chunk_first_starts(bits, p))
@@ -223,7 +236,8 @@ def target_lcp(prefixes, p: int) -> np.ndarray:
 
     Windows are compared in blocks of min(p, 64) signs, each block one
     packed _window_keys code: the first block pair whose XOR is nonzero
-    fixes the common prefix by its bit length.  Rows are processed in
+    fixes the common prefix by its bit length.  Each distinct prefix of
+    7p - 1 signs is compared once, and the distinct ones are processed in
     chunks of about CHUNK_ELEMENTS prefix bytes.
     """
     return _by_chunks(prefixes, 7 * p - 1, 6 * p, np.uint16,

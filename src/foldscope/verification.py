@@ -9,8 +9,10 @@ instruction prefix.
 
 The enumeration depth for length n is scan_depth(n), one bit above those
 the scans' prefix of 7*phi(n) - 1 signs reads, so instruction bits beyond
-that depth are never consulted.  The dependence check inside
-verify_theorem confirms the bits that do matter.
+that depth are never consulted.  Every grid pattern therefore has a twin
+with the same band prefix, and the band and target-LCP kernels scan each
+such pair once.  The dependence check inside verify_theorem confirms the
+bits that do matter.
 
 Every per-n suite reads its grid whole through one accessor, _grid(n,
 ...) -> (depth, rows, prefixes): rows is an int8 array (the sign grid, or

@@ -11,6 +11,7 @@ from foldscope import (AppearanceReport, InstructionExhausted, SignWord,
                        predicted_a, predicted_s, report_to_json, s_value,
                        scan_depth)
 from foldscope import appearance as appearance_mod
+from foldscope import verification
 from foldscope.folding import pf_prefix, required_instruction_count
 
 signs = st.sampled_from((-1, 1))
@@ -213,7 +214,6 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
     p = phi(n)
     length = appearance_mod.band_length(n)
     rng = random.Random(seed)
-    # one row more than a chunk holds, so the last chunk is a partial one
     count = max(1, _batch.CHUNK_ELEMENTS // length) + 1
     rows, pf_rows = [], {}
     for i in range(count):
@@ -229,7 +229,17 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
             bits = tuple(rng.choice((-1, 1)) for _ in range((13 * p - 1).bit_length()))
             pf_rows[i] = make_instructions(bits)
             rows.append(appearance_mod._prefix_bytes(pf_rows[i], length))
-    band = _batch.band_first_starts(rows, p)
+    distinct = len(set(rows))
+    chunks = []
+    real_chunk = _batch._chunk_first_starts
+    with pytest.MonkeyPatch.context() as mp:
+        # one distinct row more than a chunk holds, so the last chunk is a
+        # partial one
+        mp.setattr(_batch, "CHUNK_ELEMENTS", (distinct - 1) * length)
+        mp.setattr(_batch, "_chunk_first_starts",
+                   lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
+        band = _batch.band_first_starts(rows, p)
+    assert chunks == [distinct - 1, 1]
     assert band.shape == (count, p - p // 2)
     for i, (row, got) in enumerate(zip(rows, band[:, n - p // 2 - 1])):
         if i % 3 == 2:
@@ -272,15 +282,71 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
     chunks = []
     real_chunk = _batch._chunk_target_lcp
     with pytest.MonkeyPatch.context() as mp:
-        # two rows per chunk: four chunks, the last one partial
+        # two rows per chunk, the last one partial for an odd count; at
+        # p = 1 rows can share their first 6 signs, and the kernel sees
+        # each distinct band prefix once
         mp.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
         mp.setattr(_batch, "_chunk_target_lcp",
                    lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
         got = _batch.target_lcp(rows, p)
-    assert chunks == [2, 2, 2, 1]
+    distinct = len({row[:7 * p - 1] for row in rows})
+    assert chunks == [2] * (distinct // 2) + [1] * (distinct % 2)
     assert got.dtype == np.uint16 and got.shape == (len(rows), 6 * p)
     for row, lcp in zip(rows, got):
         assert lcp.tolist() == brute_target_lcp(row, p)
+
+
+BAND_KERNELS = [(_batch.band_first_starts, "_chunk_first_starts"),
+                (_batch.target_lcp, "_chunk_target_lcp")]
+
+
+@pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
+@pytest.mark.parametrize("p", [1, 4, 128])
+def test_band_kernels_scan_repeated_prefixes_once(monkeypatch, kernel, chunk_name, p):
+    length = 7 * p - 1
+    rng = random.Random(p)
+    distinct = [bytes(rng.choice(b"+-") for _ in range(length)) for _ in range(5)]
+    # repeats, some with a different tail past the band prefix, shuffled
+    rows = [pb + bytes(rng.choice(b"+-") for _ in range(rng.randrange(3)))
+            for pb in distinct * 3 + distinct[:2]]
+    rng.shuffle(rows)
+    alone = np.concatenate([kernel((row,), p) for row in rows])
+    seen = []
+    real_chunk = getattr(_batch, chunk_name)
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
+    monkeypatch.setattr(_batch, chunk_name,
+                        lambda bits, p: seen.append(len(bits)) or real_chunk(bits, p))
+    got = kernel(tuple(rows), p)
+    assert seen == [2, 2, 1]
+    assert got.dtype == alone.dtype and np.array_equal(got, alone)
+    # a fresh array: a twin of row 0 keeps its own values
+    twin = next(i for i in range(1, len(rows)) if rows[i][:length] == rows[0][:length])
+    got[0] += 1
+    assert np.array_equal(got[twin], alone[twin])
+
+
+@pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
+@pytest.mark.parametrize("n", [7, 9, 33])
+def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
+    # scan_depth(n) is one instruction bit above those the band prefix reads
+    depth, _, prefixes = verification._grid(n)
+    seen = []
+    real_chunk = getattr(_batch, chunk_name)
+    monkeypatch.setattr(_batch, chunk_name,
+                        lambda bits, p: seen.append(len(bits)) or real_chunk(bits, p))
+    got = kernel(prefixes, phi(n))
+    assert sum(seen) == 1 << (depth - 1)
+    assert len(got) == len(prefixes) == 1 << depth
+
+
+@pytest.mark.parametrize("kernel", [_batch.band_first_starts, _batch.target_lcp])
+@pytest.mark.parametrize("p", [1, 64])
+def test_band_kernels_refuse_a_short_last_prefix(kernel, p):
+    length = 7 * p - 1
+    rows = (b"+" * (length + 1), b"-" * length, b"+-" * length, b"-" * (length - 1))
+    with pytest.raises(ValueError,
+                       match=f"need prefixes of {length} signs, the shortest has {length - 1}"):
+        kernel(rows, p)
 
 
 def test_bit_length_is_exact_near_two_to_the_64():

@@ -547,3 +547,25 @@ def test_outcome_deterministic_across_runs(clean_caches):
     verification.clear_caches()
     second = verify_bounds(60, 66, samples=40).to_json()
     assert first == second
+
+
+# --- band work ---------------------------------------------------------------
+
+def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch):
+    # every exhaustive grid enumerates one instruction bit more than its
+    # band prefix reads, so without the dedupe the kernels would see 3,540
+    # and 1,920 rows
+    rows = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
+
+    def counting(name):
+        real = getattr(_batch, name)
+
+        def kernel(bits, p):
+            rows[name] += len(bits)
+            return real(bits, p)
+        return kernel
+
+    for name in rows:
+        monkeypatch.setattr(_batch, name, counting(name))
+    assert all(outcome.passed for outcome in verification.run_all(n_max=64))
+    assert rows == {"_chunk_first_starts": 1637, "_chunk_target_lcp": 960}
