@@ -2,12 +2,14 @@
 
 One binary, subcommand style; every command is deterministic given its
 flags and seed.  Exit codes are a stable contract: 0 on success, 1 when a
-verification suite reports a failure, 2 on usage or parse errors.
+verification suite or an evidence pin reports a failure, 2 on usage or
+parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -17,6 +19,7 @@ from .appearance import (appearance_report, phi, predicted_a, predicted_s,
                          report_to_json)
 from .dfao import build_pf_evaluator, export_dot, export_table, run_dfao, tracked_input
 from .folding import parse_instructions, pf_prefix, pf_value
+from .verification import NON_QUALIFYING_TAILS, dfao_mutation_catalog
 
 # claim -> (the verification function, the verify flags it takes).  Only
 # the flags given are forwarded, so every default is the function's own;
@@ -34,6 +37,57 @@ VERIFY_SUITES = {
 }
 CLAIMS = tuple(VERIFY_SUITES)
 VERIFY_FLAGS = ("n_lo", "n_hi", "k_bound", "depth", "mode", "samples", "seed")
+
+LEMMAS = ("lemma1", "lemma2", "lemma3")
+
+
+def _outcomes(claims, **given) -> list:
+    """What `verify --claim C` reports for each C of `claims`; the suites are
+    looked up at call time, so patched and traced suites see CLI runs."""
+    results = [getattr(verification, VERIFY_SUITES[c][0])(**given) for c in claims]
+    return [o for r in results for o in (r if isinstance(r, list) else [r])]
+
+
+def _jsonl(outcomes) -> str:
+    return "".join(o.to_json() + "\n" for o in outcomes)
+
+
+def _json_line(record) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+# name -> (producer, sha256 of its UTF-8 output).  Each producer re-derives one
+# slice of the paper's results; `foldscope evidence` runs each from cold caches.
+EVIDENCE = {
+    "verify-all": (lambda: _jsonl(_outcomes(["all"], n_max=64)),
+                   "f2708be8d82435b11e8b08364c6fa1a2c3ac93aacde2d193489bb57ff9bf767c"),
+    "classify": (lambda: "".join(_json_line(classifier.table_to_json(
+        classifier.synthesize_table(n))) for n in range(1, 7)),
+                 "6c8968663265b36c8d8d9128586686c965ef176b2417541e25c1b16d5dc3bea5"),
+    # bounds and theorem at n = 65..128 and formula-dfao at depth 16, all sampled
+    "sampled": (lambda: _jsonl(_outcomes(["bounds"], n_lo=65, n_hi=128)
+                               + _outcomes(["theorem"], n_lo=65, n_hi=128, mode="sampled")
+                               + _outcomes(["formula-dfao"], depth=16, samples=50)),
+                "707feabdd0bce7bbce9d70b59a99bbcbeffc5e75cea24d0d654b661f17994e68"),
+    # n = 65..128: windows of two 64-sign blocks
+    "lemmas": (lambda: _jsonl(_outcomes(LEMMAS, n_lo=65, n_hi=128)),
+               "11bb42968a5ea68ea8af707f7dedf2d209a6165adf034e762fd45e866ddce266"),
+    # the evaluator passes and every catalog mutant fails, in three sweeps
+    "formula-dfao-battery": (lambda: _jsonl(
+        verification.verify_formula_vs_dfao(*args, machine=m, **kw)
+        for m in [build_pf_evaluator()] + [mutant for _, mutant in dfao_mutation_catalog()]
+        for args, kw in (((256, 9), {}), ((1024, 14), {"samples": 10}), ((64, 7), {}))),
+        "72b1b0e1713206b3510e8b2b2a455cd4b3f05cc256bc503384563d7cfb7d3f91"),
+    # per-instance reports of the regular, alternating and catalog tails, n = 1..128
+    "appearance": (lambda: "".join(
+        _json_line(report_to_json(appearance_report(parse_instructions(text), n)))
+        for text in ("+;+", "+;+-") + NON_QUALIFYING_TAILS for n in range(1, 129)),
+        "59c5751a46ca4252c2c97f707a08114e4a971a25ad258c249d74e26679167a7d"),
+    # the exhaustive paths at n = 129..256, one shared depth-12 band
+    "depth-12": (lambda: _jsonl(_outcomes(("theorem",) + LEMMAS, n_lo=129, n_hi=256)),
+                 "3c92f30a7070e152b381c72264f268632af25ec4c0f24b9c3051ad9f7241278f"),
+}
+
 
 EXPORT_TARGETS = ("dfao-dot", "dfao-table", "classifier-csv")
 
@@ -109,6 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="table length for classifier-csv (1..6)")
     p.add_argument("--out", default=None)
 
+    sub.add_parser("evidence", help="recompute and check every evidence pin")
+
     return parser
 
 
@@ -136,11 +192,10 @@ def _cmd_seq(args) -> int:
     word = pf_prefix(f, args.length)
     if args.format == "json":
         values = [int(c) for c in word.to_oeis()] if args.oeis else list(word.values)
-        _emit(json.dumps({"instructions": args.instructions.strip(),
+        _emit(_json_line({"instructions": args.instructions.strip(),
                           "n": args.length,
                           "values": values,
-                          "text": word.to_oeis() if args.oeis else word.to_text()},
-                         sort_keys=True) + "\n", None)
+                          "text": word.to_oeis() if args.oeis else word.to_text()}), None)
     else:
         _emit((word.to_oeis() if args.oeis else word.to_text()) + "\n", None)
     return 0
@@ -163,7 +218,7 @@ def _cmd_eval(args) -> int:
         agree = record["formula"] == record["dfao"]
         record["agree"] = agree
     if args.format == "json":
-        _emit(json.dumps(record, sort_keys=True) + "\n", None)
+        _emit(_json_line(record), None)
     elif args.method == "both":
         _emit(f"formula={record['formula']} dfao={record['dfao']} "
               f"agree={'yes' if agree else 'NO'}\n", None)
@@ -185,7 +240,7 @@ def _cmd_appearance(args) -> int:
         agree = record["predicted_s"] == report.s_value
         record["agree"] = agree
     if args.format == "json":
-        _emit(json.dumps(record, sort_keys=True) + "\n", None)
+        _emit(_json_line(record), None)
     else:
         lines = [f"{key}: {record[key]}" for key in
                  ("n", "phi", "s", "a", "last_factor", "first_start",
@@ -204,7 +259,7 @@ def _cmd_predict(args) -> int:
               "phi": phi(args.n), "predicted_s": predicted_s(f, args.n),
               "predicted_a": predicted_a(f, args.n)}
     if args.format == "json":
-        _emit(json.dumps(record, sort_keys=True) + "\n", None)
+        _emit(_json_line(record), None)
     else:
         _emit(f"predicted_s: {record['predicted_s']}\n"
               f"predicted_a: {record['predicted_a']}\n", None)
@@ -212,17 +267,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite, takes = VERIFY_SUITES[args.claim]
+    takes = VERIFY_SUITES[args.claim][1]
     given = {flag: v for flag in VERIFY_FLAGS if (v := getattr(args, flag)) is not None}
     if "n_max" in takes and "n_hi" in given:
         given["n_max"] = given.pop("n_hi")
     refused = [f"--{flag.replace('_', '-')}" for flag in given if flag not in takes]
     if refused:
         raise ValueError(f"--claim {args.claim} does not take {', '.join(refused)}")
-    # looked up at call time, so patched and traced suites see CLI runs
-    result = getattr(verification, suite)(**given)
-    outcomes = result if isinstance(result, list) else [result]
-    _emit("".join(o.to_json() + "\n" for o in outcomes), args.out)
+    outcomes = _outcomes([args.claim], **given)
+    _emit(_jsonl(outcomes), args.out)
     return 0 if all(o.passed for o in outcomes) else 1
 
 
@@ -234,24 +287,35 @@ def _cmd_classify(args) -> int:
     if args.format == "csv":
         _emit(classifier.export_table_csv(table), args.out)
     elif args.format == "json":
-        _emit(json.dumps(classifier.table_to_json(table), sort_keys=True) + "\n",
-              args.out)
+        _emit(_json_line(classifier.table_to_json(table)), args.out)
     else:
         _emit(classifier.table_to_text(table), args.out)
     return 0
 
 
 def _cmd_export(args) -> int:
-    if args.target == "dfao-dot":
-        _emit(export_dot(build_pf_evaluator()), args.out)
-    elif args.target == "dfao-table":
-        _emit(export_table(build_pf_evaluator()), args.out)
-    else:
+    if args.target == "classifier-csv":
         if args.n is None:
             raise ValueError("classifier-csv needs -n (1..6)")
-        _emit(classifier.export_table_csv(classifier.synthesize_table(args.n)),
-              args.out)
+        _emit(classifier.export_table_csv(classifier.synthesize_table(args.n)), args.out)
+    elif args.n is not None:
+        raise ValueError(f"export {args.target} does not take -n")
+    else:
+        export = export_dot if args.target == "dfao-dot" else export_table
+        _emit(export(build_pf_evaluator()), args.out)
     return 0
+
+
+def _cmd_evidence(args) -> int:
+    code = 0
+    for name, (produce, pinned) in EVIDENCE.items():
+        verification.clear_caches()  # as if each row ran in a fresh process
+        digest = hashlib.sha256(produce().encode()).hexdigest()
+        _emit(_json_line({"name": name, "sha256": digest, "ok": digest == pinned}), None)
+        if digest != pinned:
+            print(f"evidence {name}: got {digest}, pinned {pinned}", file=sys.stderr)
+            code = 1
+    return code
 
 
 _HANDLERS = {
@@ -262,6 +326,7 @@ _HANDLERS = {
     "verify": _cmd_verify,
     "classify": _cmd_classify,
     "export": _cmd_export,
+    "evidence": _cmd_evidence,
 }
 
 

@@ -184,7 +184,10 @@ def test_verify_bounds_usage_error(capsys, tmp_path):
             # an --out that cannot be written is a usage error, not a failed suite
             (("verify", "--claim", "lemma3", "--n-lo", "7", "--n-hi", "7",
               "--out", str(tmp_path / "missing" / "r.jsonl")), "error: "),
-            (("export", "dfao-dot", "--out", str(tmp_path)), "error: ")):
+            (("export", "dfao-dot", "--out", str(tmp_path)), "error: "),
+            # the automaton exports have no length, so -n is refused, not dropped
+            (("export", "dfao-table", "-n", "9"), "export dfao-table does not take -n"),
+            (("export", "dfao-dot", "-n", "-4"), "export dfao-dot does not take -n")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
 
@@ -273,6 +276,8 @@ def test_verify_refuses_sampled_sizes_past_their_caps(capsys, monkeypatch):
     n_max = "need 7 <= n_max <= 2048 to exercise every claim within budget, got 2049"
     for argv, message in (
             (("--claim", "bounds", "--n-hi", "2049"), n_hi),
+            (("--claim", "bounds", "--n-hi", "1048576"),
+             "n_hi=1048576 exceeds the budget of n <= 2048"),
             (("--claim", "theorem", "--n-lo", "257", "--n-hi", "2049",
               "--mode", "sampled"), n_hi),
             (("--claim", "all", "--n-max", "2049"), n_max),
@@ -482,6 +487,9 @@ COMMANDS = st.one_of(
     _command(_joined(st.just(["export"]), st.sampled_from(EXPORT_TARGETS + ("everything",))
                      .map(lambda t: [t])),
              [_flag("-n", (0, 2, 9)), st.just(["--out", "OUT"])]),
+    # evidence takes no argument; bare, it would compute every pin
+    _joined(st.just(["evidence"]),
+            st.sampled_from((["extra"], ["--bogus"], ["-n", "3"], ["--out", "OUT"]))),
 )
 
 
@@ -500,6 +508,7 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv):
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2), argv
+    assert argv[0] != "evidence" or code == 2, argv
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
     if code == 2:
         assert out.getvalue() == "", argv
