@@ -3,16 +3,21 @@
 Everything here is plumbing for the verification suites: sign grids over
 instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
-for every n of a phi-band off one sort per prefix, the target-LCP kernel
-that compares every window of a phi-band with the one at 6p for the
-lemma checks, and the split-digit automaton sweep that checks a DFAO
-against pf_prefix_matrix over many instruction rows at once (one pass
-over the low digits, one over the high digits from every state, one
-gather per row).  Both band kernels scan each distinct band prefix once
-(_by_chunks): an exhaustive grid enumerates one instruction bit more
-than a band prefix reads, so its prefixes come in byte-identical twins.
-The scalar implementations in folding.py / appearance.py / dfao.py stay
-the reference; tests cross-check these against them.
+for every n of a phi-band off one block-code sort per prefix, the
+target-LCP kernel that compares every window of a phi-band with the one
+at 6p for the lemma checks, and the split-digit automaton sweep that
+checks a DFAO against pf_prefix_matrix over many instruction rows at
+once (one pass over the low digits, one over the high digits from every
+state, one gather per row).  Both band kernels read a window as blocks
+of min(p, 64) signs, each one packed code of _window_codes, and find a
+common prefix at the first block pair whose XOR is nonzero; each keeps
+its own walk over the blocks, so the lemma checks share no sort or
+neighbour LCP with the kernel that gives S.  Both scan each distinct
+band prefix once (_by_chunks): an exhaustive grid enumerates one
+instruction bit more than a band prefix reads, so its prefixes come in
+byte-identical twins.  The scalar implementations in folding.py /
+appearance.py / dfao.py stay the reference; tests cross-check these
+against them.
 """
 
 from __future__ import annotations
@@ -65,79 +70,61 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
 
 
 # Prefix bytes per chunk of the band and target-LCP kernels.  Their
-# working sets peak near 115 and 54 bytes per prefix byte (tracemalloc,
-# p = 64..256), so a chunk stays within about two megabytes.  The
+# working sets peak near 72 and 54 bytes per prefix byte (tracemalloc,
+# p = 64..1024), so a chunk stays within about 1.2 megabytes.  The
 # automaton sweep takes 16 times as many output cells per chunk, at about
 # one byte each.
 CHUNK_ELEMENTS = 1 << 14
 
-# Window codes of 2^j signs for j <= 6 fit these unsigned types.
-_CODE_TYPES = (np.uint8, np.uint8, np.uint8, np.uint8, np.uint16, np.uint32, np.uint64)
+# The packed code of up to 8, 16, 32 or 64 signs fits these unsigned types.
+_CODE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
-def _window_keys(bits: np.ndarray, k: int) -> list:
-    """keys[j][r, i] orders the length-2^j windows of row r starting at i
-    lexicographically, for j = 0..k, and is equal exactly when they are.
+def _window_codes(bits: np.ndarray, w: int) -> np.ndarray:
+    """codes[r, i] packs the w <= 64 signs of row r from i on, MSB first,
+    so codes are equal exactly when the windows are and order as they do.
 
-    Up to 64 signs a key is the window itself packed MSB-first; beyond
-    that it is a dense rank of the pair of half-window ranks, packed as
-    left << 32 | right (prefix doubling).  Ranks are shared across the
-    rows of `bits`.
+    The code of the first `length` signs grows by doubling and, for a one
+    bit of w, by one more sign.
     """
-    keys = [bits]
-    for j in range(k):
-        h = 1 << j
-        prev = keys[-1]
-        if j < 6:
-            t = _CODE_TYPES[j + 1]
-            keys.append((prev[:, :-h].astype(t) << t(h)) | prev[:, h:].astype(t))
-            continue
-        if j == 6:
-            # two 64-sign codes do not fit one integer: rank them first
-            prev = _dense_rank(prev)
-            keys[-1] = prev
-        # int32 ranks are non-negative, so the pair packs into one int64
-        pairs = (prev[:, :-h].astype(np.int64) << 32) | prev[:, h:]
-        keys.append(_dense_rank(pairs))
-    return keys
-
-
-def _dense_rank(values: np.ndarray) -> np.ndarray:
-    """Rank of each value among the distinct values of the whole array."""
-    _, inverse = np.unique(values.ravel(), return_inverse=True)
-    return inverse.astype(np.int32).reshape(values.shape)
+    t = _CODE_TYPES[max(0, (w - 1).bit_length() - 3)]
+    codes, length = bits.astype(t), 1
+    for bit in bin(w)[3:]:
+        codes = (codes[:, :-length] << t(length)) | codes[:, length:]
+        length *= 2
+        if bit == "1":
+            codes = (codes[:, :-1] << t(1)) | bits[:, length:]
+            length += 1
+    return codes
 
 
 def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
     """band_first_starts for one chunk of 0/1 rows of length 7p - 1."""
-    k = p.bit_length() - 1
-    r, m = bits.shape[0], 6 * p
-    keys = _window_keys(bits, k)
-    order = np.argsort(keys[k], axis=1, kind="stable")
-    # Of equal length-p windows, which the stable sort keeps in start
-    # order, only the first can be a first start for any n <= p.
-    top = np.take_along_axis(keys[k], order, axis=1)
-    first = np.ones((r, m), dtype=bool)
-    first[:, 1:] = top[:, 1:] != top[:, :-1]
-    kept = np.flatnonzero(first)
-    order = order.ravel()
-    starts = order[kept]
-    # LCP with the sorted neighbour by binary lifting over the window
-    # levels; offsets stay below p, so every window read lies in the row.
-    # A row's first window has no neighbour and starts a run for every n;
-    # any other kept window is compared with the window sorted just
-    # before it, which equals the previous kept one.
-    inner = np.flatnonzero(kept % m)
-    row = kept[inner] // m
-    a, b = starts[inner], order[kept[inner] - 1]
-    common = np.zeros(inner.size, dtype=np.int64)
-    for j in reversed(range(k)):
-        key = keys[j]
-        flat, base = key.ravel(), row * key.shape[1]
-        common += (flat[base + a + common] == flat[base + b + common]).astype(np.int64) << j
-    lcp = np.full(kept.size, -1, dtype=np.int64)
-    lcp[inner] = common
-    starts = (starts + 1).astype(np.int32)
+    r, m, w = bits.shape[0], 6 * p, min(p, 64)
+    codes = _window_codes(bits, w)
+    blocks = [codes[:, b:b + m] for b in range(0, p, w)]
+    # block 0 is the primary key; the stable sort keeps equal windows in
+    # start order
+    order = np.lexsort(blocks[::-1], axis=1)
+    # LCP with the sorted predecessor, capped at p: the equal blocks before
+    # the first differing block pair, and MSB-first, w - the bit length of
+    # that pair's XOR
+    first_diff = np.zeros((r, m - 1), dtype=codes.dtype)
+    equal_blocks = np.zeros((r, m - 1), dtype=np.int32)
+    for block in blocks:
+        ranked = np.take_along_axis(block, order, axis=1)
+        x = ranked[:, 1:] ^ ranked[:, :-1]
+        undecided = first_diff == 0
+        equal_blocks += undecided & (x == 0)
+        first_diff = np.where(undecided, x, first_diff)
+    # A row's first window has no predecessor and starts a run for every n.
+    lcp = np.full((r, m), -1, dtype=np.int32)
+    lcp[:, 1:] = np.minimum(equal_blocks * w + w - _bit_length(first_diff), p)
+    # A repeat of a length-p window has lcp p and is no first start for
+    # any n <= p: only the first copy is kept.
+    kept = np.flatnonzero(lcp < p)
+    lcp = lcp.ravel()[kept]
+    starts = (order.ravel()[kept] + 1).astype(np.int32)
     # A run of lcp >= n holds the windows sharing one length-n factor.
     row_begin = np.searchsorted(kept, np.arange(r) * m)
     out = np.empty((r, p - p // 2), dtype=np.int32)
@@ -181,8 +168,11 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     result is n = p//2 + 1 + c, and its entry for a row is
     max(_scan_first_starts(prefix, n, 6p).values()).
 
-    Each row's 6p windows of length p are sorted once; the windows
-    sharing a length-n factor are then a run of neighbours whose longest
+    Each row's 6p windows of length p are sorted once, by their p / w
+    block codes of w = min(p, 64) signs (one stable lexsort, block 0 the
+    primary key), and each window's longest common prefix with the one
+    sorted before it is read off the first block pair that differs.  The
+    windows sharing a length-n factor are then a run of neighbours whose
     common prefix is at least n, the factor's first start is the least
     start in its run, and the result is the largest of those.  Each
     distinct prefix of 7p - 1 signs is sorted once, and the distinct ones
@@ -193,24 +183,24 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Exact bit length of every entry of an unsigned integer array, found
-    by halving the bits searched (a float log2 rounds near 2^64)."""
-    out = np.zeros(x.shape, dtype=np.int32)
-    shift = 4 * x.dtype.itemsize
-    while shift:
-        high = x >> x.dtype.type(shift)
-        nonzero = high != 0
-        out += nonzero * np.int32(shift)
-        x = np.where(nonzero, high, x)
-        shift //= 2
-    return out + (x != 0)
+    """Exact bit length of every entry of an unsigned integer array.
+
+    frexp gives it as the exponent of a value float64 holds exactly, as it
+    does every value below 2^53; a 64-bit value is taken as its two 32-bit
+    halves, since its float64 rounds near 2^64.
+    """
+    if x.dtype.itemsize < 8:
+        return np.frexp(x.astype(np.float64))[1]
+    high = x >> np.uint64(32)
+    return np.where(high != 0, _bit_length(high.astype(np.uint32)) + 32,
+                    _bit_length(x.astype(np.uint32)))
 
 
 def _chunk_target_lcp(bits: np.ndarray, p: int) -> np.ndarray:
-    """target_lcp for one chunk of 0/1 rows of length 7p - 1."""
-    # blocks of w <= 64 signs, each one packed code: no dense rank needed
+    """target_lcp for one chunk of 0/1 rows of length 7p - 1: every
+    window's blocks against the target's, in start order, with no sort."""
     w = min(p, 64)
-    codes = _window_keys(bits, w.bit_length() - 1)[-1]
+    codes = _window_codes(bits, w)
     target, m = 6 * p - 1, 6 * p
     # the XOR of the first differing block pair, and the equal blocks before it
     first_diff = np.zeros((len(bits), m), dtype=codes.dtype)
@@ -235,7 +225,7 @@ def target_lcp(prefixes, p: int) -> np.ndarray:
     occurs at start i + 1 exactly when it is at least n.
 
     Windows are compared in blocks of min(p, 64) signs, each block one
-    packed _window_keys code: the first block pair whose XOR is nonzero
+    packed _window_codes code: the first block pair whose XOR is nonzero
     fixes the common prefix by its bit length.  Each distinct prefix of
     7p - 1 signs is compared once, and the distinct ones are processed in
     chunks of about CHUNK_ELEMENTS prefix bytes.

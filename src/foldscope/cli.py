@@ -89,7 +89,7 @@ EVIDENCE = {
 }
 
 
-EXPORT_TARGETS = ("dfao-dot", "dfao-table", "classifier-csv")
+EXPORT_TARGETS = ("dfao-dot", "dfao-table")
 
 # Per-instance size caps, refused with exit 2 before any work.  The
 # appearance scan keeps about 4n distinct factors of n bytes each, so its
@@ -159,8 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="canonical artifacts as text")
     p.add_argument("target", choices=EXPORT_TARGETS)
-    p.add_argument("-n", type=int, default=None,
-                   help="table length for classifier-csv (1..6)")
     p.add_argument("--out", default=None)
 
     sub.add_parser("evidence", help="recompute and check every evidence pin")
@@ -294,15 +292,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.target == "classifier-csv":
-        if args.n is None:
-            raise ValueError("classifier-csv needs -n (1..6)")
-        _emit(classifier.export_table_csv(classifier.synthesize_table(args.n)), args.out)
-    elif args.n is not None:
-        raise ValueError(f"export {args.target} does not take -n")
-    else:
-        export = export_dot if args.target == "dfao-dot" else export_table
-        _emit(export(build_pf_evaluator()), args.out)
+    export = export_dot if args.target == "dfao-dot" else export_table
+    _emit(export(build_pf_evaluator()), args.out)
     return 0
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -209,8 +210,7 @@ def test_grid_s_values_match_scalar():
        seed=st.integers(0, 2**32 - 1))
 @example(n=1000, word="+", seed=0)
 def test_band_kernel_matches_scalar_scan(n, word, seed):
-    # n up to 300 reaches phi = 512: windows past 64 signs and three
-    # prefix-doubling levels above them
+    # n up to 300 reaches phi = 512: windows of up to eight 64-sign blocks
     p = phi(n)
     length = appearance_mod.band_length(n)
     rng = random.Random(seed)
@@ -251,6 +251,30 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
         else:
             want = max(appearance_mod._scan_first_starts(row, n, 6 * p).values())
         assert got == want
+
+
+@pytest.mark.parametrize("p", [128, 256])
+def test_band_kernel_sorts_and_compares_blocks_past_the_first(p):
+    # 64 fixed signs and a 16-sign tag, eight times a period; the tags are
+    # in turn a count in binary and one fixed word.  The windows at the
+    # fixed signs share their first 64-sign block and differ in a later
+    # one, and past a differing tag their blocks can agree again.  The rows
+    # start at every 16th sign of the first two units.
+    head = "+-" * 16 + "+" * 16 + "-" * 16
+    period = "".join(head + format(k, "016b") + head + "1" * 8 + "0" * 8
+                     for k in range(4)).translate(str.maketrans("01", "-+"))
+    word = period * (7 * p // len(period) + 2)
+    rows = [word[r:r + 7 * p - 1].encode() for r in range(0, 160, 16)]
+    for row in rows:
+        windows = sorted(range(6 * p), key=lambda i: row[i:i + p])
+        lcps = [len(os.path.commonprefix([row[i:i + p], row[j:j + p]]))
+                for i, j in zip(windows, windows[1:])]
+        assert any(64 <= lcp < p for lcp in lcps)
+    band = _batch.band_first_starts(rows, p)
+    for row, got in zip(rows, band):
+        want = [max(appearance_mod._scan_first_starts(row, n, 6 * p).values())
+                for n in range(p // 2 + 1, p + 1)]
+        assert got.tolist() == want
 
 
 def brute_target_lcp(pb, p):
@@ -350,23 +374,33 @@ def test_band_kernels_refuse_a_short_last_prefix(kernel, p):
 
 
 def test_bit_length_is_exact_near_two_to_the_64():
-    x = np.array([0, 1, 2, 3, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    x = np.array([0, 1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**53 + 1, 2**63 - 1, 2**63,
+                  2**64 - 1], dtype=np.uint64)
     assert _batch._bit_length(x).tolist() == [int(v).bit_length() for v in x.tolist()]
+    # and for every narrower code type, up to its top value
+    for t in (np.uint8, np.uint16, np.uint32):
+        top = int(np.iinfo(t).max)
+        x = np.array([0, 1, top // 2, top // 2 + 1, top - 1, top], dtype=t)
+        assert _batch._bit_length(x).tolist() == [int(v).bit_length() for v in x.tolist()], t
 
 
-def test_window_keys_equal_exactly_when_windows_are():
-    # 0^64 1^64 0^63 1 0^64 plus padding: the 64-sign windows rank so that
-    # a pair key of left * max_rank + right would merge two distinct
-    # 128-sign windows
-    row = [0] * 64 + [1] * 64 + [0] * 63 + [1] + [0] * 64 + [0] * 64
+def test_window_codes_equal_exactly_when_windows_are():
+    # 0^64 1^64 0^63 1 0^64: equal windows of every width, and windows
+    # that first differ at their last sign; then a seeded tail
+    rng = random.Random(0)
+    row = [0] * 64 + [1] * 64 + [0] * 63 + [1] + [0] * 64
+    row += [rng.randrange(2) for _ in range(64)]
     bits = np.array([row], dtype=np.uint8)
-    keys = _batch._window_keys(bits, 7)
-    for j, key in enumerate(keys):
-        windows = np.lib.stride_tricks.sliding_window_view(bits[0], 1 << j)
+    for w in range(1, 65):
+        codes = _batch._window_codes(bits, w)
+        windows = np.lib.stride_tricks.sliding_window_view(bits[0], w)
+        assert codes.shape == (1, len(windows)), w
         _, window_ids = np.unique(windows, axis=0, return_inverse=True)
-        assert key.shape == (1, len(windows))
-        assert (np.unique(key[0], return_inverse=True)[1].ravel()
-                == window_ids.ravel()).all(), j
+        assert (np.unique(codes[0], return_inverse=True)[1].ravel()
+                == window_ids.ravel()).all(), w
+        # and they sort as the windows do, sign 0 first
+        assert (np.argsort(codes[0], kind="stable")
+                == np.lexsort(windows.T[::-1])).all(), w
 
 
 def test_grid_s_values_width_check():

@@ -184,10 +184,7 @@ def test_verify_bounds_usage_error(capsys, tmp_path):
             # an --out that cannot be written is a usage error, not a failed suite
             (("verify", "--claim", "lemma3", "--n-lo", "7", "--n-hi", "7",
               "--out", str(tmp_path / "missing" / "r.jsonl")), "error: "),
-            (("export", "dfao-dot", "--out", str(tmp_path)), "error: "),
-            # the automaton exports have no length, so -n is refused, not dropped
-            (("export", "dfao-table", "-n", "9"), "export dfao-table does not take -n"),
-            (("export", "dfao-dot", "-n", "-4"), "export dfao-dot does not take -n")):
+            (("export", "dfao-dot", "--out", str(tmp_path)), "error: ")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
 
@@ -410,23 +407,28 @@ def test_export_table_deterministic(capsys):
     assert first == second
 
 
-def test_export_classifier_csv(capsys, tmp_path):
+def test_classify_csv_out(capsys, tmp_path):
     out_file = tmp_path / "table.csv"
-    code, out, _ = run(capsys, "export", "classifier-csv", "-n", "1",
+    code, out, _ = run(capsys, "classify", "-n", "1", "--format", "csv",
                        "--out", str(out_file))
-    assert code == 0
+    assert code == 0 and out == ""
     assert out_file.read_text() == "f0,f1,S\n-1,-1,3\n-1,1,2\n1,-1,2\n1,1,3\n"
 
 
-def test_export_classifier_csv_needs_n(capsys):
-    code, _, err = run(capsys, "export", "classifier-csv")
-    assert code == 2 and "-n" in err
+def test_classify_needs_n(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["classify", "--format", "csv"])
+    assert err.value.code == 2 and "-n" in capsys.readouterr().err
 
 
 def test_export_bad_target(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["export", "everything"])
-    assert err.value.code == 2
+    # the classifier table is `classify --format csv`, and the automaton
+    # exports have no length, so -n is refused, not dropped
+    for argv in (["export", "everything"], ["export", "classifier-csv", "-n", "1"],
+                 ["export", "dfao-table", "-n", "9"], ["export", "dfao-dot", "-n", "-4"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2 and capsys.readouterr().out == "", argv
 
 
 # --- fuzz -------------------------------------------------------------------
