@@ -3,21 +3,21 @@
 Everything here is plumbing for the verification suites: sign grids over
 instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
-for every n of a phi-band off one block-code sort per prefix, the
-target-LCP kernel that compares every window of a phi-band with the one
-at 6p for the lemma checks, and the split-digit automaton sweep that
-checks a DFAO against pf_prefix_matrix over many instruction rows at
-once (one pass over the low digits, one over the high digits from every
-state, one gather per row).  Both band kernels read a window as blocks
-of min(p, 64) signs, each one packed code of _window_codes, and find a
-common prefix at the first block pair whose XOR is nonzero; each keeps
-its own walk over the blocks, so the lemma checks share no sort or
-neighbour LCP with the kernel that gives S.  Both scan each distinct
-band prefix once (_by_chunks): an exhaustive grid enumerates one
-instruction bit more than a band prefix reads, so its prefixes come in
-byte-identical twins.  The scalar implementations in folding.py /
-appearance.py / dfao.py stay the reference; tests cross-check these
-against them.
+for every n of a phi-band off one longest-previous-factor pass per
+prefix, the target-LCP kernel that compares every window of a phi-band
+with the one at 6p for the lemma checks, and the split-digit automaton
+sweep that checks a DFAO against pf_prefix_matrix over many instruction
+rows at once (one pass over the low digits, one over the high digits
+from every state, one gather per row).  Both band kernels read a window
+as blocks of min(p, 64) signs, each one packed code of _window_codes,
+and find a common prefix at the first block pair whose XOR is nonzero;
+each keeps its own walk over the blocks, so the lemma checks share no
+sort, neighbour LCP or previous factor with the kernel that gives S.
+Both scan each distinct band prefix once (_by_chunks): an exhaustive
+grid enumerates one instruction bit more than a band prefix reads, so
+its prefixes come in byte-identical twins.  The scalar implementations
+in folding.py / appearance.py / dfao.py stay the reference; tests
+cross-check these against them.
 """
 
 from __future__ import annotations
@@ -65,12 +65,13 @@ def pf_prefix_matrix(rows: np.ndarray, length: int) -> np.ndarray:
 def prefix_rows(rows: np.ndarray, length: int) -> tuple:
     """P[1:length] of every instruction row, one b'+'/b'-' bytes each (the
     form the band kernel and the lemma checks read)."""
-    raw = pf_prefix_matrix(rows, length).tobytes()
-    return tuple(raw[i * length:(i + 1) * length] for i in range(len(rows)))
+    # each row viewed as one fixed-width bytes item (no sign is a NUL byte,
+    # so tolist keeps every byte)
+    return tuple(pf_prefix_matrix(rows, length).view(f"S{length}").ravel().tolist())
 
 
 # Prefix bytes per chunk of the band and target-LCP kernels.  Their
-# working sets peak near 72 and 54 bytes per prefix byte (tracemalloc,
+# working sets peak near 75 and 61 bytes per prefix byte (tracemalloc,
 # p = 64..1024), so a chunk stays within about 1.2 megabytes.  The
 # automaton sweep takes 16 times as many output cells per chunk, at about
 # one byte each.
@@ -98,41 +99,81 @@ def _window_codes(bits: np.ndarray, w: int) -> np.ndarray:
     return codes
 
 
+def _sorted_lcp(bits: np.ndarray, p: int) -> tuple:
+    """(order, lcp) for one chunk of 0/1 rows of length 7p - 1: order[r]
+    lists the starts - 1 of row r's 6p windows of length p in sorted order
+    (equal windows in start order), and lcp, flat over the chunk, is the
+    common prefix of each sorted window with the next (the pairs across a
+    row boundary included)."""
+    m, w = 6 * p, min(p, 64)
+    codes = _window_codes(bits, w)
+    # block 0 is the primary key; the sort is stable
+    order = np.lexsort([codes[:, b:b + m] for b in range(p - w, -1, -w)], axis=1)
+    # the flat index of each sorted window's block 0; block b is b further
+    at = (order + np.arange(0, codes.size, codes.shape[1])[:, None]).ravel()
+    # a pair that first differs in block j shares j * w signs and, codes
+    # being MSB-first, w - the bit length of their XOR there (p if equal);
+    # int32 block counts keep lcp int32
+    first_diff, equal_blocks = None, 0
+    for b in range(0, p, w):
+        ranked = codes.ravel()[b:].take(at)
+        x = ranked[1:] ^ ranked[:-1]
+        if b:
+            undecided = first_diff == 0
+            equal_blocks = np.add(equal_blocks, undecided, dtype=np.int32)
+            x = np.where(undecided, x, first_diff)
+        first_diff = x
+    return order, w * equal_blocks + w - _bit_length(first_diff)
+
+
 def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
     """band_first_starts for one chunk of 0/1 rows of length 7p - 1."""
-    r, m, w = bits.shape[0], 6 * p, min(p, 64)
-    codes = _window_codes(bits, w)
-    blocks = [codes[:, b:b + m] for b in range(0, p, w)]
-    # block 0 is the primary key; the stable sort keeps equal windows in
-    # start order
-    order = np.lexsort(blocks[::-1], axis=1)
-    # LCP with the sorted predecessor, capped at p: the equal blocks before
-    # the first differing block pair, and MSB-first, w - the bit length of
-    # that pair's XOR
-    first_diff = np.zeros((r, m - 1), dtype=codes.dtype)
-    equal_blocks = np.zeros((r, m - 1), dtype=np.int32)
-    for block in blocks:
-        ranked = np.take_along_axis(block, order, axis=1)
-        x = ranked[:, 1:] ^ ranked[:, :-1]
-        undecided = first_diff == 0
-        equal_blocks += undecided & (x == 0)
-        first_diff = np.where(undecided, x, first_diff)
-    # A row's first window has no predecessor and starts a run for every n.
-    lcp = np.full((r, m), -1, dtype=np.int32)
-    lcp[:, 1:] = np.minimum(equal_blocks * w + w - _bit_length(first_diff), p)
-    # A repeat of a length-p window has lcp p and is no first start for
-    # any n <= p: only the first copy is kept.
-    kept = np.flatnonzero(lcp < p)
-    lcp = lcp.ravel()[kept]
-    starts = (order.ravel()[kept] + 1).astype(np.int32)
-    # A run of lcp >= n holds the windows sharing one length-n factor.
-    row_begin = np.searchsorted(kept, np.arange(r) * m)
-    out = np.empty((r, p - p // 2), dtype=np.int32)
-    for c, n in enumerate(range(p // 2 + 1, p + 1)):
-        heads = np.flatnonzero(lcp < n)
-        firsts = np.minimum.reduceat(starts, heads)
-        out[:, c] = np.maximum.reduceat(firsts, np.searchsorted(heads, row_begin))
-    return out
+    r, m, half = bits.shape[0], 6 * p, p // 2
+    size, cols = r * m, p - half
+    order, lcp = _sorted_lcp(bits, p)
+    starts = np.add(order.ravel(), 1, dtype=np.int32)
+    # gap[k]: the LCP of sorted windows k - 1 and k clamped to p/2..p and
+    # shifted down by p/2, since an LPF <= p/2 makes a window a first
+    # start at every n of the band; 0 at each row's first rank and at the
+    # end, so that no chain leaves its row
+    gap = np.zeros(size + 1, dtype=np.int32)
+    np.maximum(lcp - half, 0, out=gap[1:size])
+    gap[m::m] = 0
+    # Node k walks left from rank k and node size + k right from it: `to`
+    # is the node, on its own side, of the rank it has reached and `low`
+    # the least gap it has passed.  A chain ends at the nearest rank on its
+    # side with an earlier start (its LCP with that window is then `low`)
+    # or once `low` is 0.  The last slot of `node_start` is a sentinel
+    # only ended chains point at.
+    low = np.concatenate((gap[:-1], gap[1:]))
+    to = np.arange(-1, 2 * size - 1)
+    to[size:] += 2
+    node_start = np.concatenate((starts, starts, starts[:1]))
+    # Of two neighbours sharing more than p/2 signs, the chain of the one
+    # that starts earlier walks on; the other's ends at once.
+    live = np.zeros(2 * size, dtype=bool)
+    shared, later = gap[1:size] > 0, starts[:-1] > starts[1:]
+    np.logical_and(shared, later, out=live[1:size])
+    np.greater(shared, later, out=live[size:-1])
+    live = np.flatnonzero(live)
+    # Pointer jumping: a live chain takes over the chain of the rank it has
+    # reached, which starts later.  Each round moves it at least one rank,
+    # so the rounds are at most the longest run of sorted windows that
+    # share more than p/2 signs with the next.
+    while live.size:
+        via = to[live]
+        passed = np.minimum(low[live], low[via])
+        low[live] = passed
+        via = to[live] = to[via]
+        live = live[(passed > 0) & (node_start[via] > node_start[live])]
+    # The shifted LPF is the larger side.  A window is a first start for
+    # n = p/2 + 1 + c exactly when its shifted LPF is at most c, so S is a
+    # running maximum over the columns of the latest start at each shifted
+    # LPF; the last column holds the repeats of a length-p window.
+    lpf = np.maximum(low[:size], low[size:]).reshape(r, m)
+    out = np.zeros((r, cols + 1), dtype=np.int32)
+    np.maximum.at(out.ravel(), (lpf + np.arange(0, out.size, cols + 1)[:, None]).ravel(), starts)
+    return np.maximum.accumulate(out, axis=1)[:, :cols]
 
 
 def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray:
@@ -156,7 +197,7 @@ def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray
     for lo in range(0, len(distinct), step):
         chunk = distinct[lo:lo + step]
         raw = np.frombuffer(b"".join(chunk), dtype=np.uint8)
-        out[lo:lo + step] = kernel((raw.reshape(len(chunk), length) == PLUS).astype(np.uint8))
+        out[lo:lo + step] = kernel((raw.reshape(len(chunk), length) == PLUS).view(np.uint8))
     return out[inverse]
 
 
@@ -168,15 +209,23 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     result is n = p//2 + 1 + c, and its entry for a row is
     max(_scan_first_starts(prefix, n, 6p).values()).
 
-    Each row's 6p windows of length p are sorted once, by their p / w
-    block codes of w = min(p, 64) signs (one stable lexsort, block 0 the
-    primary key), and each window's longest common prefix with the one
-    sorted before it is read off the first block pair that differs.  The
-    windows sharing a length-n factor are then a run of neighbours whose
-    common prefix is at least n, the factor's first start is the least
-    start in its run, and the result is the largest of those.  Each
-    distinct prefix of 7p - 1 signs is sorted once, and the distinct ones
-    are processed in chunks of about CHUNK_ELEMENTS prefix bytes.
+    A window is the first start of its length-n factor exactly when its
+    longest previous factor, LPF, the longest common prefix with any
+    window that starts earlier, is below n (Crochemore & Ilie, "Computing
+    Longest Previous Factor in linear time and applications", 2008), so
+    S(n) = max{i : LPF(i) < n} and one LPF per window gives every n of
+    the band.  Each row's 6p windows of length p are sorted once, by their
+    p / w block codes of w = min(p, 64) signs (one stable lexsort, block 0
+    the primary key), and each window's common prefix with the one sorted
+    after it is read off the first block pair that differs.  LPF(i) is
+    then the larger common prefix with the nearest sorted window on either
+    side that starts earlier: the least neighbour LCP in between, found by
+    pointer jumping, which stops a walk once that least LCP is p/2 or
+    less, since the band reads LPF only between p/2 and p.  One maximum.at
+    puts each start at its (row, LPF) cell and a running maximum over the
+    columns gives S.  Each distinct prefix of 7p - 1 signs is sorted once,
+    and the distinct ones are processed in chunks of about CHUNK_ELEMENTS
+    prefix bytes.
     """
     return _by_chunks(prefixes, 7 * p - 1, p - p // 2, np.int32,
                       lambda bits: _chunk_first_starts(bits, p))

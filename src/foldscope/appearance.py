@@ -35,9 +35,11 @@ share.
 The scalar _scan_first_starts (a dict of first starts) serves the
 per-instance reports and is the oracle the tests hold the other scan to.
 Bulk S values come from the band kernel _batch.band_first_starts, which
-sorts each prefix's windows once and yields S(n) for every n of a
-phi-band (phi/2, phi]; _band caches it per prefix tuple and s_column
-reads one n from it.
+sorts each prefix's windows once, reads each window's longest previous
+factor off the sorted order (a window is a first start for n exactly
+when that is below n) and yields S(n) for every n of a phi-band
+(phi/2, phi]; _band caches it per prefix tuple and s_column reads one n
+from it.
 """
 
 from __future__ import annotations

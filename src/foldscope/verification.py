@@ -400,8 +400,8 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
     every window is compared with the one fixed window, sign block by sign
     block.  It shares with the band kernel that gives S only the bit
     packing of _batch._window_codes and _batch._bit_length, not its sort,
-    its rule for equal windows or its neighbour LCPs, so a fault in those
-    cannot show in both.
+    its neighbour LCPs or its longest previous factors, so a fault in
+    those cannot show in both.
     """
     _check_range("lemma2", n_lo, n_hi)
     return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -275,6 +276,50 @@ def test_band_kernel_sorts_and_compares_blocks_past_the_first(p):
         want = [max(appearance_mod._scan_first_starts(row, n, 6 * p).values())
                 for n in range(p // 2 + 1, p + 1)]
         assert got.tolist() == want
+
+
+def scalar_band(row, p):
+    """S(n) for n = p//2 + 1 .. p by the scalar scan of starts 1..6p."""
+    return [max(appearance_mod._scan_first_starts(row, n, 6 * p).values())
+            for n in range(p // 2 + 1, p + 1)]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_band_kernel_matches_scalar_scan_on_every_row_at_p_1_and_2(p):
+    # p // 2 is 0 and 1: every row of 6 and of 13 signs
+    rows = [bytes(row) for row in itertools.product(b"+-", repeat=7 * p - 1)]
+    band = _batch.band_first_starts(rows, p)
+    assert band.tolist() == [scalar_band(row, p) for row in rows]
+
+
+def long_chain_rows(p, count, seed):
+    """Rows of 7p - 1 signs whose windows all share more than p/2 signs: a
+    constant row of each sign, then rows of 6p + p//2 '+' and a random tail."""
+    length, head = 7 * p - 1, 6 * p + p // 2
+    rng = random.Random(seed)
+    return [b"+" * length, b"-" * length] + [
+        b"+" * head + bytes(rng.choice(b"+-") for _ in range(length - head))
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 64, 128, 256])
+def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
+    # every sorted neighbour shares more than p/2 signs, so no chain stops
+    # at a short LCP: in a constant row each runs to its row's end, and the
+    # rows meet inside one chunk, where a chain that left its row would
+    # read the next row's ranks
+    rows = long_chain_rows(p, 4, seed=p)
+    for row in rows:
+        windows = sorted(range(6 * p), key=lambda i: row[i:i + p])
+        assert all(row[i:i + p // 2 + 1] == row[j:j + p // 2 + 1]
+                   for i, j in zip(windows, windows[1:]))
+    chunks = []
+    real_chunk = _batch._chunk_first_starts
+    monkeypatch.setattr(_batch, "_chunk_first_starts",
+                        lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
+    band = _batch.band_first_starts(rows, p)
+    assert chunks == [len(set(rows))]
+    assert band.tolist() == [scalar_band(row, p) for row in rows]
 
 
 def brute_target_lcp(pb, p):

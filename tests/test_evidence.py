@@ -13,13 +13,10 @@ from foldscope.cli import EVIDENCE, main
 
 REPO = Path(__file__).resolve().parents[1]
 
-# depth-12, the exhaustive theorem and lemmas at n = 129..256, takes about
-# 7 s cold (2-core Xeon), twice the other six rows together; tier-1 leaves
-# it to `foldscope evidence`, which checks all seven.
-TIER1_ROWS = [name for name in EVIDENCE if name != "depth-12"]
-
-
-@pytest.mark.parametrize("name", TIER1_ROWS)
+# Every row, depth-12 too: the exhaustive theorem and lemmas at n = 129..256
+# read the phi = 256 grid band, the widest any pin covers, and take about
+# 3 s cold (2-core Xeon).
+@pytest.mark.parametrize("name", list(EVIDENCE))
 def test_evidence_row_reproduces_its_pin(capsys, monkeypatch, name):
     monkeypatch.setattr(cli, "EVIDENCE", {name: EVIDENCE[name]})
     assert main(["evidence"]) == 0
