@@ -193,7 +193,7 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 
 # Entries kept by each memoized grid, band, LCP array and sample, so a
 # long-lived process holds a bounded number of them.  `verify --claim all
-# --n-max 64` fills at most 18 (the band cache), so nothing is evicted
+# --n-max 64` fills at most 14 (the band cache), so nothing is evicted
 # there; at depth 12 (n <= 256) the largest, a target-LCP array, is 12.6 MB:
 # the kernels compute each distinct band prefix once, but the cached array
 # keeps a row for every prefix.

@@ -70,9 +70,6 @@ class ParallelDFAO:
         if len(self.transitions) != n * len(ALPHABET):
             raise ValueError("transitions contain entries outside the state space")
 
-    def step(self, state: int, sign: int, bit: int) -> int:
-        return self.transitions[(state, (sign, bit))]
-
 
 def unreachable_states(d: ParallelDFAO) -> list[int]:
     """States not reachable from the start state.

@@ -11,8 +11,8 @@ The enumeration depth for length n is scan_depth(n), one bit above those
 the scans' prefix of 7*phi(n) - 1 signs reads, so instruction bits beyond
 that depth are never consulted.  Every grid pattern therefore has a twin
 with the same band prefix, and the band and target-LCP kernels scan each
-such pair once.  The dependence check inside verify_theorem confirms the
-bits that do matter.
+such pair once.  verify_theorem holds S to the closed form, which reads
+only the two bits that matter.
 
 Every per-n suite reads its grid whole through one accessor, _grid(n,
 ...) -> (depth, rows, prefixes): rows is an int8 array (the sign grid, or
@@ -31,7 +31,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -426,7 +426,7 @@ def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutc
     return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n)
 
 
-def _theorem_for_n(n, sampled, samples, seed, predictor, patterns):
+def _theorem_for_n(n, sampled, samples, seed):
     depth = scan_depth(n)
     k = phi(n).bit_length() - 1
     if k + 2 >= depth:
@@ -434,49 +434,35 @@ def _theorem_for_n(n, sampled, samples, seed, predictor, patterns):
                          f"f_{k + 2}, which the closed form reads")
     _, rows, prefixes = _grid(n, sampled, samples, seed)
     s = s_column(prefixes, n)
-    key = (depth, k, sampled)
-    if key not in patterns:
-        # per pattern: its instruction set, and the first pattern with the
-        # same (f_{k+1}, f_{k+2})
-        pair = rows[:, k + 1:k + 3] > 0
-        _, firsts, group = np.unique(2 * pair[:, 0] + pair[:, 1],
-                                     return_index=True, return_inverse=True)
-        patterns[key] = ([FoldingInstructions(row) for row in rows.tolist()],
-                         firsts[group.ravel()])
-    instructions, leader = patterns[key]
-
-    predicted = [predictor(f, n) for f in instructions]
-    fail = s != np.array(predicted)
-    if fail.any():
-        return _first_failure(n, depth, rows, fail, lambda i: {
-            "computed": int(s[i]), "predicted": predicted[i]})
-    # dependence: fixing (f_{k+1}, f_{k+2}) must pin the value
-    return _first_failure(n, depth, rows, s != s[leader], lambda j: {
-        "pair": rows[j, k + 1:k + 3].tolist(),
-        "s_first": int(s[leader[j]]), "s_second": int(s[j]),
-        "instructions": _row_text(rows[leader[j]]),
-        "instructions_other": _row_text(rows[j])})
+    # each row's (f_{k+1}, f_{k+2}) class, and the first row of each class
+    _, firsts, group = np.unique(2 * rows[:, k + 1] + rows[:, k + 2],
+                                 return_index=True, return_inverse=True)
+    predicted = np.array([predicted_s(FoldingInstructions(rows[i].tolist()), n)
+                          for i in firsts])[group]
+    return _first_failure(n, depth, rows, s != predicted, lambda i: {
+        "computed": int(s[i]), "predicted": int(predicted[i])})
 
 
 def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
-                   samples: int = 200, seed: int = DEFAULT_SEED,
-                   predictor: Optional[Callable] = None) -> VerificationOutcome:
-    """Scanned s_value equals the closed form for every enumerated (f, n),
-    and the value depends on (f_{k+1}, f_{k+2}) only.
+                   samples: int = 200, seed: int = DEFAULT_SEED) -> VerificationOutcome:
+    """Scanned s_value equals the closed form predicted_s for every
+    enumerated (f, n), so it depends on (f_{k+1}, f_{k+2}) only, with
+    phi(n) = 2^k.
 
-    The closed form comes from `predictor` (default predicted_s), called
-    as predictor(f, n) with f a FoldingInstructions, once per enumerated
-    row and n; it may depend on n and on every instruction of f.
+    predicted_s reads f through that pair alone, so at each n it is asked
+    once per pair class, at the class's first row, and its value stands
+    for every row of the class.  No separate check that S depends on the
+    pair only is made, because it cannot fail: once every row passes, S
+    is the one predicted value of its class on every row, so it equals S
+    at the class's first row.
     """
     _check_range("theorem", n_lo, n_hi, exhaustive=mode == "exhaustive")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode {mode!r} not 'exhaustive' or 'sampled'")
     _check_samples(samples)
-    pred = predictor if predictor is not None else predicted_s
-    patterns: dict = {}  # built once per depth, not once per n
     return _run_suite(
         "theorem", n_lo, n_hi,
-        lambda n, sampled: _theorem_for_n(n, sampled, samples, seed, pred, patterns),
+        lambda n, sampled: _theorem_for_n(n, sampled, samples, seed),
         sampled_from=n_lo if mode == "sampled" else None, seed=seed)
 
 

@@ -11,6 +11,7 @@ from foldscope import (check_reported_sets, parse_instructions, pf_prefix,
                        verify_formula_vs_dfao, verify_lemma_first_occurrence,
                        verify_lemma_last_factor, verify_lemma_shared_start,
                        verify_monotonicity_and_symmetry, verify_theorem)
+from foldscope import verification
 from foldscope.appearance import phi
 from foldscope.classifier import (EXPECTED_ROWS_N1, EXPECTED_ROWS_N2,
                                   synthesize_table)
@@ -102,7 +103,7 @@ def test_criterion_7_small_length_tables():
     report(7, "small-length tables", ok)
 
 
-def test_criterion_8_harness_power():
+def test_criterion_8_harness_power(monkeypatch):
     catalog = dfao_mutation_catalog()
     detected = 0
     for _, mutant in catalog:
@@ -115,7 +116,8 @@ def test_criterion_8_harness_power():
         k = p.bit_length() - 1
         return 6 * p if instruction(f, k + 1) != instruction(f, k + 2) else 4 * p
 
-    swap_outcome = verify_theorem(7, 16, predictor=swapped)
+    monkeypatch.setattr(verification, "predicted_s", swapped)
+    swap_outcome = verify_theorem(7, 16)
     ok = (detected == len(catalog) == 20
           and not swap_outcome.passed
           and swap_outcome.counterexample is not None)

@@ -164,6 +164,18 @@ def test_prediction_matches_scan(regular, alt_tail):
             assert predicted_s(f, n) == s_value(f, n)
 
 
+# verify_theorem asks the closed form only at the first row of each
+# (f_{k+1}, f_{k+2}) class, where f_0 = -1 on every exhaustive grid; this
+# holds it to the scan at any instance
+@settings(max_examples=40, deadline=None)
+@example(head=[1], tail=[1], n=7)
+@given(head=st.lists(signs, max_size=12), tail=st.lists(signs, min_size=1, max_size=6),
+       n=st.integers(min_value=7, max_value=300))
+def test_closed_form_matches_scan_per_instance(head, tail, n):
+    f = make_instructions(head, tail)
+    assert predicted_s(f, n) == s_value(f, n)
+
+
 def test_plateau_within_phi_blocks(regular, alt_tail):
     for f in (regular, alt_tail):
         for block in [(7, 8), (9, 16), (17, 32)]:

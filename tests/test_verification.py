@@ -335,8 +335,9 @@ def test_theorem_rejects_bad_mode():
         verify_theorem(7, 8, "guess")
 
 
-def test_theorem_swapped_branches_fail_everywhere():
-    outcome = verify_theorem(7, 8, predictor=swapped_predictor)
+def test_theorem_swapped_branches_fail_everywhere(monkeypatch):
+    monkeypatch.setattr(verification, "predicted_s", swapped_predictor)
+    outcome = verify_theorem(7, 8)
     assert not outcome.passed
     ce = outcome.counterexample
     assert ce["computed"] != ce["predicted"]
@@ -344,30 +345,39 @@ def test_theorem_swapped_branches_fail_everywhere():
     assert json_counterexample(outcome) == ce
 
 
-def test_theorem_dependence_check_names_both_patterns(clean_caches, monkeypatch):
-    # pattern 1 ("+-------") reads S(9) = 80 and the predictor agrees, so
-    # only the dependence check sees that pattern 0, with the same
-    # (f_4, f_5), reads 96
+def test_theorem_asks_the_closed_form_once_per_pair_class(clean_caches, monkeypatch):
+    calls = []
+
+    def counting(f, n):
+        calls.append(n)
+        return predicted_s(f, n)
+
+    monkeypatch.setattr(verification, "predicted_s", counting)
+    assert all(outcome.passed for outcome in verification.run_all(n_max=64))
+    # once per (f_{k+1}, f_{k+2}) class at each n = 7..64: 232 calls, where
+    # one per enumerated row made 43,264
+    assert sorted(calls) == sorted(list(range(7, 65)) * 4)
+
+
+def test_theorem_counterexample_is_the_failing_row(clean_caches, monkeypatch):
+    # pattern 1 ("+-------") reads S(9) = 80; pattern 0 leads its
+    # (f_4, f_5) class, so the closed form is asked there and reads 96
     monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 1, 80))
-    pattern_1 = (1,) + (-1,) * 7
-
-    def agreeing(f, n):
-        return 80 if n == 9 and f.prefix == pattern_1 else predicted_s(f, n)
-
-    outcome = verify_theorem(7, 16, predictor=agreeing)
+    outcome = verify_theorem(7, 16)
     assert not outcome.passed and outcome.cases_checked == 2304
     assert outcome.counterexample == {
-        "instructions": "--------", "instructions_other": "+-------", "n": 9,
-        "pair": [-1, -1], "s_first": 96, "s_second": 80}
+        "n": 9, "computed": 80, "predicted": 96, "instructions": "+-------"}
     assert json_counterexample(outcome) == outcome.counterexample
 
 
 # Sampled pattern 7 is "+++-+---+--"; with its S(66) raised to 700 the
-# scan disagrees with the closed form, and with a predictor that agrees
-# only the dependence check sees pattern 2, with the same (f_8, f_9), read
-# 512.  Both were recorded from the per-n list search the grid accessor
-# replaced.
+# scan disagrees with the closed form.  Pattern 2, with the same (f_8,
+# f_9), leads the class, so a closed form that agrees at pattern 7 alone
+# is never asked there and the outcome is the same.  Recorded from the
+# per-n list search the grid accessor replaced.
 SAMPLED_PATTERN_7 = (1, 1, 1, -1, 1, -1, -1, -1, 1, -1, -1)
+SAMPLED_COUNTER = {"n": 66, "computed": 700, "predicted": 512,
+                   "instructions": "+++-+---+--"}
 
 
 def agreeing_on_sampled_pattern_7(f, n):
@@ -375,16 +385,15 @@ def agreeing_on_sampled_pattern_7(f, n):
 
 
 @pytest.mark.parametrize("predictor, counter", [
-    (None, {"n": 66, "computed": 700, "predicted": 512,
-            "instructions": "+++-+---+--"}),
-    (agreeing_on_sampled_pattern_7,
-     {"n": 66, "pair": [1, -1], "s_first": 512, "s_second": 700,
-      "instructions": "+-+-+-+-+-+", "instructions_other": "+++-+---+--"}),
+    (None, SAMPLED_COUNTER),
+    (agreeing_on_sampled_pattern_7, SAMPLED_COUNTER),
 ])
 def test_sampled_theorem_reports_the_sampled_row(clean_caches, monkeypatch,
                                                  predictor, counter):
     monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(66, 7, 700))
-    outcome = verify_theorem(65, 67, "sampled", samples=20, predictor=predictor)
+    if predictor is not None:
+        monkeypatch.setattr(verification, "predicted_s", predictor)
+    outcome = verify_theorem(65, 67, "sampled", samples=20)
     assert not outcome.passed and outcome.cases_checked == 72
     assert outcome.counterexample == counter
     assert json_counterexample(outcome) == counter
