@@ -6,9 +6,11 @@ rows every scan reads, the band kernel that reads the latest first start
 for every n of a phi-band off one longest-previous-factor pass per
 prefix, the target-LCP kernel that compares every window of a phi-band
 with the one at 6p for the lemma checks, and the split-digit automaton
-sweep that checks a DFAO against pf_prefix_matrix over many instruction
-rows at once (one pass over the low digits, one over the high digits
-from every state, one gather per row).  Both band kernels read a window
+sweep that checks a DFAO against the closed form over many instruction
+rows at once (one pass over the low digits per distinct low half of a
+row, one over the high digits from every state per distinct high half,
+the formula read off pf_prefix_matrix on those halves, and one table
+lookup per row and low digit pattern).  Both band kernels read a window
 as blocks of min(p, 64) signs, each one packed code of _window_codes,
 and find a common prefix at the first block pair whose XOR is nonzero;
 each keeps its own walk over the blocks, so the lemma checks share no
@@ -38,10 +40,10 @@ def sign_grid(depth: int, width: int = 0) -> np.ndarray:
     all -1, the last row is all +1, and columns past depth repeat the
     pattern cyclically.
     """
-    cols = np.arange(max(depth, width), dtype=np.uint32) % depth
-    idx = np.arange(1 << depth, dtype=np.uint32)[:, None]
-    bits = (idx >> cols[None, :]) & 1
-    return (2 * bits.astype(np.int8) - 1)
+    idx = np.arange(1 << depth, dtype=np.min_scalar_type((1 << depth) - 1))
+    bits = idx[:, None] >> (np.arange(max(depth, width)) % depth).astype(idx.dtype)
+    bits &= 1
+    return np.where(bits, np.int8(1), np.int8(-1))
 
 
 def pf_prefix_matrix(rows: np.ndarray, length: int) -> np.ndarray:
@@ -72,9 +74,11 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
 
 # Prefix bytes per chunk of the band and target-LCP kernels.  Their
 # working sets peak near 75 and 61 bytes per prefix byte (tracemalloc,
-# p = 64..1024), so a chunk stays within about 1.2 megabytes.  The
-# automaton sweep takes 16 times as many output cells per chunk, at about
-# one byte each.
+# p = 64..1024), so a chunk stays within about 1.2 megabytes.  Each step
+# of the automaton sweep (the low-half passes with their prefixes, the
+# high-half passes from every state, the row lookups) takes about as many
+# cells per chunk, at up to about 20 bytes each: its whole tracemalloc
+# peak, row keys included, is near 0.55 MiB on 4,096 and 8,192 rows.
 CHUNK_ELEMENTS = 1 << 14
 
 # The packed code of up to 8, 16, 32 or 64 signs fits these unsigned types.
@@ -283,6 +287,36 @@ def target_lcp(prefixes, p: int) -> np.ndarray:
                       lambda bits: _chunk_target_lcp(bits, p))
 
 
+def _least_bad_k(first_bad: np.ndarray, high: np.ndarray, codes: np.ndarray,
+                 last: np.ndarray, low: int):
+    """The least (k, row) of one chunk of rows at which the automaton
+    leaves the formula, or None.
+
+    Row r looks up first_bad[high[r], codes[r, lo]] for every low digit
+    pattern lo at once: the first hi at which column lo leaves its formula
+    pattern.  Column lo fails when that hi is at most last[lo], at
+    k = lo + 2^low * hi.  Within a row each k has its own column, so the
+    first least k in row order has the least row.
+    """
+    hi = first_bad.take(high[:, None] * first_bad.shape[1] + codes)
+    row, lo = np.nonzero(hi <= last)
+    if not row.size:
+        return None
+    k = lo + (hi[row, lo].astype(np.int64) << low)
+    i = k.argmin()
+    return int(k[i]), int(row[i])
+
+
+def _distinct_halves(half: np.ndarray) -> tuple:
+    """(distinct rows, each row's index among them) of a column slice of
+    instruction rows, keyed by the slice's signs packed as one integer."""
+    key = np.zeros(len(half), dtype=np.int64)
+    for i in range(half.shape[1]):
+        key |= (half[:, i] > 0).astype(np.int64) << i
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return half[first], inverse
+
+
 def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     """Run the DFAO and the closed formula over every (row, k) pair.
 
@@ -292,30 +326,50 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     skipped_ks lists the positions the track length cannot decide.
 
     Each k is split as lo + 2^low * hi at low = w - w // 2 lsd-first
-    digits.  For a chunk of rows, one level-order pass runs the low digits
-    from the start state, giving the state A[lo] after them, and a second
-    runs the high digits from every state q, giving the output byte
-    B[q, hi].  After level i a pass holds one state per digit pattern,
-    column c for digits = c (mod 2^(i+1)), and level i + 1 steps every
-    column by digit 0 and by digit 1 through one flat (4*state + 2*sign +
-    bit) table, concatenating the two halves; columns past the top digit
-    value are dropped as they appear.  A row's outputs in k order are then
-    one gather, B.T[:, A] flattened, and are compared with its b'+'/b'-'
-    row of pf_prefix_matrix, the one sequence generator.
+    digits, and each row as its low half f_0..f_{low-1} and its high half
+    f_low..f_{w-1}.  One level-order pass per distinct low half runs the
+    low digits from the start state, giving the state A[lo] after them,
+    and one per distinct high half runs the high digits from every state
+    q, giving the output byte B[q, hi].  After level i a pass holds one
+    state per digit pattern, column c for digits = c (mod 2^(i+1)), and
+    level i + 1 steps every column by digit 0 and by digit 1 through one
+    flat (4*state + 2*sign + bit) table, concatenating the two halves;
+    columns past the top digit value are dropped as they appear.
+
+    The formula side comes from pf_prefix_matrix, the one sequence
+    generator, on the distinct halves only, through two identities of
+    P_f[k] = +-f_{v(k)} (the sign set by the odd part of k mod 4):
+      (i)  for lo != 0, P_f[lo + 2^low * hi] = P_f[lo + 2^low * (hi mod 2)],
+           since v(lo) < low and the value reads only bits 0..v(lo) + 1
+           <= low of k, which the two positions share;
+      (ii) P_f[2^low * hi] = P_{sigma^low f}[hi] for hi >= 1, sigma^low f
+           = f_low, f_{low+1}, ..., since v(2^low * hi) = low + v(hi) and
+           the odd parts are equal.
+    So column lo != 0 of a row is one of four period-2 patterns, read off
+    P[lo] and P[lo + 2^low] of its low half's 2^(low+1) - 1 prefix, and
+    column 0 is its high half's own prefix.  first_bad[h, q, pattern] is
+    the first hi at which B of high half h from state q leaves the
+    pattern (pattern 4 being the high half's prefix, k = 0 and the
+    undecidable k skipped), or the hi count if it never does.  A row is
+    then one lookup per low digit pattern (_least_bad_k), and the least
+    failing (k, row) has its formula and DFAO values read at that one
+    cell.  The passes and the lookups go in chunks of about CHUNK_ELEMENTS
+    cells.
     """
     m, w = rows.shape
     top = min(k_max, (1 << w) - 1)
     undecidable = 1 << (w - 1)
     skipped = [k for k in (undecidable,) if k <= k_max] + list(range(1 << w, k_max + 1))
     cases = m * (top - (undecidable <= top))
-    state_type = np.min_scalar_type(4 * dfao.state_count)
-    table = np.empty(4 * dfao.state_count, dtype=state_type)
+    states = dfao.state_count
+    state_type = np.min_scalar_type(4 * states)
+    table = np.empty(4 * states, dtype=state_type)
     for (state, (sign, bit)), target in dfao.transitions.items():
         table[4 * state + (sign + 1) + bit] = target
     out = np.array([{1: PLUS, -1: MINUS}.get(v, 0) for v in dfao.output], dtype=np.uint8)
-    signs = np.where(rows > 0, 2, 0).astype(state_type)
     low = w - w // 2
-    every_state = np.arange(dfao.state_count, dtype=state_type)[:, None]
+    # the columns lo = 0..los - 1 and hi = 0..his - 1 that reach k <= top
+    los, his = min(top, (1 << low) - 1) + 1, (top >> low) + 1
 
     def sweep(cells, digit_signs, count):
         for i in range(digit_signs.shape[-1]):
@@ -324,24 +378,69 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
             cells = np.concatenate((table.take(base), table.take(ones)), axis=-1)
         return cells
 
-    # A chunk holds about 16 budgets of output cells, one byte each in its
-    # formula rows; the passes hold about (states + 1) * sqrt(cells) per
-    # row, and the gather and the compare go one row at a time.
-    step, best = max(1, 16 * CHUNK_ELEMENTS // (top + 1)), None
-    for first in range(0, m, step):
-        chunk, chunk_signs = rows[first:first + step], signs[first:first + step]
+    def signs(half):
+        return np.where(half > 0, state_type.type(2), state_type.type(0))
+
+    # codes[l, lo] = 5 * A[lo] + the pattern of column lo of low half l:
+    # bit 0 its sign at even hi, bit 1 at odd hi (1 for '+'), 4 at lo = 0.
+    # The prefix pads f_low, which no position lo != 0 (mod 2^low) reads.
+    low_rows, low_of = _distinct_halves(rows[:, :low])
+    padded = np.concatenate((low_rows, np.ones((len(low_rows), 1), dtype=rows.dtype)), axis=1)
+    codes = np.empty((len(low_rows), los), dtype=np.min_scalar_type(5 * states))
+    lo = np.arange(1, los)
+    step = max(1, CHUNK_ELEMENTS >> (low + 1))
+    for first in range(0, len(low_rows), step):
+        chunk = padded[first:first + step]
+        after_low = sweep(np.full((len(chunk), 1), dfao.start_state, dtype=state_type),
+                          signs(chunk[:, :low]), los).astype(np.intp)
+        plus = pf_prefix_matrix(chunk, (2 << low) - 1) == PLUS
+        after_low *= 5
+        after_low[:, 0] += 4
+        after_low[:, 1:] += plus[:, lo - 1] + 2 * plus[:, lo + (1 << low) - 1]
+        codes[first:first + step] = after_low
+
+    # first_bad[h, 5 * q + pattern]; the wanted bytes of patterns 0..3 are
+    # shared, pattern 4's are each high half's prefix from hi = 1 on
+    high_rows, high_of = _distinct_halves(rows[:, low:])
+    first_bad = np.empty((len(high_rows), 5 * states), dtype=np.min_scalar_type(his))
+    parity = np.arange(his) & 1
+    period2 = np.where((np.arange(4)[:, None] >> parity) & 1, np.uint8(PLUS), np.uint8(MINUS))
+    every_state = np.arange(states, dtype=state_type)[:, None]
+    step = max(1, CHUNK_ELEMENTS // (states * his))
+    for first in range(0, len(high_rows), step):
+        chunk = high_rows[first:first + step]
         r = len(chunk)
-        after_low = sweep(np.full((r, 1), dfao.start_state, dtype=state_type),
-                          chunk_signs[:, :low], top + 1)
-        from_every = np.broadcast_to(every_state, (r, dfao.state_count, 1))
-        after_high = out.take(sweep(from_every, chunk_signs[:, None, low:], (top >> low) + 1))
-        want = pf_prefix_matrix(chunk, top)
-        for j in range(r):
-            got = np.take(after_high[j].T, after_low[j], axis=1).ravel()[1:top + 1]
-            bad = np.flatnonzero(got != want[j])
-            bad = bad[bad != undecidable - 1]
-            if bad.size and (best is None or bad[0] + 1 < best[1]):
-                c = bad[0]
-                best = (first + j, int(c) + 1, 1 if want[j, c] == PLUS else -1,
-                        {PLUS: 1, MINUS: -1}.get(int(got[c])))
-    return cases, skipped, best
+        got = out.take(sweep(np.broadcast_to(every_state, (r, states, 1)),
+                             signs(chunk)[:, None, :], his))
+        want = np.zeros((r, 5, his), dtype=np.uint8)
+        want[:, :4] = period2
+        if his > 1:
+            want[:, 4, 1:] = pf_prefix_matrix(chunk, his - 1)
+        bad = got[:, :, None, :] != want[:, None]
+        # hi = 0 of column 0 is k = 0, no position
+        bad[:, :, 4, 0] = False
+        if los <= undecidable <= top:
+            bad[:, :, 4, undecidable >> low] = False
+        first_bad[first:first + step] = np.where(
+            bad.any(axis=-1), bad.argmax(axis=-1), his).reshape(r, 5 * states)
+
+    # the last hi of each column at k <= top; the undecidable k = 2^(w-1)
+    # is column 0's at hi = 2^(high-1), masked above, except at w = 1,
+    # where it is column 1's only k
+    last = (top - np.arange(los)) >> low
+    if undecidable < los:
+        last[undecidable] = -1
+    step, best = max(1, CHUNK_ELEMENTS // los), None
+    for first in range(0, m, step):
+        found = _least_bad_k(first_bad, high_of[first:first + step],
+                             codes[low_of[first:first + step]], last, low)
+        if found and (best is None or found[0] < best[0]):
+            best = (found[0], first + found[1])
+    if best is None:
+        return cases, skipped, None
+    k, j = best
+    state = dfao.start_state
+    for i in range(w):
+        state = dfao.transitions[(state, (int(rows[j, i]), (k >> i) & 1))]
+    formula = 1 if pf_prefix_matrix(rows[j:j + 1], k)[0, -1] == PLUS else -1
+    return cases, skipped, (j, k, formula, dfao.output[state])

@@ -217,7 +217,8 @@ def verify_formula_vs_dfao(k_bound: int = 4096, depth: Optional[int] = None, *,
     patterns extended cyclically to `depth` track pairs, and seeded random
     streams long enough for every k are added on top; positions the short
     tracks cannot decide are reported in details and covered by the long
-    streams.  One split-digit sweep checks both against pf_prefix_matrix.
+    streams.  One split-digit sweep checks both, each distinct half of a
+    row once, its formula side read off pf_prefix_matrix on those halves.
     Past K_BOUND_MAX.bit_length() + 1 tracks every k <= K_BOUND_MAX reads
     only zero padding, so deeper `depth` is refused before any work.
     """

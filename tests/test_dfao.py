@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldscope import (ALPHABET, OutputUndefined, ParallelDFAO, TrackedInput,
                        build_pf_evaluator, export_dot, export_table,
                        lsd2_digits, make_instructions, parse_table, pf_value,
-                       run_dfao, tracked_input, unreachable_states)
+                       replace_transition, run_dfao, tracked_input, unreachable_states)
 from foldscope import _batch
 from foldscope.verification import dfao_mutation_catalog
 
@@ -136,29 +137,97 @@ def _brute_force_sweep(machine, rows, k_max):
 
 
 def test_batch_runner_agrees_with_scalar(evaluator, monkeypatch):
-    # A small budget splits the 16 rows of 6 tracks into chunks of 2 at
-    # k_max = 40, where k = 32 is undecidable, and of 7 at k_max = 12,
-    # which drops whole bit-1 halves, so a wrong merge of the chunks'
-    # first mismatches shows.  Widths 2, 3 and the odd 7 split the digits
-    # unevenly between the low and the high pass, and k_max = 10 < 2^4
-    # leaves the width-7 high pass with only the zero digits.
+    # A small budget splits the rows into row-lookup chunks: the 4 rows of
+    # 2 tracks into chunks of 3 and 1, and every wider grid into one row
+    # per chunk, so a wrong merge of the chunks' first mismatches shows.
+    # k = 32 is undecidable at k_max = 40, and k_max = 12 drops whole
+    # bit-1 halves.  Widths 2, 3 and the odd 7 split the digits unevenly
+    # between the low and the high pass, and k_max = 10 < 2^4 leaves the
+    # width-7 high pass with only the zero digits.
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 6)
-    chunks, fill = [], _batch.pf_prefix_matrix
-    monkeypatch.setattr(_batch, "pf_prefix_matrix",
-                        lambda rows, length: chunks.append(len(rows)) or fill(rows, length))
+    chunks, lookup = [], _batch._least_bad_k
+    monkeypatch.setattr(_batch, "_least_bad_k",
+                        lambda table, high, *rest: chunks.append(len(high))
+                        or lookup(table, high, *rest))
     grids = (((2, 2), (3, 5)), ((3, 3), (7, 9)), ((3, 7), (10, 130)), ((4, 6), (12, 40)))
     machines = [evaluator] + [m for _, m in dfao_mutation_catalog(evaluator)]
     caught = 0
     for machine in machines:
+        chunks.clear()
         for shape, k_maxes in grids:
             rows = _batch.sign_grid(*shape)
             for k_max in k_maxes:
                 expected = _brute_force_sweep(machine, rows, k_max)
-                chunks.clear()
                 assert _batch.compare_formula_vs_dfao(machine, rows, k_max) == expected
         assert len(chunks) >= 3 and max(chunks) > 1
         caught += expected[2] is not None
     assert expected[:2] == (16 * 39, [32]) and caught == 20
+
+
+@st.composite
+def random_machines(draw):
+    """Any machine of 1-6 states: random start, transitions and outputs,
+    undefined outputs included."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    targets = st.integers(min_value=0, max_value=n - 1)
+    transitions = {(q, sym): draw(targets) for q in range(n) for sym in ALPHABET}
+    output = tuple(draw(st.lists(st.sampled_from((-1, 1, None)), min_size=n, max_size=n)))
+    return ParallelDFAO(n, draw(targets), transitions, output)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(rows, k_max): up to 6 rows of 1-9 tracks, duplicates allowed, and
+    any k_max up to 3 past the last position the tracks can reach."""
+    w = draw(st.integers(min_value=1, max_value=9))
+    rows = draw(st.lists(st.lists(signs, min_size=w, max_size=w), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows += rows[:draw(st.integers(min_value=1, max_value=len(rows)))]
+    return np.array(rows, dtype=np.int8), draw(st.integers(min_value=1,
+                                                           max_value=(1 << w) + 3))
+
+
+@st.composite
+def mutated_evaluators(draw):
+    """The evaluator with one transition redirected anywhere."""
+    states = st.integers(min_value=0, max_value=4)
+    return replace_transition(build_pf_evaluator(), draw(states),
+                              draw(st.sampled_from(ALPHABET)), draw(states))
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=st.one_of(random_machines(), mutated_evaluators(), st.just(build_pf_evaluator())),
+       case=sweep_cases(), budget=st.integers(min_value=1, max_value=40))
+def test_batch_runner_agrees_with_scalar_on_random_machines(machine, case, budget):
+    # Random machines give columns that are not period 2, undefined
+    # outputs, ties in k between duplicate rows and, where k_max stops
+    # short of 2^w - 1, a partial last row of high digits.
+    rows, k_max = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_batch, "CHUNK_ELEMENTS", budget)
+        got = _batch.compare_formula_vs_dfao(machine, rows, k_max)
+    assert got == _brute_force_sweep(machine, rows, k_max)
+
+
+@settings(max_examples=60)
+@given(w=st.integers(min_value=1, max_value=11), data=st.data())
+def test_digit_split_identities(w, data):
+    # The two facts the batch sweep's formula side rests on, for every
+    # split k = lo + 2^low * hi of the positions 1..2^w - 1:
+    # (i)  P_f[lo + 2^low hi] = P_f[lo + 2^low (hi mod 2)] for lo != 0;
+    # (ii) P_f[2^low hi] = P_{sigma^low f}[hi] for hi >= 1.
+    rows = np.array(data.draw(st.lists(st.lists(signs, min_size=w, max_size=w),
+                                       min_size=1, max_size=4)), dtype=np.int8)
+    low = data.draw(st.integers(min_value=1, max_value=w))
+    prefix = _batch.pf_prefix_matrix(rows, (1 << w) - 1)
+    k = np.arange(1, 1 << w)
+    lo, hi = k & ((1 << low) - 1), k >> low
+    odd = lo != 0
+    same = lo[odd] + ((hi[odd] & 1) << low)
+    assert (prefix[:, k[odd] - 1] == prefix[:, same - 1]).all()
+    if low < w:
+        shifted = _batch.pf_prefix_matrix(rows[:, low:], (1 << (w - low)) - 1)
+        assert (prefix[:, k[~odd] - 1] == shifted[:, hi[~odd] - 1]).all()
 
 
 # --- exports ----------------------------------------------------------------

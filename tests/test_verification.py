@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ def test_formula_dfao_tiny():
         outcome = verify_formula_vs_dfao(k_bound, depth)
         assert outcome.passed and outcome.cases_checked == cases
         assert outcome.details["grid_skipped_k"] == []
+
+
+@pytest.mark.parametrize("args", [(1 << 16, 16), (4096,)], ids=["depth16", "depth13"])
+def test_formula_dfao_working_set(args, clean_caches):
+    # The automaton-sweep call and run_all's depth-13 call each stay within
+    # 1 MiB of traced allocations, grid and sampled streams included.
+    tracemalloc.start()
+    try:
+        assert verify_formula_vs_dfao(*args, samples=100).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_formula_dfao_depth_check():
