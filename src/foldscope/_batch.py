@@ -5,7 +5,8 @@ instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
 for every n of a phi-band off one longest-previous-factor pass per
 prefix, the target-LCP kernel that compares every window of a phi-band
-with the one at 6p for the lemma checks, and the split-digit automaton
+with the one at 6p and reduces each chunk to the few values per row the
+lemma checks read (target_summary), and the split-digit automaton
 sweep that checks a DFAO against the closed form over many instruction
 rows at once (one pass over the low digits per distinct low half of a
 row, one over the high digits from every state per distinct high half,
@@ -285,6 +286,52 @@ def target_lcp(prefixes, p: int) -> np.ndarray:
     """
     return _by_chunks(prefixes, 7 * p - 1, 6 * p, np.uint16,
                       lambda bits: _chunk_target_lcp(bits, p))
+
+
+# The columns of a target_summary row, and the first start of an n no
+# start reaches (starts are 1-based).
+OFF_TARGET, AT_TARGET, FIRST_START = 0, 1, 2
+NOT_FOUND = 0
+
+
+def _chunk_target_summary(bits: np.ndarray, p: int) -> np.ndarray:
+    """target_summary for one chunk of 0/1 rows of length 7p - 1, reduced
+    from the chunk's own target-LCP rows."""
+    lcp = _chunk_target_lcp(bits, p)
+    r, m, half = lcp.shape[0], 6 * p, p // 2
+    out = np.empty((r, FIRST_START + p - half), dtype=np.int32)
+    out[:, OFF_TARGET] = np.maximum(lcp[:, :4 * p - 1].max(axis=1),
+                                    lcp[:, 4 * p:m - 1].max(axis=1))
+    out[:, AT_TARGET] = lcp[:, m - 1]
+    # after a running maximum along each row, the first start at LCP >= n
+    # is where n would go in the row; offsetting row j's keys by j * (p + 1)
+    # makes the chunk one sorted array, and an n its row never reaches
+    # lands on the next row's first key
+    np.maximum.accumulate(lcp, axis=1, out=lcp)
+    offsets = np.arange(r, dtype=np.int64)[:, None] * (p + 1)
+    at = np.searchsorted((lcp + offsets).ravel(),
+                         (offsets + np.arange(half + 1, p + 1)).ravel())
+    at = at.reshape(r, p - half) - np.arange(0, r * m, m)[:, None]
+    out[:, FIRST_START:] = np.where(at < m, at + 1, NOT_FOUND)
+    return out
+
+
+def target_summary(prefixes, p: int) -> np.ndarray:
+    """The three things the lemma checks read off target_lcp, per row: a
+    (rows, 2 + p - p//2) int32 array, reduced chunk by chunk so that no
+    (rows, 6p) array is ever whole.
+
+    Column OFF_TARGET is the largest common prefix with the window at 6p
+    at any start up to 6p other than 4p and 6p, column AT_TARGET the one
+    at 6p itself, and column FIRST_START + c the first start whose common
+    prefix is at least n = p//2 + 1 + c, or NOT_FOUND when none is.  The
+    first start is the longest-previous-factor idea turned toward the one
+    fixed window at 6p (Crochemore & Ilie, 2008): after a running maximum
+    of each row's target LCPs, one searchsorted finds it for every n of
+    the band.  Each distinct prefix of 7p - 1 signs is compared once.
+    """
+    return _by_chunks(prefixes, 7 * p - 1, FIRST_START + p - p // 2, np.int32,
+                      lambda bits: _chunk_target_summary(bits, p))
 
 
 def _least_bad_k(first_bad: np.ndarray, high: np.ndarray, codes: np.ndarray,

@@ -191,11 +191,13 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bulk enumeration used by the verification and classifier modules
 
-# Entries kept by each memoized grid, band, LCP array and sample, so a
-# long-lived process holds a bounded number of them.  `verify --claim all
-# --n-max 64` fills at most 14 (the band cache), so nothing is evicted
-# there; at depth 12 (n <= 256) the largest, a target-LCP array, is 12.6 MB:
-# the kernels compute each distinct band prefix once, but the cached array
+# Entries kept by each memoized grid, band, lemma summary and sample, so
+# a long-lived process holds a bounded number of them.  `verify --claim
+# all --n-max 64` fills at most 14 (the band cache), so nothing is evicted
+# there.  At depth 12 (n <= 256) the largest entries are the band prefixes
+# (4,096 of 1,791 bytes, about 7.5 MB); that band's S array and lemma
+# summary are 4,096 x 128 and 4,096 x 130 int32, about 2 MB each.  The
+# kernels compute each distinct band prefix once, but every cached array
 # keeps a row for every prefix.
 CACHE_SIZE = 32
 
@@ -208,7 +210,7 @@ def _grid_prefix_bytes(depth: int, width: int, length: int) -> tuple:
 
 
 def band_length(n: int) -> int:
-    """Prefix length shared by every scan and target-LCP array in the
+    """Prefix length shared by every scan and target-LCP kernel in the
     phi-band of n: the windows at starts 1..6*phi(n) of length phi(n)."""
     return 7 * phi(n) - 1
 

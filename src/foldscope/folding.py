@@ -8,6 +8,16 @@ writing k = 2^s * r with r odd:
     P_f[k] =  f_s   if r = 1 (mod 4)
     P_f[k] = -f_s   if r = 3 (mod 4)
 
+That formula is held to the folding process itself, the unfolding
+recursion
+
+    w_0 = f_0,   w_(j+1) = w_j, f_(j+1), -reverse(w_j),
+
+whose word w_j of 2^(j+1) - 1 signs is P_f[1..2^(j+1) - 1].  This is the
+convention that puts f_0 at position 1 and each f_j at position 2^j, the
+centre crease of w_j's unfolding ("Folds!", Dekking, Mendes France &
+van der Poorten, 1982); papers differ in where f_0 sits, and with this
+one the regular fold (every f_s = +1) is OEIS A014577 read as +-1.
 Instruction sets are stored as a finite explicit prefix plus an optional
 periodic tail that repeats forever after it.  Requesting f_s beyond a
 finite set is a hard error, never a silent default.

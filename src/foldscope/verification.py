@@ -15,14 +15,18 @@ such pair once.  verify_theorem holds S to the closed form, which reads
 only the two bits that matter.
 
 Every per-n suite reads its grid whole through one accessor, _grid(n,
-...) -> (depth, rows, prefixes): rows is an int8 array (the sign grid, or
-the cached seeded sample) and S is the numpy column s_column(prefixes, n)
-from the band kernel.  The three lemmas, which all compare windows with
-the one at 6*phi(n), read one target-LCP array per phi-band
-(_batch.target_lcp) with a few numpy compares per n.  Each check builds
-a per-row failure mask, and one helper, _first_failure, turns its first
-failing row into the counterexample; only that row is looked at on its
-own.
+...) -> (depth, rows, prefixes): rows is a read-only int8 array (the
+sign grid, built once per depth, or the cached seeded sample) and S is
+the numpy column s_column(prefixes, n) from the band kernel.  The three
+lemmas, which all compare windows with the one at 6*phi(n), read one
+cached summary per phi-band (_batch.target_summary): per row, the
+largest common prefix with that window off starts 4*phi and 6*phi, the
+one at 6*phi, and the first start reaching each n of the band.  So each
+lemma reads one or two columns per n, and no (rows, 6*phi) array is
+kept.  Each check builds a per-row failure mask, and one helper,
+_first_failure, turns its first failing row into the counterexample;
+only that row is looked at on its own (lemma1 recomputes its row's
+occurrences with _batch.target_lcp).
 """
 
 from __future__ import annotations
@@ -159,6 +163,14 @@ def _sample_rows(width: int, samples: int, seed: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _sign_grid(depth: int) -> np.ndarray:
+    """_batch.sign_grid(depth) as a read-only array, built once per depth."""
+    rows = _batch.sign_grid(depth)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tuple:
     return _batch.prefix_rows(_sample_rows(width, samples, seed), length)
 
@@ -171,7 +183,7 @@ def _grid(n, sampled=False, samples=0, seed=0):
     if sampled:
         return (depth, _sample_rows(depth, samples, seed),
                 _sample_prefix_bytes(depth, samples, seed, length))
-    return (depth, _batch.sign_grid(depth),
+    return (depth, _sign_grid(depth),
             appearance._grid_prefix_bytes(depth, depth, length))
 
 
@@ -194,9 +206,10 @@ def _check_samples(samples):
 
 
 def clear_caches():
+    _sign_grid.cache_clear()
     _sample_rows.cache_clear()
     _sample_prefix_bytes.cache_clear()
-    _target_lcp.cache_clear()
+    _target_summary.cache_clear()
     appearance.clear_caches()
 
 
@@ -343,24 +356,41 @@ def _check_range(claim, n_lo, n_hi, exhaustive=True, n_min=7):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _target_lcp(prefixes: tuple, p: int) -> np.ndarray:
-    """_batch.target_lcp of `prefixes` for the phi-band p, cached on the
-    prefix tuple itself: one array serves every lemma at every n of the
+def _target_summary(prefixes: tuple, p: int) -> np.ndarray:
+    """_batch.target_summary of `prefixes` for the phi-band p, cached on the
+    prefix tuple itself: one summary serves every lemma at every n of the
     band."""
-    return _batch.target_lcp(prefixes, p)
+    return _batch.target_summary(prefixes, p)
+
+
+def _first_starts_for_n(prefixes, n) -> np.ndarray:
+    """Per row, the first start whose window shares at least n signs with
+    the one at 6*phi(n), or _batch.NOT_FOUND."""
+    p = phi(n)
+    return _target_summary(prefixes, p)[:, _batch.FIRST_START + n - p // 2 - 1]
+
+
+def _first_start_field(start) -> Optional[int]:
+    return None if start == _batch.NOT_FOUND else int(start)
+
+
+# the counterexample note of a first start that no start up to 6*phi(n) reaches
+_NOT_FOUND_NOTE = "no start up to 6*phi(n) shares {} signs with the window at 6*phi(n)"
 
 
 def _lemma1_for_n(n, _sampled):
     p = phi(n)
     depth, rows, prefixes = _grid(n)
-    # the window at 6p occurs at start i + 1 <= 6p exactly when lcp >= n
-    occurs = _target_lcp(prefixes, p) >= n
-    allowed = np.zeros(6 * p, dtype=bool)
-    allowed[[4 * p - 1, 6 * p - 1]] = True
-    fail = (occurs & ~allowed).any(axis=1) | ~occurs[:, 6 * p - 1]
-    return _first_failure(n, depth, rows, fail, lambda i: {
-        "occurrences": (np.flatnonzero(occurs[i]) + 1).tolist(),
-        "allowed": [4 * p, 6 * p]})
+    # the window at 6p occurs at start i + 1 <= 6p exactly when its target
+    # LCP is >= n: it must at 6p, and may at 4p only
+    summary = _target_summary(prefixes, p)
+    fail = (summary[:, _batch.OFF_TARGET] >= n) | (summary[:, _batch.AT_TARGET] < n)
+
+    def fields(i):
+        occurs = _batch.target_lcp(prefixes[i:i + 1], p)[0] >= n
+        return {"occurrences": (np.flatnonzero(occurs) + 1).tolist(),
+                "allowed": [4 * p, 6 * p]}
+    return _first_failure(n, depth, rows, fail, fields)
 
 
 def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
@@ -368,7 +398,8 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
     6*phi(n)+n-1 only at starts 4*phi(n) or 6*phi(n).
 
     The occurrences are the starts whose window shares at least n signs
-    with it, read off the target-LCP array of the phi-band.
+    with it.  The band's target summary holds, per row, the largest such
+    common prefix off those two starts and the one at 6*phi(n) itself.
     """
     _check_range("lemma1", n_lo, n_hi)
     return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n)
@@ -380,13 +411,18 @@ def _lemma2_for_n(n, _sampled):
     s = s_column(prefixes, n)
     # the target's first occurrence; it equals S only if the window at S
     # is the target, so one compare covers both halves of the lemma
-    direct_first = (_target_lcp(prefixes, p) >= n).argmax(axis=1) + 1
+    # (NOT_FOUND, where no window reaches n, equals no S)
+    direct_first = _first_starts_for_n(prefixes, n)
 
     def fields(i):
         pb, si = prefixes[i], int(s[i])
-        return {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
-                "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
-                "direct_first_start": int(direct_first[i])}
+        found = _first_start_field(direct_first[i])
+        out = {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
+               "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
+               "direct_first_start": found}
+        if found is None:
+            out["not_found"] = _NOT_FOUND_NOTE.format("n")
+        return out
     return _first_failure(n, depth, rows, direct_first != s, fields)
 
 
@@ -397,32 +433,40 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
     Distinct factors have distinct first starts, so the maximizer is
     automatically unique; the direct search keeps the scan honest.  It is
     the first start whose window shares at least n signs with the one at
-    6*phi(n), read off _batch.target_lcp.  That is still a direct search:
-    every window is compared with the one fixed window, sign block by sign
-    block.  It shares with the band kernel that gives S only the bit
-    packing of _batch._window_codes and _batch._bit_length, not its sort,
-    its neighbour LCPs or its longest previous factors, so a fault in
-    those cannot show in both.
+    6*phi(n), read off the band's _batch.target_summary; a row where no
+    start does fails with a counterexample that says so.  That is still a
+    direct search: every window is compared with the one fixed window,
+    sign block by sign block.  It shares with the band kernel that gives
+    S only the bit packing of _batch._window_codes and _batch._bit_length,
+    not its sort, its neighbour LCPs or its longest previous factors, so a
+    fault in those cannot show in both.
     """
     _check_range("lemma2", n_lo, n_hi)
     return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)
 
 
 def _lemma3_for_n(n, _sampled):
-    p = phi(n)
     depth, rows, prefixes = _grid(n)
-    lcp = _target_lcp(prefixes, p)
-    first_short = (lcp >= n).argmax(axis=1) + 1
-    first_full = (lcp >= p).argmax(axis=1) + 1
-    return _first_failure(n, depth, rows, first_short != first_full, lambda i: {
-        "first_start_len_n": int(first_short[i]),
-        "first_start_len_phi": int(first_full[i])})
+    first_short = _first_starts_for_n(prefixes, n)
+    first_full = _first_starts_for_n(prefixes, phi(n))
+
+    def fields(i):
+        short, full = _first_start_field(first_short[i]), _first_start_field(first_full[i])
+        out = {"first_start_len_n": short, "first_start_len_phi": full}
+        if full is None:
+            out["not_found"] = _NOT_FOUND_NOTE.format("n" if short is None else "phi(n)")
+        return out
+    # a window no start reaches cannot share its first start with the other
+    fail = (first_short == _batch.NOT_FOUND) | (first_short != first_full)
+    return _first_failure(n, depth, rows, fail, fields)
 
 
 def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
     """The windows of lengths n and phi(n) starting at 6*phi(n) first
     appear at the same index: the first starts whose window shares at
-    least n, and all phi(n), signs with the one at 6*phi(n)."""
+    least n, and all phi(n), signs with the one at 6*phi(n).  A row where
+    no start reaches n fails with a counterexample that says so.
+    """
     _check_range("lemma3", n_lo, n_hi)
     return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n)
 
@@ -548,7 +592,7 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     if width > EXHAUSTIVE_DEPTH_MAX:
         raise ValueError(f"monotonicity grid width {width} exceeds the "
                          f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
-    rows = _batch.sign_grid(depth)
+    rows = _sign_grid(depth)
     # S by (n - 1, pattern); the negation of pattern i is pattern
     # 2^depth - 1 - i, so a column read in reverse holds the negated S
     columns = np.array([
@@ -596,8 +640,8 @@ def run_all(*, n_max: int = 64, k_bound: int = 4096,
         verify_lemma_last_factor(7, min(n_max, 64)),
         verify_lemma_shared_start(7, min(n_max, 64)),
     ]
-    # only the lemmas read the target-LCP arrays
-    _target_lcp.cache_clear()
+    # only the lemmas read the target summaries
+    _target_summary.cache_clear()
     return outcomes + [
         verify_theorem(7, n_max, theorem_mode, samples=samples, seed=seed),
         verify_corollary_tails(n_hi=min(n_max, 64)),

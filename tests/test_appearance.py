@@ -377,6 +377,55 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
         assert lcp.tolist() == brute_target_lcp(row, p)
 
 
+def summary_from_array(lcp, p):
+    """The target summary read off whole target-LCP rows: the largest LCP
+    off starts 4p and 6p, the LCP at 6p, and per n of the band the argmax
+    of lcp >= n, or NOT_FOUND."""
+    off = np.delete(lcp, [4 * p - 1, 6 * p - 1], axis=1).max(axis=1)
+    firsts = [np.where((lcp >= n).any(axis=1), (lcp >= n).argmax(axis=1) + 1,
+                       _batch.NOT_FOUND) for n in range(p // 2 + 1, p + 1)]
+    return np.column_stack([off, lcp[:, 6 * p - 1]] + firsts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(3, 7), per_chunk=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(j=7, per_chunk=1, seed=3)
+def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
+    # p = 8..128; rows are random signs with copies of the target window
+    # cut at every length (so several starts tie at one LCP), and
+    # paper-folding prefixes (their target first occurs at 4p or at 6p)
+    p = 1 << j
+    length = 7 * p - 1
+    rng = random.Random(seed)
+    rows = []
+    for i in range(4):
+        pb = bytearray(rng.choice(b"+-") for _ in range(length))
+        for _ in range(i):
+            to, cut = rng.randrange(6 * p - 1), rng.randrange(p + 1)
+            pb[to:to + p] = pb[6 * p - 1:7 * p - 1]
+            if cut < p:
+                pb[to + cut] = ord("+") if pb[to + cut] == ord("-") else ord("-")
+        rows.append(bytes(pb))
+    rows += [appearance_mod._prefix_bytes(
+        make_instructions([rng.choice((-1, 1)) for _ in range(j + 4)]), length)
+        for _ in range(4)]
+    # a kernel blind to the target itself in every row that starts with
+    # '+', so that n no start reaches occur too
+    real_chunk = _batch._chunk_target_lcp
+
+    def half_blind(bits, p):
+        lcp = real_chunk(bits, p)
+        lcp[bits[:, 0] == 1, 6 * p - 1] = 0
+        return lcp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_batch, "_chunk_target_lcp", half_blind)
+        mp.setattr(_batch, "CHUNK_ELEMENTS", per_chunk * length)
+        got = _batch.target_summary(rows, p)
+        want = summary_from_array(_batch.target_lcp(rows, p), p)
+    assert got.dtype == np.int32 and got.shape == (len(rows), 2 + p // 2)
+    assert np.array_equal(got, want)
+
+
 BAND_KERNELS = [(_batch.band_first_starts, "_chunk_first_starts"),
                 (_batch.target_lcp, "_chunk_target_lcp")]
 

@@ -226,6 +226,17 @@ def test_prefix_matches_pointwise(head, tail, finite_set, length):
     assert bytes(matrix[1]) == text.translate(bytes.maketrans(b"+-", b"-+"))
 
 
+def test_generator_is_the_unfolding_recursion():
+    # w_0 = f_0, w_(j+1) = w_j, f_(j+1), -reverse(w_j) (the folding
+    # docstring) on every pattern of f_0..f_11, over 4,095 positions
+    rows = _batch.sign_grid(12)
+    w = rows[:, :1]
+    for j in range(11):
+        w = np.concatenate((w, rows[:, j + 1:j + 2], -w[:, ::-1]), axis=1)
+    assert w.shape == (1 << 12, 4095)
+    assert np.array_equal(_batch.pf_prefix_matrix(rows, 4095) == ord("+"), w > 0)
+
+
 def test_sign_grid_rows_are_the_periodic_sets():
     # row i of the cyclic grid is the purely periodic set with period
     # bits_i (f_t = +1 iff bit t of i is set), the set a monotonicity

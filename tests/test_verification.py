@@ -313,6 +313,59 @@ def test_lemma2_reports_the_row_that_moved(clean_caches, monkeypatch):
     assert json_counterexample(outcome) == outcome.counterexample
 
 
+def blind_target_kernel(monkeypatch):
+    """A target kernel that misses the target window at 6p in the first row
+    of each chunk: its self-comparison column reads 0 there."""
+    real = _batch._chunk_target_lcp
+
+    def kernel(bits, p):
+        lcp = real(bits, p)
+        lcp[0, 6 * p - 1] = 0
+        return lcp
+    monkeypatch.setattr(_batch, "_chunk_target_lcp", kernel)
+
+
+# Grid row 0 is all '-', so S = 48 at n = 7 and the window at 48 occurs
+# nowhere earlier: with the blind kernel no start reaches n.
+NOT_FOUND_NOTE = "no start up to 6*phi(n) shares n signs with the window at 6*phi(n)"
+
+
+def test_lemma2_reports_a_target_no_start_reaches(clean_caches, monkeypatch):
+    blind_target_kernel(monkeypatch)
+    outcome = verify_lemma_last_factor(7, 8)
+    assert not outcome.passed and outcome.cases_checked == 256
+    assert outcome.counterexample == {
+        "direct_first_start": None, "expected_factor": "+--+--+", "instructions": "-------",
+        "latest_factor": "+--+--+", "n": 7, "s": 48, "not_found": NOT_FOUND_NOTE}
+    assert json_counterexample(outcome) == outcome.counterexample
+
+
+def test_lemma3_reports_a_target_no_start_reaches(clean_caches, monkeypatch):
+    # neither length reaches a start, so the two first starts read alike
+    blind_target_kernel(monkeypatch)
+    outcome = verify_lemma_shared_start(7, 8)
+    assert not outcome.passed and outcome.cases_checked == 256
+    assert outcome.counterexample == {
+        "first_start_len_n": None, "first_start_len_phi": None, "instructions": "-------",
+        "n": 7, "not_found": NOT_FOUND_NOTE}
+    assert json_counterexample(outcome) == outcome.counterexample
+
+
+def test_lemmas_keep_no_whole_target_lcp_array(clean_caches):
+    # One band of lemmas, n = 65..128 (2,048 rows).  A cached (rows, 6p)
+    # uint16 array alone is 3 MiB there; with it the traced peak was
+    # 7.9 MiB, with the per-chunk summaries it is 3.9 MiB.
+    tracemalloc.start()
+    try:
+        for verify in (verify_lemma_first_occurrence, verify_lemma_last_factor,
+                       verify_lemma_shared_start):
+            assert verify(65, 128).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 << 20
+
+
 def test_lemma1_regular_first_occurrence_at_48(regular):
     # the length-7 window at 48 occurs nowhere earlier for the regular fold
     from foldscope.appearance import _prefix_bytes
