@@ -15,9 +15,10 @@ recursion
 
 whose word w_j of 2^(j+1) - 1 signs is P_f[1..2^(j+1) - 1].  This is the
 convention that puts f_0 at position 1 and each f_j at position 2^j, the
-centre crease of w_j's unfolding ("Folds!", Dekking, Mendes France &
-van der Poorten, 1982); papers differ in where f_0 sits, and with this
-one the regular fold (every f_s = +1) is OEIS A014577 read as +-1.
+centre of w_j ("Folds!", Dekking, Mendes France & van der Poorten,
+1982); papers differ in where f_0 sits, and with this one the regular
+fold (every f_s = +1) is OEIS A014577 read as +-1.
+
 Instruction sets are stored as a finite explicit prefix plus an optional
 periodic tail that repeats forever after it.  Requesting f_s beyond a
 finite set is a hard error, never a silent default.

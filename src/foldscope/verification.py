@@ -374,7 +374,6 @@ def _first_start_field(start) -> Optional[int]:
     return None if start == _batch.NOT_FOUND else int(start)
 
 
-# the counterexample note of a first start that no start up to 6*phi(n) reaches
 _NOT_FOUND_NOTE = "no start up to 6*phi(n) shares {} signs with the window at 6*phi(n)"
 
 

@@ -410,7 +410,7 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
         make_instructions([rng.choice((-1, 1)) for _ in range(j + 4)]), length)
         for _ in range(4)]
     # a kernel blind to the target itself in every row that starts with
-    # '+', so that n no start reaches occur too
+    # '+', so that rows where no start reaches n occur too
     real_chunk = _batch._chunk_target_lcp
 
     def half_blind(bits, p):
