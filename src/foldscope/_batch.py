@@ -5,22 +5,22 @@ instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
 rows every scan reads, the band kernel that reads the latest first start
 for every n of a phi-band off one longest-previous-factor pass per
 prefix, the target-LCP kernel that compares every window of a phi-band
-with the one at 6p and reduces each chunk to the few values per row the
-lemma checks read (target_summary), and the split-digit automaton
-sweep that checks a DFAO against the closed form over many instruction
-rows at once (one pass over the low digits per distinct low half of a
-row, one over the high digits from every state per distinct high half,
-the formula read off pf_prefix_matrix on those halves, and one table
-lookup per row and low digit pattern).  Both band kernels read a window
-as blocks of min(p, 64) signs, each one packed code of _window_codes,
-and find a common prefix at the first block pair whose XOR is nonzero;
-each keeps its own walk over the blocks, so the lemma checks share no
-sort, neighbour LCP or previous factor with the kernel that gives S.
-Both scan each distinct band prefix once (_by_chunks): an exhaustive
-grid enumerates one instruction bit more than a band prefix reads, so
-its prefixes come in byte-identical twins.  The scalar implementations
-in folding.py / appearance.py / dfao.py stay the reference; tests
-cross-check these against them.
+with the one at 6p and whose one product is the few values per row the
+lemma checks read (target_summary, reduced chunk by chunk), and the
+split-digit automaton sweep that checks a DFAO against the closed form
+over many instruction rows at once (one pass over the low digits per
+distinct low half of a row, one over the high digits from every state
+per distinct high half, the formula read off pf_prefix_matrix on those
+halves, and one table lookup per row and low digit pattern).  Both band
+kernels read a window as blocks of min(p, 64) signs, each one packed
+code of _window_codes, and find a common prefix at the first block pair
+whose XOR is nonzero; each keeps its own walk over the blocks, so the
+lemma checks share no sort, neighbour LCP or previous factor with the
+kernel that gives S.  Both scan each distinct band prefix once
+(_by_chunks): an exhaustive grid enumerates one instruction bit more
+than a band prefix reads, so its prefixes come in byte-identical twins.
+The scalar implementations in folding.py / appearance.py / dfao.py stay
+the reference; tests cross-check these against them.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
     return np.maximum.accumulate(out, axis=1)[:, :cols]
 
 
-def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray:
-    """kernel(bits) over chunks of about CHUNK_ELEMENTS prefix bytes, stacked
-    into one fresh (rows, columns) array; bits holds the first `length`
-    signs of each prefix of the chunk as one 0/1 uint8 row.
+def _by_chunks(prefixes, length: int, columns: int, kernel) -> np.ndarray:
+    """kernel(bits) over chunks of about CHUNK_ELEMENTS prefix bytes,
+    stacked into one fresh (rows, columns) int32 array; bits holds the
+    first `length` signs of each prefix of the chunk as one 0/1 uint8 row.
 
     The kernel sees each distinct first `length` signs once, in first-seen
     order, and every prefix gets a copy of the row of its own; a prefix
@@ -197,7 +197,7 @@ def _by_chunks(prefixes, length: int, columns: int, dtype, kernel) -> np.ndarray
     inverse = np.array([index.setdefault(pb[:length], len(index)) for pb in prefixes],
                        dtype=np.intp)
     distinct = list(index)
-    out = np.empty((len(distinct), columns), dtype=dtype)
+    out = np.empty((len(distinct), columns), dtype=np.int32)
     step = max(1, CHUNK_ELEMENTS // length)
     for lo in range(0, len(distinct), step):
         chunk = distinct[lo:lo + step]
@@ -232,7 +232,7 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     and the distinct ones are processed in chunks of about CHUNK_ELEMENTS
     prefix bytes.
     """
-    return _by_chunks(prefixes, 7 * p - 1, p - p // 2, np.int32,
+    return _by_chunks(prefixes, 7 * p - 1, p - p // 2,
                       lambda bits: _chunk_first_starts(bits, p))
 
 
@@ -251,8 +251,10 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 
 def _chunk_target_lcp(bits: np.ndarray, p: int) -> np.ndarray:
-    """target_lcp for one chunk of 0/1 rows of length 7p - 1: every
-    window's blocks against the target's, in start order, with no sort."""
+    """Entry [r, i] is the common prefix, capped at p, of row r's windows at
+    starts i + 1 and 6p, for one chunk of 0/1 rows of length 7p - 1: the
+    step _chunk_target_summary reduces.  Every window's blocks are
+    compared with the target's, in start order, with no sort."""
     w = min(p, 64)
     codes = _window_codes(bits, w)
     target, m = 6 * p - 1, 6 * p
@@ -266,26 +268,6 @@ def _chunk_target_lcp(bits: np.ndarray, p: int) -> np.ndarray:
         first_diff = np.where(undecided, x, first_diff)
     # codes are MSB-first, so a block's common prefix is w - bit length
     return np.minimum(equal_blocks * w + w - _bit_length(first_diff), p)
-
-
-def target_lcp(prefixes, p: int) -> np.ndarray:
-    """Common-prefix length, capped at p, of every window up to start 6p
-    with the window at start 6p, for a whole phi-band.
-
-    `prefixes` are equal-length b'+'/b'-' strings of at least 7p - 1
-    signs and p is a power of two.  Entry [r, i] of the (rows, 6p) uint16
-    result is the longest common prefix, at most p signs, of prefix r's
-    windows at starts i + 1 and 6p, so the length-n window at 6p (n <= p)
-    occurs at start i + 1 exactly when it is at least n.
-
-    Windows are compared in blocks of min(p, 64) signs, each block one
-    packed _window_codes code: the first block pair whose XOR is nonzero
-    fixes the common prefix by its bit length.  Each distinct prefix of
-    7p - 1 signs is compared once, and the distinct ones are processed in
-    chunks of about CHUNK_ELEMENTS prefix bytes.
-    """
-    return _by_chunks(prefixes, 7 * p - 1, 6 * p, np.uint16,
-                      lambda bits: _chunk_target_lcp(bits, p))
 
 
 # The columns of a target_summary row, and the first start of an n no
@@ -317,20 +299,22 @@ def _chunk_target_summary(bits: np.ndarray, p: int) -> np.ndarray:
 
 
 def target_summary(prefixes, p: int) -> np.ndarray:
-    """The three things the lemma checks read off target_lcp, per row: a
-    (rows, 2 + p - p//2) int32 array, reduced chunk by chunk so that no
+    """The three things the lemma checks read off the common prefixes of
+    each window up to start 6p with the one at 6p, per row of equal-length
+    b'+'/b'-' prefixes of at least 7p - 1 signs: a (rows, 2 + p - p//2)
+    int32 array, reduced chunk by chunk from _chunk_target_lcp so that no
     (rows, 6p) array is ever whole.
 
-    Column OFF_TARGET is the largest common prefix with the window at 6p
-    at any start up to 6p other than 4p and 6p, column AT_TARGET the one
-    at 6p itself, and column FIRST_START + c the first start whose common
-    prefix is at least n = p//2 + 1 + c, or NOT_FOUND when none is.  The
-    first start is the longest-previous-factor idea turned toward the one
-    fixed window at 6p (Crochemore & Ilie, 2008): after a running maximum
-    of each row's target LCPs, one searchsorted finds it for every n of
-    the band.  Each distinct prefix of 7p - 1 signs is compared once.
+    Column OFF_TARGET is the largest common prefix, capped at p, with the
+    window at 6p at any start up to 6p other than 4p and 6p, column AT_TARGET the one at 6p itself, and
+    column FIRST_START + c the first start whose common prefix is at least
+    n = p//2 + 1 + c, or NOT_FOUND when none is.  The first start is the
+    longest-previous-factor idea turned toward the one fixed window at 6p
+    (Crochemore & Ilie, 2008): after a running maximum of each row's
+    target LCPs, one searchsorted finds it for every n of the band.  Each
+    distinct prefix of 7p - 1 signs is compared once.
     """
-    return _by_chunks(prefixes, 7 * p - 1, FIRST_START + p - p // 2, np.int32,
+    return _by_chunks(prefixes, 7 * p - 1, FIRST_START + p - p // 2,
                       lambda bits: _chunk_target_summary(bits, p))
 
 

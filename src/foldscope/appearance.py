@@ -193,12 +193,12 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 
 # Entries kept by each memoized grid, band, lemma summary and sample, so
 # a long-lived process holds a bounded number of them.  `verify --claim
-# all --n-max 64` fills at most 14 (the band cache), so nothing is evicted
-# there.  At depth 12 (n <= 256) the largest entries are the band prefixes
-# (4,096 of 1,791 bytes, about 7.5 MB); that band's S array and lemma
-# summary are 4,096 x 128 and 4,096 x 130 int32, about 2 MB each.  The
-# kernels compute each distinct band prefix once, but every cached array
-# keeps a row for every prefix.
+# all --n-max 64` fills at most 14 per cache (the band cache) and keeps
+# its four lemma summaries (0.19 MB) to the end.  At depth 12 (n <= 256)
+# the largest entries are the band prefixes (4,096 of 1,791 bytes, about
+# 7.5 MB); that band's S array and lemma summary are 4,096 x 128 and
+# 4,096 x 130 int32, about 2 MB each.  The kernels compute each distinct
+# band prefix once, but every cached array keeps a row for every prefix.
 CACHE_SIZE = 32
 
 

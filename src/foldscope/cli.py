@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -21,22 +22,23 @@ from .dfao import build_pf_evaluator, export_dot, export_table, run_dfao, tracke
 from .folding import parse_instructions, pf_prefix, pf_value
 from .verification import NON_QUALIFYING_TAILS, dfao_mutation_catalog
 
-# claim -> (the verification function, the verify flags it takes).  Only
-# the flags given are forwarded, so every default is the function's own;
-# --n-hi/--n-max is forwarded as n_max where the function names it so.
-VERIFY_SUITES = {
-    "formula-dfao": ("verify_formula_vs_dfao", ("k_bound", "depth", "samples", "seed")),
-    "bounds": ("verify_bounds", ("n_lo", "n_hi", "samples", "seed")),
-    "lemma1": ("verify_lemma_first_occurrence", ("n_lo", "n_hi")),
-    "lemma2": ("verify_lemma_last_factor", ("n_lo", "n_hi")),
-    "lemma3": ("verify_lemma_shared_start", ("n_lo", "n_hi")),
-    "theorem": ("verify_theorem", ("n_lo", "n_hi", "mode", "samples", "seed")),
-    "corollary-tails": ("verify_corollary_tails", ("n_hi",)),
-    "monotonicity": ("verify_monotonicity_and_symmetry", ("depth", "n_max")),
-    "all": ("run_all", ("n_max", "k_bound", "samples", "seed")),
-}
-CLAIMS = tuple(VERIFY_SUITES)
 VERIFY_FLAGS = ("n_lo", "n_hi", "k_bound", "depth", "mode", "samples", "seed")
+# claim -> (the verification function, the verify flags it takes), the
+# flags read once off the function's own signature.  Only the flags given
+# are forwarded, so every default is the function's own; --n-hi/--n-max
+# is forwarded as n_max where the function names it so.
+VERIFY_SUITES = {
+    claim: (name, tuple(flag for flag in
+                        inspect.signature(getattr(verification, name)).parameters
+                        if flag in VERIFY_FLAGS + ("n_max",)))
+    for claim, name in {
+        "formula-dfao": "verify_formula_vs_dfao", "bounds": "verify_bounds",
+        "lemma1": "verify_lemma_first_occurrence", "lemma2": "verify_lemma_last_factor",
+        "lemma3": "verify_lemma_shared_start", "theorem": "verify_theorem",
+        "corollary-tails": "verify_corollary_tails",
+        "monotonicity": "verify_monotonicity_and_symmetry", "all": "run_all",
+    }.items()}
+CLAIMS = tuple(VERIFY_SUITES)
 
 LEMMAS = ("lemma1", "lemma2", "lemma3")
 

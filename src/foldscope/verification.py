@@ -25,8 +25,8 @@ one at 6*phi, and the first start reaching each n of the band.  So each
 lemma reads one or two columns per n, and no (rows, 6*phi) array is
 kept.  Each check builds a per-row failure mask, and one helper,
 _first_failure, turns its first failing row into the counterexample;
-only that row is looked at on its own (lemma1 recomputes its row's
-occurrences with _batch.target_lcp).
+only that row is looked at on its own (lemma1 finds its row's
+occurrences by a byte search that shares no kernel).
 """
 
 from __future__ import annotations
@@ -386,8 +386,9 @@ def _lemma1_for_n(n, _sampled):
     fail = (summary[:, _batch.OFF_TARGET] >= n) | (summary[:, _batch.AT_TARGET] < n)
 
     def fields(i):
-        occurs = _batch.target_lcp(prefixes[i:i + 1], p)[0] >= n
-        return {"occurrences": (np.flatnonzero(occurs) + 1).tolist(),
+        pb = prefixes[i]
+        target = pb[6 * p - 1:6 * p - 1 + n]
+        return {"occurrences": [j + 1 for j in range(6 * p) if pb[j:j + n] == target],
                 "allowed": [4 * p, 6 * p]}
     return _first_failure(n, depth, rows, fail, fields)
 
@@ -625,24 +626,28 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
 def run_all(*, n_max: int = 64, k_bound: int = 4096,
             samples: int = 200, seed: int = DEFAULT_SEED) -> list:
     """Every suite at desk-scale defaults, in a fixed order; formula-dfao
-    takes its default depth for k_bound and at most 100 of the samples.
-    n_max and samples past their budgets are refused before any suite."""
+    takes its default depth for k_bound and at most 100 of the samples;
+    the theorem is exhaustive up to n = 256 and sampled past it, as a
+    second outcome.  n_max and samples past their budgets are refused
+    before any suite."""
     if not 7 <= n_max <= SAMPLED_N_MAX:
         raise ValueError(f"need 7 <= n_max <= {SAMPLED_N_MAX} to exercise every "
                          f"claim within budget, got {n_max}")
     _check_samples(samples)
-    theorem_mode = "sampled" if scan_depth(n_max) > EXHAUSTIVE_DEPTH_MAX else "exhaustive"
+    exhaustive_hi = max(n for n in range(7, n_max + 1)
+                        if scan_depth(n) <= EXHAUSTIVE_DEPTH_MAX)
     outcomes = [
         verify_formula_vs_dfao(k_bound, samples=min(samples, 100), seed=seed),
         verify_bounds(3, n_max, samples=samples, seed=seed),
         verify_lemma_first_occurrence(7, min(n_max, 64)),
         verify_lemma_last_factor(7, min(n_max, 64)),
         verify_lemma_shared_start(7, min(n_max, 64)),
+        verify_theorem(7, exhaustive_hi, samples=samples, seed=seed),
     ]
-    # only the lemmas read the target summaries
-    _target_summary.cache_clear()
+    if n_max > exhaustive_hi:
+        outcomes.append(verify_theorem(exhaustive_hi + 1, n_max, "sampled",
+                                       samples=samples, seed=seed))
     return outcomes + [
-        verify_theorem(7, n_max, theorem_mode, samples=samples, seed=seed),
         verify_corollary_tails(n_hi=min(n_max, 64)),
         verify_monotonicity_and_symmetry(8, min(n_max, 32)),
     ]

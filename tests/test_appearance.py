@@ -360,27 +360,33 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
             if cut < p:
                 pb[to + cut] = ord("+") if pb[to + cut] == ord("-") else ord("-")
         rows.append(bytes(pb))
-    chunks = []
+    seen = []
     real_chunk = _batch._chunk_target_lcp
+
+    def recording(bits, p):
+        lcp = real_chunk(bits, p)
+        seen.append(lcp.copy())  # the summary takes a running maximum in place
+        return lcp
     with pytest.MonkeyPatch.context() as mp:
         # two rows per chunk, the last one partial for an odd count; at
         # p = 1 rows can share their first 6 signs, and the kernel sees
-        # each distinct band prefix once
+        # each distinct band prefix once, in first-seen order
         mp.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
-        mp.setattr(_batch, "_chunk_target_lcp",
-                   lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
-        got = _batch.target_lcp(rows, p)
-    distinct = len({row[:7 * p - 1] for row in rows})
-    assert chunks == [2] * (distinct // 2) + [1] * (distinct % 2)
-    assert got.dtype == np.uint16 and got.shape == (len(rows), 6 * p)
-    for row, lcp in zip(rows, got):
+        mp.setattr(_batch, "_chunk_target_lcp", recording)
+        _batch.target_summary(rows, p)
+    distinct = list(dict.fromkeys(row[:7 * p - 1] for row in rows))
+    pairs, odd = divmod(len(distinct), 2)
+    assert [len(lcp) for lcp in seen] == [2] * pairs + [1] * odd
+    got = np.concatenate(seen)
+    assert got.shape == (len(distinct), 6 * p)
+    for row, lcp in zip(distinct, got):
         assert lcp.tolist() == brute_target_lcp(row, p)
 
 
 def summary_from_array(lcp, p):
-    """The target summary read off whole target-LCP rows: the largest LCP
-    off starts 4p and 6p, the LCP at 6p, and per n of the band the argmax
-    of lcp >= n, or NOT_FOUND."""
+    """The target summary read off a whole (rows, 6p) target-LCP array: the
+    largest LCP off starts 4p and 6p, the LCP at 6p, and per n of the band
+    the argmax of lcp >= n, or NOT_FOUND."""
     off = np.delete(lcp, [4 * p - 1, 6 * p - 1], axis=1).max(axis=1)
     firsts = [np.where((lcp >= n).any(axis=1), (lcp >= n).argmax(axis=1) + 1,
                        _batch.NOT_FOUND) for n in range(p // 2 + 1, p + 1)]
@@ -421,13 +427,19 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
         mp.setattr(_batch, "_chunk_target_lcp", half_blind)
         mp.setattr(_batch, "CHUNK_ELEMENTS", per_chunk * length)
         got = _batch.target_summary(rows, p)
-        want = summary_from_array(_batch.target_lcp(rows, p), p)
+    # the reference compares bytes and blinds the same rows, with no kernel
+    lcp = np.array([brute_target_lcp(row, p) for row in rows])
+    lcp[[row[0] == ord("+") for row in rows], 6 * p - 1] = 0
+    want = summary_from_array(lcp, p)
     assert got.dtype == np.int32 and got.shape == (len(rows), 2 + p // 2)
     assert np.array_equal(got, want)
 
 
+# The target-LCP kernel is read through its one product, target_summary;
+# its test ids keep the kernel's name.
 BAND_KERNELS = [(_batch.band_first_starts, "_chunk_first_starts"),
-                (_batch.target_lcp, "_chunk_target_lcp")]
+                pytest.param(_batch.target_summary, "_chunk_target_lcp",
+                             id="target_lcp-_chunk_target_lcp")]
 
 
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
@@ -469,7 +481,8 @@ def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
     assert len(got) == len(prefixes) == 1 << depth
 
 
-@pytest.mark.parametrize("kernel", [_batch.band_first_starts, _batch.target_lcp])
+@pytest.mark.parametrize("kernel", [_batch.band_first_starts,
+                                    pytest.param(_batch.target_summary, id="target_lcp")])
 @pytest.mark.parametrize("p", [1, 64])
 def test_band_kernels_refuse_a_short_last_prefix(kernel, p):
     length = 7 * p - 1

@@ -1,9 +1,15 @@
-"""The test configuration itself: a failing test is reported, and the run
-goes on to the tests after it."""
+"""The repository's own tooling: the test configuration (a failing test
+is reported, and the run goes on to the tests after it), the names the
+benchmark traces, and the README's claim table."""
 
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from foldscope import _batch, appearance, classifier, dfao, folding, verification
+from foldscope.cli import VERIFY_SUITES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -32,3 +38,32 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
     assert result.returncode == 1, output
     assert "INTERNALERROR" not in output
     assert "1 failed, 1 passed" in output
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    # the traced benchmark wraps library names by attribute; a deleted or
+    # renamed one fails here instead of only in the benchmark's own runs
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import layers
+    import tracing
+
+    modules = (_batch, appearance, classifier, dfao, folding, verification)
+    before = [dict(vars(module)) for module in modules]
+    with tracing.Tracer(time.perf_counter) as tracer:
+        layers.instrument(tracer)
+        wrapped = [name for module, names in zip(modules, before)
+                   for name, value in names.items() if vars(module)[name] is not value]
+    assert wrapped
+    assert [dict(vars(module)) for module in modules] == before
+
+
+def test_readme_claim_table_lists_each_claims_flags():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| Claim | Flags (default) |"):]
+    table = table[:table.index("\n\n")]
+    listed = {}
+    for claims, flags in re.findall(r"^\| (.+?) \| (.+) \|$", table, re.M):
+        for claim in re.findall(r"`([a-z0-9-]+)`", claims):
+            listed[claim] = tuple(flag.replace("-", "_")
+                                  for flag in re.findall(r"`--([a-z-]+)`", flags))
+    assert listed == {claim: flags for claim, (_, flags) in VERIFY_SUITES.items()}

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 
@@ -351,6 +352,30 @@ def test_lemma3_reports_a_target_no_start_reaches(clean_caches, monkeypatch):
     assert json_counterexample(outcome) == outcome.counterexample
 
 
+def test_lemma1_witness_comes_from_the_bytes(clean_caches, monkeypatch):
+    # a target kernel that reports the window at 6p at start 5 of grid
+    # row 0 (the first row of the only chunk at n = 7) fails the row, but
+    # the occurrences it reports are that row's own byte search
+    real = _batch._chunk_target_lcp
+
+    def kernel(bits, p):
+        lcp = real(bits, p)
+        lcp[0, 5 - 1] = p
+        return lcp
+    monkeypatch.setattr(_batch, "_chunk_target_lcp", kernel)
+    outcome = verify_lemma_first_occurrence(7, 7)
+    counter = outcome.counterexample
+    assert not outcome.passed and outcome.cases_checked == 128
+    assert (counter["n"], counter["instructions"]) == (7, "-------")
+    pb = verification._grid(7)[2][0]
+    target, found = pb[47:47 + 7], []
+    at = pb.find(target)
+    while 0 <= at < 48:
+        found.append(at + 1)
+        at = pb.find(target, at + 1)
+    assert counter["occurrences"] == found == [48]
+
+
 def test_lemmas_keep_no_whole_target_lcp_array(clean_caches):
     # One band of lemmas, n = 65..128 (2,048 rows).  A cached (rows, 6p)
     # uint16 array alone is 3 MiB there; with it the traced peak was
@@ -645,3 +670,33 @@ def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch)
         monkeypatch.setattr(_batch, name, counting(name))
     assert all(outcome.passed for outcome in verification.run_all(n_max=64))
     assert rows == {"_chunk_first_starts": 1637, "_chunk_target_lcp": 960}
+
+
+def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch):
+    # past n = 256 a second, sampled theorem outcome covers the rest, and
+    # the exhaustive one still covers every n its grid budget reaches
+    calls = []
+
+    def recorder(name):
+        signature = inspect.signature(getattr(verification, name))
+
+        def suite(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments))
+            return name
+        return suite
+
+    suites = ("verify_formula_vs_dfao", "verify_bounds", "verify_lemma_first_occurrence",
+              "verify_lemma_last_factor", "verify_lemma_shared_start", "verify_theorem",
+              "verify_corollary_tails", "verify_monotonicity_and_symmetry")
+    for name in suites:
+        monkeypatch.setattr(verification, name, recorder(name))
+    for n_max, theorems in ((300, [(7, 256, "exhaustive"), (257, 300, "sampled")]),
+                            (64, [(7, 64, "exhaustive")])):
+        calls.clear()
+        extra = ["verify_theorem"] * (len(theorems) - 1)
+        assert verification.run_all(n_max=n_max) == list(suites[:6]) + extra + list(suites[6:])
+        asked = [(a["n_lo"], a["n_hi"], a["mode"]) for name, a in calls
+                 if name == "verify_theorem"]
+        assert asked == theorems
