@@ -22,6 +22,10 @@ ALPHABET = ((-1, 0), (-1, 1), (1, 0), (1, 1))
 
 _OUT_CHARS = {1: "+", -1: "-", None: "_"}
 _CHAR_OUTS = {"+": 1, "-": -1, "_": None}
+# the '# dfao-v1' format's first line, each symbol's text and the alphabet line
+_FORMAT_LINE = "# dfao-v1"
+_SYMBOL_TEXT = {sym: f"({_OUT_CHARS[sym[0]]},{sym[1]})" for sym in ALPHABET}
+_ALPHABET_LINE = "alphabet " + " ".join(_SYMBOL_TEXT[sym] for sym in ALPHABET)
 
 
 class OutputUndefined(ValueError):
@@ -209,22 +213,17 @@ def export_dot(d: ParallelDFAO) -> str:
         shape = "doublecircle" if d.output[q] is not None else "circle"
         lines.append(f'  {q} [shape={shape} label="{label(q)}"];')
     for q in range(d.state_count):
-        for sign, bit in ALPHABET:
-            tgt = d.transitions[(q, (sign, bit))]
-            sym = f"({_OUT_CHARS[sign]},{bit})"
-            lines.append(f'  {q} -> {tgt} [label="{sym}"];')
+        for sym in ALPHABET:
+            lines.append(f'  {q} -> {d.transitions[(q, sym)]} [label="{_SYMBOL_TEXT[sym]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_table(d: ParallelDFAO) -> str:
     """Plain-text transition table, one line per state, '# dfao-v1' format."""
-    lines = ["# dfao-v1",
-             "alphabet " + " ".join(f"({_OUT_CHARS[s]},{b})" for s, b in ALPHABET),
-             f"start {d.start_state}"]
+    lines = [_FORMAT_LINE, _ALPHABET_LINE, f"start {d.start_state}"]
     for q in range(d.state_count):
-        cells = " ".join(
-            f"({_OUT_CHARS[s]},{b})->{d.transitions[(q, (s, b))]}" for s, b in ALPHABET)
+        cells = " ".join(f"{_SYMBOL_TEXT[sym]}->{d.transitions[(q, sym)]}" for sym in ALPHABET)
         lines.append(f"{q} {_OUT_CHARS[d.output[q]]} : {cells}")
     return "\n".join(lines) + "\n"
 
@@ -239,13 +238,12 @@ def parse_table(text: str) -> ParallelDFAO:
     def fail(i, why):
         raise ValueError(f"table line {i + 1}: {why}")
 
-    if not lines or lines[0].strip() != "# dfao-v1":
-        fail(0, "missing '# dfao-v1' header")
+    if not lines or lines[0].strip() != _FORMAT_LINE:
+        fail(0, f"missing {_FORMAT_LINE!r} header")
     if len(lines) < 4:
         fail(len(lines) - 1, "truncated table")
-    expect_alpha = "alphabet " + " ".join(f"({_OUT_CHARS[s]},{b})" for s, b in ALPHABET)
-    if lines[1].strip() != expect_alpha:
-        fail(1, f"expected {expect_alpha!r}")
+    if lines[1].strip() != _ALPHABET_LINE:
+        fail(1, f"expected {_ALPHABET_LINE!r}")
     parts = lines[2].split()
     if len(parts) != 2 or parts[0] != "start" or not parts[1].isdigit():
         fail(2, "expected 'start <id>'")
@@ -266,7 +264,7 @@ def parse_table(text: str) -> ParallelDFAO:
             fail(lineno, f"bad output symbol {fields[1]!r}")
         outputs.append(_CHAR_OUTS[fields[1]])
         for cell, sym in zip(fields[3:], ALPHABET):
-            want = f"({_OUT_CHARS[sym[0]]},{sym[1]})->"
+            want = _SYMBOL_TEXT[sym] + "->"
             if not cell.startswith(want) or not cell[len(want):].isdigit():
                 fail(lineno, f"bad transition cell {cell!r}")
             transitions[(i, sym)] = int(cell[len(want):])

@@ -14,7 +14,7 @@ with the same band prefix, and the band and target-LCP kernels scan each
 such pair once.  verify_theorem holds S to the closed form, which reads
 only the two bits that matter.
 
-Every per-n suite reads its grid whole through one accessor, _grid(n,
+Each grid suite reads its grid whole through one accessor, _grid(n,
 ...) -> (depth, rows, prefixes): rows is a read-only int8 array (the
 sign grid, built once per depth, or the cached seeded sample) and S is
 the numpy column s_column(prefixes, n) from the band kernel.  The three
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -526,57 +526,47 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     The catalog's mixed-branch witnesses always search the fixed window
     7..64 the catalog is calibrated for (two entries first switch branch
     at n = 17), independent of n_hi.  n_hi past n = 256 (scan depth above
-    EXHAUSTIVE_DEPTH_MAX) is refused before any work.  Cases are counted
-    as a row-by-row reading would: up to the first failing (row, n) of
-    the families, then whole catalog entries up to the first failing one.
+    EXHAUSTIVE_DEPTH_MAX) is refused before any work.
     """
     _check_range("corollary-tails", 7, n_hi)
     heads = _batch.sign_grid(4).tolist()
     families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
-    factors, family_sets = zip(*[(factor, FoldingInstructions(head, tail))
-                                 for factor, tails in families
-                                 for head in heads for tail in tails])
+    rows, factors, family_sets = zip(*[(head, factor, FoldingInstructions(head, tail))
+                                       for factor, tails in families
+                                       for head in heads for tail in tails])
+    rows, factors = np.array(rows, dtype=np.int8), np.array(factors)
     catalog = tuple(parse_instructions(text) for text in NON_QUALIFYING_TAILS)
-    # one S matrix: family rows, then catalog rows, by n = 7..max(n_hi, 64)
-    ns = range(7, max(n_hi, 64) + 1)
-    prefixes = tuple(appearance._prefix_bytes(f, band_length(ns[-1]))
+    # one prefix tuple, family rows then catalog rows, so both read the
+    # same cached bands
+    prefixes = tuple(appearance._prefix_bytes(f, band_length(max(n_hi, 64)))
                      for f in family_sets + catalog)
-    s = np.stack([s_column(prefixes, n) for n in ns], axis=1)
-    phis = np.array([phi(n) for n in ns])
 
-    expected = np.outer(factors, phis[:n_hi - 6])
-    observed = s[:len(family_sets), :n_hi - 6]
-    bad = np.flatnonzero(observed != expected)
-    counter, witnesses = None, []
-    if bad.size:
-        cases = int(bad[0]) + 1
-        r, c = np.unravel_index(bad[0], observed.shape)
-        counter = {"n": 7 + int(c), "expected": int(expected[r, c]),
-                   "observed": int(observed[r, c]),
-                   "instructions": format_instructions(family_sets[r])}
-    else:
-        window = 64 - 6  # the catalog's columns, n = 7..64
-        branch = s[len(family_sets):, :window] // phis[:window]
-        is4, is6 = branch == 4, branch == 6
-        mixed = is4.any(axis=1) & is6.any(axis=1) & (is4 | is6).all(axis=1)
-        good = len(catalog) if mixed.all() else int(mixed.argmin())
-        cases = observed.size + min(good + 1, len(catalog)) * window
-        witnesses = [{"instructions": NON_QUALIFYING_TAILS[e],
-                      "n_with_4phi": 7 + int(is4[e].argmax()),
-                      "n_with_6phi": 7 + int(is6[e].argmax())} for e in range(good)]
-        if good < len(catalog):
-            counter = {"catalog_entry": NON_QUALIFYING_TAILS[good],
-                       "branches_seen": sorted(set(branch[good].tolist())),
-                       "expected": "both 4 and 6"}
+    def check_n(n, _sampled):
+        s, expected = s_column(prefixes, n)[:len(rows)], factors * phi(n)
+        return _first_failure(n, 4, rows, s != expected, lambda i: {
+            "expected": int(expected[i]), "observed": int(s[i]),
+            "instructions": format_instructions(family_sets[i])})
 
-    return VerificationOutcome(
-        claim_id="corollary-tails", n_range=(7, n_hi),
-        instruction_depth=4, mode="exhaustive",
-        passed=counter is None, cases_checked=cases,
-        counterexample=counter,
-        details={"heads": len(heads), "tails_per_branch": 2,
-                 "catalog_witnesses": witnesses},
-    )
+    # the catalog's branches, by entry and n = 7..64
+    branch = np.stack([s_column(prefixes, n)[len(rows):] // phi(n)
+                       for n in range(7, 65)], axis=1)
+    is4, is6 = branch == 4, branch == 6
+    mixed = is4.any(axis=1) & is6.any(axis=1) & (is4 | is6).all(axis=1)
+    good = len(catalog) if mixed.all() else int(mixed.argmin())
+    witnesses = [{"instructions": NON_QUALIFYING_TAILS[e],
+                  "n_with_4phi": 7 + int(is4[e].argmax()),
+                  "n_with_6phi": 7 + int(is6[e].argmax())} for e in range(good)]
+    outcome = _run_suite("corollary-tails", 7, n_hi, check_n,
+                         details={"heads": len(heads), "tails_per_branch": 2,
+                                  "catalog_witnesses": witnesses})
+    counter = outcome.counterexample
+    if counter is None and good < len(catalog):
+        counter = {"catalog_entry": NON_QUALIFYING_TAILS[good],
+                   "branches_seen": sorted(set(branch[good].tolist())),
+                   "expected": "both 4 and 6"}
+    return replace(outcome, passed=counter is None, counterexample=counter,
+                   cases_checked=outcome.cases_checked
+                   + min(good + 1, len(catalog)) * branch.shape[1])
 
 
 def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> VerificationOutcome:

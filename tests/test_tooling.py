@@ -1,12 +1,15 @@
 """The repository's own tooling: the test configuration (a failing test
 is reported, and the run goes on to the tests after it), the names the
-benchmark traces, and the README's claim table."""
+benchmark traces, the README's claim table and the demos."""
 
+import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from foldscope import _batch, appearance, classifier, dfao, folding, verification
 from foldscope.cli import VERIFY_SUITES
@@ -67,3 +70,12 @@ def test_readme_claim_table_lists_each_claims_flags():
             listed[claim] = tuple(flag.replace("-", "_")
                                   for flag in re.findall(r"`--([a-z-]+)`", flags))
     assert listed == {claim: flags for claim, (_, flags) in VERIFY_SUITES.items()}
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("0*.py")))
+def test_demo_runs(demo):
+    # a public signature a demo calls cannot change unnoticed
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, str(REPO / "demos" / demo)], cwd=REPO, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr

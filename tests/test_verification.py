@@ -571,18 +571,27 @@ def test_corollary_tails_catch_one_wrong_family_value(clean_caches, monkeypatch)
     assert outcome.counterexample == {"n": 9, "expected": 64, "observed": 50,
                                       "instructions": "----;+-"}
     assert json_counterexample(outcome) == outcome.counterexample
-    # rows are read one by one, each over n = 7..16: 3 cases up to n = 9
-    assert outcome.cases_checked == 3
+    # every family row at every n = 7..16, then the whole catalog
+    assert outcome.cases_checked == 64 * 10 + 5 * 58
 
 
-def test_corollary_tails_count_cases_up_to_the_failing_row(clean_caches, monkeypatch):
-    # row 33 is "----;-", the first constant-tail row
+def test_corollary_tails_count_every_n_past_a_failing_row(clean_caches, monkeypatch):
+    # row 33 is "----;-", a constant-tail row
     monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 33, 50))
     outcome = verify_corollary_tails(n_hi=16)
-    assert outcome.cases_checked == 33 * 10 + 3
+    assert outcome.cases_checked == 64 * 10 + 5 * 58
     assert outcome.counterexample == {"n": 9, "expected": 96, "observed": 50,
                                       "instructions": "----;-"}
     assert json_counterexample(outcome) == outcome.counterexample
+
+
+def test_corollary_tails_past_the_catalog_window():
+    # the families run to n = 256; the catalog keeps its 7..64 window
+    outcome = verify_corollary_tails(n_hi=256)
+    assert outcome.passed and outcome.n_range == (7, 256)
+    assert outcome.cases_checked == 64 * 250 + 5 * 58
+    assert (outcome.details["catalog_witnesses"]
+            == verify_corollary_tails(n_hi=64).details["catalog_witnesses"])
 
 
 @pytest.mark.parametrize("n_hi, cases", [(16, 64 * 10 + 2 * 58), (64, 64 * 58 + 2 * 58)])
@@ -630,14 +639,23 @@ def test_monotonicity_catches_a_negation_break(clean_caches, monkeypatch):
     assert json_counterexample(outcome) == outcome.counterexample
 
 
-def test_monotonicity_reports_the_lowest_failing_n(clean_caches, monkeypatch):
-    # pattern 0 breaks at n = 12 and pattern 1 at n = 9: n = 9 is reported
+@pytest.mark.parametrize("suite, cases, instructions", [
+    (lambda: verify_bounds(7, 16), 256 * 9, "+-------"),
+    (lambda: verify_theorem(7, 16), 256 * 9, "+-------"),
+    (lambda: verify_monotonicity_and_symmetry(8, 16), 256 * 16, ";+-------"),
+    (lambda: verify_corollary_tails(n_hi=16), 64 * 10 + 5 * 58, "----;-+"),
+], ids=["bounds", "theorem", "monotonicity", "corollary-tails"])
+def test_every_s_suite_reports_the_lowest_failing_n(clean_caches, monkeypatch, suite,
+                                                    cases, instructions):
+    # row 0 breaks at n = 12 and row 1 at n = 9: n = 9 is reported, and
+    # every n is still checked and counted
     monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(12, 0, 50))
     # the second edit wraps the first
     monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 1, 50))
-    outcome = verify_monotonicity_and_symmetry(8, 16)
+    outcome = suite()
     assert outcome.counterexample["n"] == 9
-    assert outcome.counterexample["instructions"] == ";+-------"
+    assert outcome.counterexample["instructions"] == instructions
+    assert outcome.cases_checked == cases
     assert json_counterexample(outcome) == outcome.counterexample
 
 
