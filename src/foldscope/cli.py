@@ -14,6 +14,7 @@ import inspect
 import json
 import os
 import sys
+from array import array
 
 from . import classifier, verification
 from .appearance import (appearance_report, phi, predicted_a, predicted_s,
@@ -96,10 +97,13 @@ EXPORT_TARGETS = ("dfao-dot", "dfao-table")
 # Per-instance size caps, refused with exit 2 before any work.  The
 # appearance scan keeps about 4n distinct factors of n bytes each, so its
 # memory grows as n^2: n = 4096 took 0.34 s and 96 MB peak RSS, n = 8192
-# 0.76 s and 295 MB.  seq -n 2^22 took 0.87 s and 102 MB, 2^24 3.1 s and
-# 321 MB (2-core Xeon).
+# 0.76 s and 295 MB.  seq -n 2^22 takes 0.35 s and 81 MB as text and
+# 1.1 s and 139 MB as json, with or without --oeis (one process each,
+# median of five, 2-core Xeon).
 APPEARANCE_N_MAX = 1 << 12
 SEQ_LENGTH_MAX = 1 << 22
+# the digits of `seq --oeis` as the bytes 0 and 1, read by array("b")
+_OEIS_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,14 +194,16 @@ def _cmd_seq(args) -> int:
         raise ValueError(f"seq length {args.length} exceeds the cap of {SEQ_LENGTH_MAX}")
     f = parse_instructions(args.instructions)
     word = pf_prefix(f, args.length)
+    text = word.to_oeis() if args.oeis else word.to_text()
     if args.format == "json":
-        values = [int(c) for c in word.to_oeis()] if args.oeis else list(word.values)
+        values = (array("b", text.encode().translate(_OEIS_BITS)).tolist() if args.oeis
+                  else list(word.values))
         _emit(_json_line({"instructions": args.instructions.strip(),
                           "n": args.length,
                           "values": values,
-                          "text": word.to_oeis() if args.oeis else word.to_text()}), None)
+                          "text": text}), None)
     else:
-        _emit((word.to_oeis() if args.oeis else word.to_text()) + "\n", None)
+        _emit(text + "\n", None)
     return 0
 
 

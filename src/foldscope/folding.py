@@ -22,18 +22,27 @@ fold (every f_s = +1) is OEIS A014577 read as +-1.
 Instruction sets are stored as a finite explicit prefix plus an optional
 periodic tail that repeats forever after it.  Requesting f_s beyond a
 finite set is a hard error, never a silent default.
+
+A SignWord keeps the '+'/'-' text it was parsed from, so a prefix built
+from text renders back to text without a pass over its signs.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 SIGNS = (-1, 1)
+_SIGN_SET = frozenset(SIGNS)
 
 _SIGN_CHARS = {1: "+", -1: "-"}
 _CHAR_SIGNS = {"+": 1, "-": -1}
 _SIGN_BYTES = {1: b"+", -1: b"-"}
+# '+' -> 1 and '-' -> -1 as signed bytes, for array("b")
+_TEXT_TO_SIGN_BYTES = bytes.maketrans(b"+-", b"\x01\xff")
+_TEXT_TO_OEIS = str.maketrans("+-", "10")
 
 
 class InstructionExhausted(LookupError):
@@ -52,6 +61,11 @@ class InstructionExhausted(LookupError):
 
 def _check_signs(values: Iterable[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
+    try:
+        if _SIGN_SET.issuperset(out):
+            return out
+    except TypeError:  # an unhashable entry; the loop below names it
+        pass
     for v in out:
         if v not in SIGNS:
             raise ValueError(f"{what} entry {v!r} is not -1 or +1")
@@ -112,20 +126,32 @@ class SignWord:
             raise IndexError(f"slice [{i}:{j}] outside 1..{len(self.values)}")
         return SignWord(self.values[i - 1:j])
 
+    @cached_property
+    def _text(self) -> str:
+        # not a dataclass field, so eq, hash and repr read `values` alone
+        return "".join(map(_SIGN_CHARS.__getitem__, self.values))
+
     def to_text(self) -> str:
         """Render as '+'/'-' characters."""
-        return "".join(_SIGN_CHARS[v] for v in self.values)
+        return self._text
 
     def to_oeis(self) -> str:
         """Render on the {0,1} alphabet: -1 maps to 0 (serialization only)."""
-        return "".join("1" if v == 1 else "0" for v in self.values)
+        return self._text.translate(_TEXT_TO_OEIS)
 
     @classmethod
     def from_text(cls, text: str) -> "SignWord":
-        try:
-            return cls(tuple(map(_CHAR_SIGNS.__getitem__, text)))
-        except KeyError as e:
-            raise ValueError(f"bad sign character {e.args[0]!r} in word") from None
+        """Parse '+'/'-' text; the word keeps `text` as its rendering."""
+        raw = text.encode("ascii", "replace")  # a non-ASCII character becomes b"?"
+        if raw.translate(None, b"+-"):
+            bad = text.replace("+", "").replace("-", "")[0]
+            raise ValueError(f"bad sign character {bad!r} in word")
+        # every character is a sign, so the values need no second check
+        # in __post_init__; the word is filled as __init__ would fill it
+        word = object.__new__(cls)
+        object.__setattr__(word, "values", tuple(array("b", raw.translate(_TEXT_TO_SIGN_BYTES))))
+        object.__setattr__(word, "_text", text)
+        return word
 
 
 @dataclass(frozen=True)
@@ -236,6 +262,8 @@ def position_blocks(length: int):
 
 def pf_prefix_bytes(f: FoldingInstructions, length: int) -> bytes:
     """P_f[1:length] rendered as b'+'/b'-' (the form the scans consume)."""
+    if length < 1:  # before bytearray(length) sizes the buffer
+        raise ValueError(f"length must be >= 1, got {length}")
     out = bytearray(length)
     for s, same, flipped in position_blocks(length):
         v = instruction(f, s)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -28,6 +29,23 @@ def test_seq_regular(capsys):
 def test_seq_oeis(capsys):
     code, out, _ = run(capsys, "seq", "-f", "+;+", "-n", "8", "--oeis")
     assert code == 0 and out == "11011001\n"
+
+
+# sha256 of the stdout of `seq -f '+-;+--' -n 65536` in each of its forms
+SEQ_STDOUT_SHA256 = {
+    (): "d5176ff3db248cfc8cf9caf1c174a416d40c4f735c97f8ffc2231c0cfb89c2b8",
+    ("--format", "json"): "a1d8ff3ddc0fc690906ba8df9e00e8204c052282e55427c50ed61e69dcd4c318",
+    ("--oeis",): "009f6a59e645f42e9258fb2ab5955afcfb1531d27ae066693fdf4eade92e6afb",
+    ("--oeis", "--format", "json"):
+        "4cf6e71efbd4f91857a26d20099d3d6b1c1c5d0fd989cc8a236b1cacbb881cdb",
+}
+
+
+@pytest.mark.parametrize("form", SEQ_STDOUT_SHA256)
+def test_seq_stdout_bytes_are_pinned(capsys, form):
+    code, out, err = run(capsys, "seq", "-f", "+-;+--", "-n", "65536", *form)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQ_STDOUT_SHA256[form]
 
 
 def test_seq_exhaustion_names_instruction(capsys):
@@ -184,7 +202,10 @@ def test_verify_bounds_usage_error(capsys, tmp_path):
             # an --out that cannot be written is a usage error, not a failed suite
             (("verify", "--claim", "lemma3", "--n-lo", "7", "--n-hi", "7",
               "--out", str(tmp_path / "missing" / "r.jsonl")), "error: "),
-            (("export", "dfao-dot", "--out", str(tmp_path)), "error: ")):
+            (("export", "dfao-dot", "--out", str(tmp_path)), "error: "),
+            # a length below 1 is refused before any buffer is sized
+            (("seq", "-f", "+;+", "-n", "-5"), "error: length must be >= 1, got -5"),
+            (("seq", "-f", "+;+", "-n", "0"), "error: length must be >= 1, got 0")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
 

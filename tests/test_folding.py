@@ -6,6 +6,7 @@ from foldscope import (FoldingInstructions, InstructionExhausted, SignWord,
                        format_instructions, instruction, make_instructions,
                        negate, parse_instructions, pf_prefix, pf_value,
                        required_instruction_count)
+from foldscope.folding import pf_prefix_bytes
 from foldscope import _batch
 from foldscope.appearance import _prefix_bytes
 
@@ -168,6 +169,35 @@ def test_signword_rendering():
     assert SignWord.from_text("+--+") == w
     with pytest.raises(ValueError):
         SignWord.from_text("+0")
+    # each refusal names the first bad entry, whichever path finds it
+    for text, bad in (("+-x-y", "'x'"), ("+é", "'é'")):
+        with pytest.raises(ValueError, match=f"^bad sign character {bad} in word$"):
+            SignWord.from_text(text)
+    with pytest.raises(ValueError, match=r"^word entry 0 is not -1 or \+1$"):
+        SignWord((1, 0, 2))
+    with pytest.raises(ValueError, match=r"^word entry \[1\] is not -1 or \+1$"):
+        SignWord((1, [1]))
+    with pytest.raises(ValueError, match=r"^tail_period entry 2 is not -1 or \+1$"):
+        make_instructions([1], [2])
+
+
+@given(values=st.lists(signs, max_size=300).map(tuple))
+def test_signword_text_round_trip(values):
+    w = SignWord(values)
+    text = "".join("+" if v == 1 else "-" for v in values)
+    assert w.to_text() == text
+    assert w.to_oeis() == "".join("1" if v == 1 else "0" for v in values)
+    parsed = SignWord.from_text(w.to_text())
+    assert parsed == w and hash(parsed) == hash(w) and repr(parsed) == repr(w)
+    assert parsed.values == values and type(parsed.values) is tuple
+    assert parsed.to_text() == text and parsed.to_oeis() == w.to_oeis()
+
+
+@given(head=st.lists(signs, max_size=6), tail=sign_lists,
+       length=st.integers(min_value=1, max_value=1 << 14))
+def test_pf_prefix_text_is_the_byte_prefix(head, tail, length):
+    f = FoldingInstructions(tuple(head), tuple(tail))
+    assert pf_prefix(f, length).to_text() == pf_prefix_bytes(f, length).decode()
 
 
 # --- instruction syntax -----------------------------------------------------
