@@ -11,7 +11,8 @@ split-digit automaton sweep that checks a DFAO against the closed form
 over many instruction rows at once (one pass over the low digits per
 distinct low half of a row, one over the high digits from every state
 per distinct high half, the formula read off pf_prefix_matrix on those
-halves, and one table lookup per row and low digit pattern).  Both band
+halves, one AND of two boolean code sets per row for its verdict, and
+the least failing (k, row) searched only in the failing rows).  Both band
 kernels read a window as blocks of min(p, 64) signs, each one packed
 code of _window_codes, and find a common prefix at the first block pair
 whose XOR is nonzero; each keeps its own walk over the blocks, so the
@@ -77,9 +78,10 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
 # working sets peak near 75 and 61 bytes per prefix byte (tracemalloc,
 # p = 64..1024), so a chunk stays within about 1.2 megabytes.  Each step
 # of the automaton sweep (the low-half passes with their prefixes, the
-# high-half passes from every state, the row lookups) takes about as many
-# cells per chunk, at up to about 20 bytes each: its whole tracemalloc
-# peak, row keys included, is near 0.55 MiB on 4,096 and 8,192 rows.
+# high-half passes from every state, the row verdicts and the search of
+# the failing rows) takes about as many cells per chunk, at up to about
+# 20 bytes each: its whole tracemalloc peak, row keys included, is near
+# 0.5 MiB on 4,096 and 8,192 rows.
 CHUNK_ELEMENTS = 1 << 14
 
 # The packed code of up to 8, 16, 32 or 64 signs fits these unsigned types.
@@ -320,8 +322,9 @@ def target_summary(prefixes, p: int) -> np.ndarray:
 
 def _least_bad_k(first_bad: np.ndarray, high: np.ndarray, codes: np.ndarray,
                  last: np.ndarray, low: int):
-    """The least (k, row) of one chunk of rows at which the automaton
-    leaves the formula, or None.
+    """The least (k, row) at which the automaton leaves the formula, over
+    one chunk of the rows that _failing_rows flags, in row order (each
+    fails at some k).
 
     Row r looks up first_bad[high[r], codes[r, lo]] for every low digit
     pattern lo at once: the first hi at which column lo leaves its formula
@@ -331,11 +334,30 @@ def _least_bad_k(first_bad: np.ndarray, high: np.ndarray, codes: np.ndarray,
     """
     hi = first_bad.take(high[:, None] * first_bad.shape[1] + codes)
     row, lo = np.nonzero(hi <= last)
-    if not row.size:
-        return None
     k = lo + (hi[row, lo].astype(np.int64) << low)
     i = k.argmin()
     return int(k[i]), int(row[i])
+
+
+def _failing_rows(uses: np.ndarray, first_bad: np.ndarray, values: np.ndarray,
+                  low_of: np.ndarray, high_of: np.ndarray) -> np.ndarray:
+    """Mask of the rows at which the automaton leaves the formula at some k.
+
+    uses[l, g, c] is set when low half l puts (state, pattern) code c in
+    a column whose last hi is values[g], and high half h fails code c at
+    value v when first_bad[h, c] <= v (never at v = -1, the undecidable
+    column).  With fails[h, g, c] set the same way, row r fails exactly
+    when uses[low_of[r]] & fails[high_of[r]] has a set entry.  The
+    product goes in chunks of about CHUNK_ELEMENTS entries.
+    """
+    fails = first_bad[:, None, :] <= values[:, None]
+    uses, fails = uses.reshape(len(uses), -1), fails.reshape(len(fails), -1)
+    failing = np.empty(len(low_of), dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // uses.shape[1])
+    for first in range(0, len(low_of), step):
+        both = uses[low_of[first:first + step]] & fails[high_of[first:first + step]]
+        failing[first:first + step] = both.any(axis=1)
+    return failing
 
 
 def _distinct_halves(half: np.ndarray) -> tuple:
@@ -381,10 +403,15 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     column 0 is its high half's own prefix.  first_bad[h, q, pattern] is
     the first hi at which B of high half h from state q leaves the
     pattern (pattern 4 being the high half's prefix, k = 0 and the
-    undecidable k skipped), or the hi count if it never does.  A row is
-    then one lookup per low digit pattern (_least_bad_k), and the least
-    failing (k, row) has its formula and DFAO values read at that one
-    cell.  The passes and the lookups go in chunks of about CHUNK_ELEMENTS
+    undecidable k skipped), or the hi count if it never does.  Column lo
+    of a row fails when that hi is at most last[lo], the last hi of the
+    column at k <= top, which takes at most two values.  So a row's
+    verdict is one AND of two boolean sets (_failing_rows): the codes its
+    low half puts in the columns of each value of last, and the codes its
+    high half fails at that value.  Only the failing rows then look up
+    every low digit pattern (_least_bad_k), and the least failing (k, row)
+    has its formula and DFAO values read at that one cell.  The passes,
+    the verdicts and the lookups go in chunks of about CHUNK_ELEMENTS
     cells.
     """
     m, w = rows.shape
@@ -412,12 +439,27 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     def signs(half):
         return np.where(half > 0, state_type.type(2), state_type.type(0))
 
+    # the last hi of each column at k <= top: top >> low at the columns
+    # lo <= top mod 2^low, one less at the rest.  The undecidable k =
+    # 2^(w-1) is column 0's at hi = 2^(high-1), masked below, except at
+    # w = 1, where it is column 1's only k and its last is -1.  The code
+    # sets keep one group per value least..most of last; column lo is in
+    # group last[lo] - least.
+    last = (top - np.arange(los)) >> low
+    if undecidable < los:
+        last[undecidable] = -1
+    least = int(last.min())
+    values = np.arange(least, int(last.max()) + 1)
+    group = last - least
+
     # codes[l, lo] = 5 * A[lo] + the pattern of column lo of low half l:
-    # bit 0 its sign at even hi, bit 1 at odd hi (1 for '+'), 4 at lo = 0.
+    # bit 0 its sign at even hi, bit 1 at odd hi (1 for '+'), 4 at lo = 0;
+    # uses[l, g] holds the codes of l's columns with last == values[g].
     # The prefix pads f_low, which no position lo != 0 (mod 2^low) reads.
     low_rows, low_of = _distinct_halves(rows[:, :low])
     padded = np.concatenate((low_rows, np.ones((len(low_rows), 1), dtype=rows.dtype)), axis=1)
     codes = np.empty((len(low_rows), los), dtype=np.min_scalar_type(5 * states))
+    uses = np.zeros((len(low_rows), len(values), 5 * states), dtype=bool)
     lo = np.arange(1, los)
     step = max(1, CHUNK_ELEMENTS >> (low + 1))
     for first in range(0, len(low_rows), step):
@@ -429,6 +471,7 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
         after_low[:, 0] += 4
         after_low[:, 1:] += plus[:, lo - 1] + 2 * plus[:, lo + (1 << low) - 1]
         codes[first:first + step] = after_low
+        uses[np.arange(first, first + len(chunk))[:, None], group, after_low] = True
 
     # first_bad[h, 5 * q + pattern]; the wanted bytes of patterns 0..3 are
     # shared, pattern 4's are each high half's prefix from hi = 1 on
@@ -455,18 +498,13 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
         first_bad[first:first + step] = np.where(
             bad.any(axis=-1), bad.argmax(axis=-1), his).reshape(r, 5 * states)
 
-    # the last hi of each column at k <= top; the undecidable k = 2^(w-1)
-    # is column 0's at hi = 2^(high-1), masked above, except at w = 1,
-    # where it is column 1's only k
-    last = (top - np.arange(los)) >> low
-    if undecidable < los:
-        last[undecidable] = -1
+    failing = np.flatnonzero(_failing_rows(uses, first_bad, values, low_of, high_of))
     step, best = max(1, CHUNK_ELEMENTS // los), None
-    for first in range(0, m, step):
-        found = _least_bad_k(first_bad, high_of[first:first + step],
-                             codes[low_of[first:first + step]], last, low)
-        if found and (best is None or found[0] < best[0]):
-            best = (found[0], first + found[1])
+    for first in range(0, len(failing), step):
+        chunk = failing[first:first + step]
+        found = _least_bad_k(first_bad, high_of[chunk], codes[low_of[chunk]], last, low)
+        if best is None or found[0] < best[0]:
+            best = (found[0], int(chunk[found[1]]))
     if best is None:
         return cases, skipped, None
     k, j = best

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foldscope import (ALPHABET, OutputUndefined, ParallelDFAO, TrackedInput,
                        build_pf_evaluator, export_dot, export_table,
@@ -137,31 +137,50 @@ def _brute_force_sweep(machine, rows, k_max):
 
 
 def test_batch_runner_agrees_with_scalar(evaluator, monkeypatch):
-    # A small budget splits the rows into row-lookup chunks: the 4 rows of
-    # 2 tracks into chunks of 3 and 1, and every wider grid into one row
-    # per chunk, so a wrong merge of the chunks' first mismatches shows.
+    # The least (k, row) is searched only in the rows the verdict flags,
+    # so the evaluator makes no search call.  A budget of two rows of low
+    # digit patterns splits each mutant's flagged rows into chunks of two
+    # (the last may hold one), so a wrong merge of the chunks' first
+    # mismatches shows: some call first finds its least k in a later
+    # chunk, and some finds it in two chunks, where the earlier must win.
     # k = 32 is undecidable at k_max = 40, and k_max = 12 drops whole
     # bit-1 halves.  Widths 2, 3 and the odd 7 split the digits unevenly
     # between the low and the high pass, and k_max = 10 < 2^4 leaves the
     # width-7 high pass with only the zero digits.
-    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 6)
-    chunks, lookup = [], _batch._least_bad_k
-    monkeypatch.setattr(_batch, "_least_bad_k",
-                        lambda table, high, *rest: chunks.append(len(high))
-                        or lookup(table, high, *rest))
+    calls, lookup = [], _batch._least_bad_k
+
+    def spy(table, high, *rest):
+        found = lookup(table, high, *rest)
+        calls[-1].append((len(high), found[0]))
+        return found
+
+    monkeypatch.setattr(_batch, "_least_bad_k", spy)
     grids = (((2, 2), (3, 5)), ((3, 3), (7, 9)), ((3, 7), (10, 130)), ((4, 6), (12, 40)))
     machines = [evaluator] + [m for _, m in dfao_mutation_catalog(evaluator)]
-    caught = 0
+    caught = later = tied = 0
     for machine in machines:
-        chunks.clear()
+        first_call = len(calls)
         for shape, k_maxes in grids:
             rows = _batch.sign_grid(*shape)
+            w = rows.shape[1]
+            monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 << (w - w // 2))
             for k_max in k_maxes:
+                calls.append([])
                 expected = _brute_force_sweep(machine, rows, k_max)
                 assert _batch.compare_formula_vs_dfao(machine, rows, k_max) == expected
-        assert len(chunks) >= 3 and max(chunks) > 1
+                ks = [k for _, k in calls[-1]]
+                assert (expected[2] is None) == (not ks)
+                if ks:
+                    later += ks.index(min(ks)) > 0
+                    tied += ks.count(min(ks)) > 1
+        chunks = [size for call in calls[first_call:] for size, _ in call]
+        if machine is evaluator:
+            assert not chunks
+        else:
+            assert len(chunks) >= 3 and max(chunks) > 1
         caught += expected[2] is not None
     assert expected[:2] == (16 * 39, [32]) and caught == 20
+    assert later and tied
 
 
 @st.composite
@@ -207,6 +226,28 @@ def test_batch_runner_agrees_with_scalar_on_random_machines(machine, case, budge
         mp.setattr(_batch, "CHUNK_ELEMENTS", budget)
         got = _batch.compare_formula_vs_dfao(machine, rows, k_max)
     assert got == _brute_force_sweep(machine, rows, k_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=st.one_of(random_machines(), mutated_evaluators()),
+       case=sweep_cases(), budget=st.integers(min_value=1, max_value=40))
+@example(machine=replace_transition(build_pf_evaluator(), 1, (-1, 0), 4),
+         case=(np.array([[1], [-1], [1]], dtype=np.int8), 3), budget=1)
+@example(machine=replace_transition(build_pf_evaluator(), 2, (1, 1), 4),
+         case=(_batch.sign_grid(3, 5), 20), budget=2)
+def test_failing_rows_match_a_per_row_brute_force(machine, case, budget):
+    # The verdict flags exactly the rows with a mismatch at some k, on
+    # tiny budgets too; the examples pin width 1, whose column 1 holds
+    # only the undecidable k (last = -1), and a k_max below 2^w - 1.
+    rows, k_max = case
+    masks, verdict = [], _batch._failing_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_batch, "CHUNK_ELEMENTS", budget)
+        mp.setattr(_batch, "_failing_rows", lambda *args: masks.append(verdict(*args)) or masks[-1])
+        _batch.compare_formula_vs_dfao(machine, rows, k_max)
+    expected = [_brute_force_sweep(machine, rows[j:j + 1], k_max)[2] is not None
+                for j in range(len(rows))]
+    assert masks[0].tolist() == expected
 
 
 @settings(max_examples=60)
