@@ -17,9 +17,9 @@ kernels read a window as blocks of min(p, 64) signs, each one packed
 code of _window_codes, and find a common prefix at the first block pair
 whose XOR is nonzero; each keeps its own walk over the blocks, so the
 lemma checks share no sort, neighbour LCP or previous factor with the
-kernel that gives S.  Both scan each distinct band prefix once
-(_by_chunks): an exhaustive grid enumerates one instruction bit more
-than a band prefix reads, so its prefixes come in byte-identical twins.
+kernel that gives S.  Both make one scan per negation pair (_by_chunks):
+a grid's 2^depth rows reach the kernel as 2^(depth - 2), as twins from
+one unread instruction bit and as negation pairs, P_(-f) = -P_f.
 The scalar implementations in folding.py / appearance.py / dfao.py stay
 the reference; tests cross-check these against them.
 """
@@ -32,6 +32,7 @@ from .folding import position_blocks
 
 PLUS = ord("+")
 MINUS = ord("-")
+_NEGATED = bytes.maketrans(b"+-", b"-+")
 
 
 def sign_grid(depth: int, width: int = 0) -> np.ndarray:
@@ -183,21 +184,26 @@ def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
     return np.maximum.accumulate(out, axis=1)[:, :cols]
 
 
-def _by_chunks(prefixes, length: int, columns: int, kernel) -> np.ndarray:
+def _by_chunks(prefixes, length: int, columns: int, kernel, by_negation=True) -> np.ndarray:
     """kernel(bits) over chunks of about CHUNK_ELEMENTS prefix bytes,
     stacked into one fresh (rows, columns) int32 array; bits holds the
     first `length` signs of each prefix of the chunk as one 0/1 uint8 row.
 
-    The kernel sees each distinct first `length` signs once, in first-seen
-    order, and every prefix gets a copy of the row of its own; a prefix
-    shorter than `length` raises ValueError.
+    The kernel sees each distinct key once, in first-seen order, and
+    every prefix gets a copy of the row of its own; a prefix shorter than
+    `length` raises ValueError.  A key is the first `length` signs, with
+    by_negation negated when they start with '-': negation keeps equal
+    windows equal and every common prefix, so each window's LPF and target
+    LCP, hence the kernel row, is the same for a prefix and its negation.
     """
     shortest = min(map(len, prefixes), default=length)
     if shortest < length:
         raise ValueError(f"need prefixes of {length} signs, the shortest has {shortest}")
     index = {}
-    inverse = np.array([index.setdefault(pb[:length], len(index)) for pb in prefixes],
-                       dtype=np.intp)
+    keys = (pb[:length] for pb in prefixes)
+    if by_negation:
+        keys = (key.translate(_NEGATED) if key[0] == MINUS else key for key in keys)
+    inverse = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
     distinct = list(index)
     out = np.empty((len(distinct), columns), dtype=np.int32)
     step = max(1, CHUNK_ELEMENTS // length)
@@ -208,7 +214,7 @@ def _by_chunks(prefixes, length: int, columns: int, kernel) -> np.ndarray:
     return out[inverse]
 
 
-def band_first_starts(prefixes, p: int) -> np.ndarray:
+def band_first_starts(prefixes, p: int, *, _by_negation=True) -> np.ndarray:
     """Latest first start, over starts 1..6p, for every n of a phi-band.
 
     `prefixes` are equal-length b'+'/b'-' strings of at least 7p - 1
@@ -230,12 +236,12 @@ def band_first_starts(prefixes, p: int) -> np.ndarray:
     pointer jumping, which stops a walk once that least LCP is p/2 or
     less, since the band reads LPF only between p/2 and p.  One maximum.at
     puts each start at its (row, LPF) cell and a running maximum over the
-    columns gives S.  Each distinct prefix of 7p - 1 signs is sorted once,
-    and the distinct ones are processed in chunks of about CHUNK_ELEMENTS
-    prefix bytes.
+    columns gives S.  The prefixes of 7p - 1 signs are sorted once per
+    negation pair (once per distinct prefix with _by_negation off), in
+    chunks of about CHUNK_ELEMENTS prefix bytes.
     """
     return _by_chunks(prefixes, 7 * p - 1, p - p // 2,
-                      lambda bits: _chunk_first_starts(bits, p))
+                      lambda bits: _chunk_first_starts(bits, p), _by_negation)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -313,8 +319,8 @@ def target_summary(prefixes, p: int) -> np.ndarray:
     n = p//2 + 1 + c, or NOT_FOUND when none is.  The first start is the
     longest-previous-factor idea turned toward the one fixed window at 6p
     (Crochemore & Ilie, 2008): after a running maximum of each row's
-    target LCPs, one searchsorted finds it for every n of the band.  Each
-    distinct prefix of 7p - 1 signs is compared once.
+    target LCPs, one searchsorted finds it for every n of the band.  The
+    prefixes of 7p - 1 signs are compared once per negation pair.
     """
     return _by_chunks(prefixes, 7 * p - 1, FIRST_START + p - p // 2,
                       lambda bits: _chunk_target_summary(bits, p))

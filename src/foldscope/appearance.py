@@ -197,8 +197,9 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # its four lemma summaries (0.19 MB) to the end.  At depth 12 (n <= 256)
 # the largest entries are the band prefixes (4,096 of 1,791 bytes, about
 # 7.5 MB); that band's S array and lemma summary are 4,096 x 128 and
-# 4,096 x 130 int32, about 2 MB each.  The kernels compute each distinct
-# band prefix once, but every cached array keeps a row for every prefix.
+# 4,096 x 130 int32, about 2 MB each.  The kernels make one scan per
+# negation pair, a grid's 2^depth rows reaching the kernel as
+# 2^(depth - 2), but every cached array keeps a row for every prefix.
 CACHE_SIZE = 32
 
 

@@ -10,9 +10,10 @@ instruction prefix.
 The enumeration depth for length n is scan_depth(n), one bit above those
 the scans' prefix of 7*phi(n) - 1 signs reads, so instruction bits beyond
 that depth are never consulted.  Every grid pattern therefore has a twin
-with the same band prefix, and the band and target-LCP kernels scan each
-such pair once.  verify_theorem holds S to the closed form, which reads
-only the two bits that matter.
+with the same band prefix, and a negation with the negated one: the band
+and target-LCP kernels make one scan per negation pair, and a grid's
+2^depth rows reach the kernel as 2^(depth - 2).  verify_theorem holds S
+to the closed form, which reads only the two bits that matter.
 
 Each grid suite reads its grid whole through one accessor, _grid(n,
 ...) -> (depth, rows, prefixes): rows is a read-only int8 array (the
@@ -573,6 +574,10 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     """s_value is nondecreasing in n and invariant under global negation,
     for every depth-bit pattern extended cyclically.
 
+    The other suites scan a prefix and its negation as one kernel row,
+    which assumes the invariance checked here, so this suite scans its
+    grid with that map off: each pattern's S comes from a row of its own.
+
     details also records the two readings of the fixed point at n = 7:
     whether S_f(7) = 48 for every f, and whether max_f S_f(7) = 48.
     """
@@ -585,9 +590,10 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     rows = _sign_grid(depth)
     # S by (n - 1, pattern); the negation of pattern i is pattern
     # 2^depth - 1 - i, so a column read in reverse holds the negated S
-    columns = np.array([
-        s_column(appearance._grid_prefix_bytes(depth, width, band_length(n)), n)
-        for n in range(1, n_max + 1)])
+    bands = {p: _batch.band_first_starts(appearance._grid_prefix_bytes(
+        depth, width, band_length(p)), p, _by_negation=False)
+        for p in {phi(n) for n in range(1, n_max + 1)}}
+    columns = np.array([bands[phi(n)][:, n - phi(n) // 2 - 1] for n in range(1, n_max + 1)])
 
     def check_n(n, _sampled):
         """Per pattern, S(n - 1) <= S(n) and S(n) equals the negated pattern's."""

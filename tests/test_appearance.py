@@ -218,6 +218,20 @@ def test_grid_s_values_match_scalar():
             assert grid[i] == s_value(make_instructions(bits), n)
 
 
+NEGATE_SIGNS = bytes.maketrans(b"+-", b"-+")
+
+
+def negated(row):
+    """A b'+'/b'-' row with every sign flipped: the prefix of -f, for a
+    row that is the prefix of f."""
+    return row.translate(NEGATE_SIGNS)
+
+
+def negation_pairs(rows):
+    """How many distinct rows `rows` holds up to negation."""
+    return len({frozenset((row, negated(row))) for row in rows})
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 300), word=st.text("+-", min_size=1, max_size=20),
        seed=st.integers(0, 2**32 - 1))
@@ -242,20 +256,26 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
             bits = tuple(rng.choice((-1, 1)) for _ in range((13 * p - 1).bit_length()))
             pf_rows[i] = make_instructions(bits)
             rows.append(appearance_mod._prefix_bytes(pf_rows[i], length))
-    distinct = len(set(rows))
+    # the negation of every other row, so that some rows have theirs in
+    # the batch and others do not; a paper-folding row's is that of -f
+    for i in range(0, count, 2):
+        if i in pf_rows:
+            pf_rows[len(rows)] = negate(pf_rows[i])
+        rows.append(negated(rows[i]))
+    distinct = negation_pairs(rows)
     chunks = []
     real_chunk = _batch._chunk_first_starts
     with pytest.MonkeyPatch.context() as mp:
-        # one distinct row more than a chunk holds, so the last chunk is a
-        # partial one
+        # the kernel sees one row per negation pair: one such row more than
+        # a chunk holds, so the last chunk is a partial one
         mp.setattr(_batch, "CHUNK_ELEMENTS", (distinct - 1) * length)
         mp.setattr(_batch, "_chunk_first_starts",
                    lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
         band = _batch.band_first_starts(rows, p)
     assert chunks == [distinct - 1, 1]
-    assert band.shape == (count, p - p // 2)
+    assert band.shape == (len(rows), p - p // 2)
     for i, (row, got) in enumerate(zip(rows, band[:, n - p // 2 - 1])):
-        if i % 3 == 2:
+        if i in pf_rows:
             # a paper-folding row: the scalar scan to the old horizon 12*phi
             # over a longer prefix of the same sequence, so the kernel's
             # stop at 6*phi is checked as well
@@ -319,8 +339,10 @@ def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
     # every sorted neighbour shares more than p/2 signs, so no chain stops
     # at a short LCP: in a constant row each runs to its row's end, and the
     # rows meet inside one chunk, where a chain that left its row would
-    # read the next row's ranks
+    # read the next row's ranks.  The constant rows and the last two are
+    # negation pairs, which the kernel scans once each.
     rows = long_chain_rows(p, 4, seed=p)
+    rows.append(negated(rows[-1]))
     for row in rows:
         windows = sorted(range(6 * p), key=lambda i: row[i:i + p])
         assert all(row[i:i + p // 2 + 1] == row[j:j + p // 2 + 1]
@@ -330,7 +352,7 @@ def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
     monkeypatch.setattr(_batch, "_chunk_first_starts",
                         lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
     band = _batch.band_first_starts(rows, p)
-    assert chunks == [len(set(rows))]
+    assert chunks == [negation_pairs(rows)]
     assert band.tolist() == [scalar_band(row, p) for row in rows]
 
 
@@ -360,6 +382,8 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
             if cut < p:
                 pb[to + cut] = ord("+") if pb[to + cut] == ord("-") else ord("-")
         rows.append(bytes(pb))
+    # rows whose negation is in the batch too, and rows whose is not
+    rows += [negated(rows[0]), negated(rows[3])]
     seen = []
     real_chunk = _batch._chunk_target_lcp
 
@@ -370,16 +394,21 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
     with pytest.MonkeyPatch.context() as mp:
         # two rows per chunk, the last one partial for an odd count; at
         # p = 1 rows can share their first 6 signs, and the kernel sees
-        # each distinct band prefix once, in first-seen order
+        # each band prefix once per negation pair, in first-seen order
         mp.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
         mp.setattr(_batch, "_chunk_target_lcp", recording)
         _batch.target_summary(rows, p)
-    distinct = list(dict.fromkeys(row[:7 * p - 1] for row in rows))
-    pairs, odd = divmod(len(distinct), 2)
+    first_seen = {}
+    for row in rows:
+        band_prefix = row[:7 * p - 1]
+        first_seen.setdefault(frozenset((band_prefix, negated(band_prefix))), band_prefix)
+    pairs, odd = divmod(len(first_seen), 2)
     assert [len(lcp) for lcp in seen] == [2] * pairs + [1] * odd
     got = np.concatenate(seen)
-    assert got.shape == (len(distinct), 6 * p)
-    for row, lcp in zip(distinct, got):
+    assert got.shape == (len(first_seen), 6 * p)
+    # whichever member of a pair the kernel scanned, its LCPs are those
+    # the byte comparison gives the first-seen one
+    for row, lcp in zip(first_seen.values(), got):
         assert lcp.tolist() == brute_target_lcp(row, p)
 
 
@@ -415,13 +444,17 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
     rows += [appearance_mod._prefix_bytes(
         make_instructions([rng.choice((-1, 1)) for _ in range(j + 4)]), length)
         for _ in range(4)]
-    # a kernel blind to the target itself in every row that starts with
-    # '+', so that rows where no start reaches n occur too
+    # rows whose negation is in the batch too, and rows whose is not
+    rows += [negated(rows[1]), negated(rows[5])]
+    # a kernel blind to the target itself in every row whose first two
+    # signs are equal, so that rows where no start reaches n occur too;
+    # that set of rows is closed under negation, so the kernel, which
+    # scans one row per negation pair, blinds the rows the reference does
     real_chunk = _batch._chunk_target_lcp
 
     def half_blind(bits, p):
         lcp = real_chunk(bits, p)
-        lcp[bits[:, 0] == 1, 6 * p - 1] = 0
+        lcp[bits[:, 0] == bits[:, 1], 6 * p - 1] = 0
         return lcp
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_batch, "_chunk_target_lcp", half_blind)
@@ -429,7 +462,7 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
         got = _batch.target_summary(rows, p)
     # the reference compares bytes and blinds the same rows, with no kernel
     lcp = np.array([brute_target_lcp(row, p) for row in rows])
-    lcp[[row[0] == ord("+") for row in rows], 6 * p - 1] = 0
+    lcp[[row[0] == row[1] for row in rows], 6 * p - 1] = 0
     want = summary_from_array(lcp, p)
     assert got.dtype == np.int32 and got.shape == (len(rows), 2 + p // 2)
     assert np.array_equal(got, want)
@@ -467,18 +500,84 @@ def test_band_kernels_scan_repeated_prefixes_once(monkeypatch, kernel, chunk_nam
     assert np.array_equal(got[twin], alone[twin])
 
 
+@pytest.mark.parametrize("p", [1, 4, 64, 128])
+def test_band_kernels_scan_a_prefix_and_its_negation_once(monkeypatch, p):
+    # Rows with a copy of the target window (0-based 6p - 1 on) at a start
+    # below 5p: two with their negation in the batch and two without, one
+    # of each first sign, and a row with its twin that differs only in
+    # the last sign of the band prefix.  A key that merges rows which are
+    # not negations of each other (the twins, or every row starting with
+    # '-') hands some row another row's values.
+    length = 7 * p - 1
+    rng = random.Random(p)
+    drawn = set()
+
+    def copied_target(first):
+        """A new row, in no negation pair drawn before."""
+        while True:
+            pb = bytearray(rng.choice(b"+-") for _ in range(length))
+            to = rng.randrange(5 * p)
+            pb[to:to + p] = pb[6 * p - 1:]
+            pb[0] = first
+            pb = bytes(pb)
+            if drawn.isdisjoint((pb, negated(pb))):
+                drawn.update((pb, negated(pb)))
+                return pb
+    twin = copied_target(ord("-"))
+    last_flipped = twin[:-1] + negated(twin[-1:])
+    drawn.update((last_flipped, negated(last_flipped)))
+    paired = [copied_target(ord("+")), copied_target(ord("-"))]
+    alone = [copied_target(ord("+")), copied_target(ord("-"))]
+    rows = (paired + alone + [twin, negated(paired[1]), last_flipped, negated(paired[0])]
+            + [pb + b"+-" for pb in paired])
+    # reference values from the scalar scan and the byte comparison alone
+    want_band = [scalar_band(row, p) for row in rows]
+    want_summary = summary_from_array(
+        np.array([brute_target_lcp(row, p) for row in rows]), p).tolist()
+    # each fault shows: the twins differ, and so do rows starting with '-'
+    assert want_summary[4] != want_summary[6]
+    assert len({str((want_band[i], want_summary[i])) for i in (1, 3, 4, 6)}) > 1
+    seen = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
+
+    def counting(name):
+        real = getattr(_batch, name)
+
+        def kernel(bits, p):
+            seen[name] += len(bits)
+            return real(bits, p)
+        return kernel
+    for name in seen:
+        monkeypatch.setattr(_batch, name, counting(name))
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
+    assert _batch.band_first_starts(rows, p).tolist() == want_band
+    assert _batch.target_summary(rows, p).tolist() == want_summary
+    assert seen == dict.fromkeys(seen, negation_pairs([row[:length] for row in rows])) \
+        == dict.fromkeys(seen, 6)
+
+
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
 @pytest.mark.parametrize("n", [7, 9, 33])
 def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
-    # scan_depth(n) is one instruction bit above those the band prefix reads
+    # scan_depth(n) is one instruction bit above those the band prefix
+    # reads, so the prefixes come in byte-identical twins, and the grid
+    # holds every pattern with its negation: the kernel sees a quarter of
+    # the rows, and every row reads what a scan of each distinct prefix
+    # on its own, with no negation map, gives it
     depth, _, prefixes = verification._grid(n)
+    p = phi(n)
+    one_row = {"_chunk_first_starts": _batch._chunk_first_starts,
+               "_chunk_target_lcp": _batch._chunk_target_summary}[chunk_name]
+    columns = kernel(prefixes[:1], p).shape[1]
+    apart = _batch._by_chunks(prefixes, 7 * p - 1, columns,
+                              lambda bits: one_row(bits, p), by_negation=False)
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p: seen.append(len(bits)) or real_chunk(bits, p))
-    got = kernel(prefixes, phi(n))
-    assert sum(seen) == 1 << (depth - 1)
+    got = kernel(prefixes, p)
+    assert sum(seen) == 1 << (depth - 2)
     assert len(got) == len(prefixes) == 1 << depth
+    assert np.array_equal(got, apart)
 
 
 @pytest.mark.parametrize("kernel", [_batch.band_first_starts,

@@ -56,8 +56,8 @@ def kernel_with_s(n, row, value):
     of every band holding n reads S(n) = value."""
     real = _batch.band_first_starts
 
-    def kernel(prefixes, p):
-        out = real(prefixes, p)
+    def kernel(prefixes, p, **private):
+        out = real(prefixes, p, **private)
         if p == phi(n):
             out[row, n - p // 2 - 1] = value
         return out
@@ -639,6 +639,29 @@ def test_monotonicity_catches_a_negation_break(clean_caches, monkeypatch):
     assert json_counterexample(outcome) == outcome.counterexample
 
 
+def test_monotonicity_reads_a_pattern_and_its_negation_from_rows_of_their_own(
+        clean_caches, monkeypatch):
+    # a fault in the kernel rows that start with '-', one more at every n:
+    # the other S suites hand the kernel one row per negation pair, which
+    # starts with '+', so they pass; monotonicity scans every pattern apart
+    real = _batch._chunk_first_starts
+
+    def off_in_minus_rows(bits, p):
+        out = real(bits, p)
+        out[bits[:, 0] == 0] += 1
+        return out
+    monkeypatch.setattr(_batch, "_chunk_first_starts", off_in_minus_rows)
+    assert verify_bounds(3, 16).passed and verify_theorem(7, 16).passed
+    assert verify_corollary_tails(n_hi=16).passed
+    outcome = verify_monotonicity_and_symmetry(8, 16)
+    assert not outcome.passed and outcome.cases_checked == 256 * 16
+    # S_f(1) = 3 for f = -1, -1, ...: P_f starts - - + - -, and its
+    # negation's row starts with '+'
+    assert outcome.counterexample == {"n": 1, "kind": "negation", "s": 4, "s_negated": 3,
+                                      "instructions": ";--------"}
+    assert json_counterexample(outcome) == outcome.counterexample
+
+
 @pytest.mark.parametrize("suite, cases, instructions", [
     (lambda: verify_bounds(7, 16), 256 * 9, "+-------"),
     (lambda: verify_theorem(7, 16), 256 * 9, "+-------"),
@@ -672,22 +695,30 @@ def test_outcome_deterministic_across_runs(clean_caches):
 
 def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch):
     # every exhaustive grid enumerates one instruction bit more than its
-    # band prefix reads, so without the dedupe the kernels would see 3,540
-    # and 1,920 rows
+    # band prefix reads, and holds each pattern with its negation.  One
+    # scan per negation pair takes the lemma kernel from 960 rows (one per
+    # distinct band prefix) to 480, and the S kernel's rows from the other
+    # suites from 1,261 to 634.  Monotonicity adds 504: it scans its
+    # depth-8 grid with the map off, every distinct band prefix of
+    # n = 1..32 (8 + 16 + ... + 256), and half of them start with '-',
+    # which no other suite hands the kernel.
     rows = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
+    minus_first = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
 
     def counting(name):
         real = getattr(_batch, name)
 
         def kernel(bits, p):
             rows[name] += len(bits)
+            minus_first[name] += int((bits[:, 0] == 0).sum())
             return real(bits, p)
         return kernel
 
     for name in rows:
         monkeypatch.setattr(_batch, name, counting(name))
     assert all(outcome.passed for outcome in verification.run_all(n_max=64))
-    assert rows == {"_chunk_first_starts": 1637, "_chunk_target_lcp": 960}
+    assert rows == {"_chunk_first_starts": 1138, "_chunk_target_lcp": 480}
+    assert minus_first == {"_chunk_first_starts": 252, "_chunk_target_lcp": 0}
 
 
 def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch):
