@@ -20,11 +20,19 @@ lemma checks share no sort, neighbour LCP or previous factor with the
 kernel that gives S.  Both make one scan per negation pair (_by_chunks):
 a grid's 2^depth rows reach the kernel as 2^(depth - 2), as twins from
 one unread instruction bit and as negation pairs, P_(-f) = -P_f.
+Each band call gives its chunks one _Workspace: every array a chunk of
+either kernel fills is allocated once, for the first (largest) chunk,
+and filled in place through out= by every chunk after it, and the
+workspace is dropped when the call returns.  Chunks that allocated and
+freed their own arrays let glibc trim the heap top between them, so each
+chunk page-faulted its whole working set back in.
 The scalar implementations in folding.py / appearance.py / dfao.py stay
 the reference; tests cross-check these against them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,9 +83,13 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
     return tuple(pf_prefix_matrix(rows, length).view(f"S{length}").ravel().tolist())
 
 
-# Prefix bytes per chunk of the band and target-LCP kernels.  Their
-# working sets peak near 75 and 61 bytes per prefix byte (tracemalloc,
-# p = 64..1024), so a chunk stays within about 1.2 megabytes.  Each step
+# Prefix bytes per chunk of the band and target-LCP kernels.  A band
+# call allocates its chunks' arrays once, in its _Workspace, sized for
+# the first chunk (near 1.1 and 0.6 megabytes at p = 128), so a chunk
+# after the first reuses pages already faulted in.  At 2^13, 2^14, 2^15
+# and 2^16 bytes the sampled-sweep unit read 12.6, 10.9, 11.0 and 13.2 ms
+# and 54, 221, 555 and 1,257 faults (in-process, 2-core Xeon), with
+# verify-all flat within its noise: 2^14 stays.  Each step
 # of the automaton sweep (the low-half passes with their prefixes, the
 # high-half passes from every state, the row verdicts and the search of
 # the failing rows) takes about as many cells per chunk, at up to about
@@ -89,80 +101,158 @@ CHUNK_ELEMENTS = 1 << 14
 _CODE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
-def _window_codes(bits: np.ndarray, w: int) -> np.ndarray:
+class _Workspace:
+    """The arrays of one band call, by name, and one arange.
+
+    An array is allocated at its first request and handed out again, cut
+    to the request's shape, to every later chunk of the call, which fills
+    it in place; the first chunk is the largest, so each is allocated
+    once.  A chunk that freed its arrays would let the allocator trim the
+    top of the heap, and the next chunk would page-fault its whole working
+    set back in.  An array holds what the last chunk left there, so a
+    kernel writes every entry it reads, and a kernel may use an array for
+    something else while its own contents are not needed yet.  Nothing is
+    kept past the call.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self._ramp = None
+
+    def __call__(self, name: str, dtype, *shape: int) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None:
+            array = self._arrays[name] = np.empty(shape, dtype)
+        elif array.shape != shape:
+            array = array.ravel()[:math.prod(shape)].reshape(shape)
+        return array
+
+    def arange(self, size: int) -> np.ndarray:
+        """0, 1, ..., size - 1, as intp."""
+        if self._ramp is None:
+            self._ramp = np.arange(size)
+        return self._ramp[:size]
+
+
+def _shift_in(codes: np.ndarray, by: int, tail: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """(codes << by) | tail over tail's columns, written into the flat array
+    `into`."""
+    out = into[:tail.size].reshape(tail.shape)
+    np.left_shift(codes[:, :tail.shape[1]], by, out=out)
+    return np.bitwise_or(out, tail, out=out)
+
+
+def _window_codes(bits: np.ndarray, w: int, ws: _Workspace) -> np.ndarray:
     """codes[r, i] packs the w <= 64 signs of row r from i on, MSB first,
-    so codes are equal exactly when the windows are and order as they do.
+    so codes are equal exactly when the windows are and order as they do
+    (bits itself for w = 1).
 
     The code of the first `length` signs grows by doubling and, for a one
-    bit of w, by one more sign.
+    bit of w, by one more sign, each step into the half of the workspace's
+    "codes" that the step before it did not write.
     """
+    if w == 1:
+        return bits
     t = _CODE_TYPES[max(0, (w - 1).bit_length() - 3)]
-    codes, length = bits.astype(t), 1
+    into, other = ws("codes", t, 2, bits.size)
+    codes, length = bits, 1
     for bit in bin(w)[3:]:
-        codes = (codes[:, :-length] << t(length)) | codes[:, length:]
+        codes, into, other = _shift_in(codes, length, codes[:, length:], into), other, into
         length *= 2
         if bit == "1":
-            codes = (codes[:, :-1] << t(1)) | bits[:, length:]
+            codes, into, other = _shift_in(codes, 1, bits[:, length:], into), other, into
             length += 1
     return codes
 
 
-def _sorted_lcp(bits: np.ndarray, p: int) -> tuple:
-    """(order, lcp) for one chunk of 0/1 rows of length 7p - 1: order[r]
-    lists the starts - 1 of row r's 6p windows of length p in sorted order
-    (equal windows in start order), and lcp, flat over the chunk, is the
-    common prefix of each sorted window with the next (the pairs across a
-    row boundary included)."""
+def _sorted_lcp(bits: np.ndarray, p: int, ws: _Workspace, starts: np.ndarray,
+                gap: np.ndarray, scratch: np.ndarray) -> None:
+    """For one chunk of 0/1 rows of length 7p - 1, fill `starts` with each
+    row's 6p starts of its windows of length p in sorted order (equal
+    windows in start order), row after row, and `gap` with the common
+    prefix of each sorted window with the next (the pairs across a row
+    boundary included) less p/2.  `scratch` is an intp array of
+    2 * len(starts) entries that the caller reads only after this returns.
+    """
     m, w = 6 * p, min(p, 64)
-    codes = _window_codes(bits, w)
+    size = gap.size
+    codes = _window_codes(bits, w, ws)
     # block 0 is the primary key; the sort is stable
     order = np.lexsort([codes[:, b:b + m] for b in range(p - w, -1, -w)], axis=1)
-    # the flat index of each sorted window's block 0; block b is b further
-    at = (order + np.arange(0, codes.size, codes.shape[1])[:, None]).ravel()
+    np.add(order.ravel(), 1, out=starts, dtype=np.int32)
+    # order, offset in place, is the flat index of each sorted window's
+    # block 0; block b is b further
+    order += np.arange(0, codes.size, codes.shape[1])[:, None]
+    at, flat = order.ravel(), codes.ravel()
     # a pair that first differs in block j shares j * w signs and, codes
-    # being MSB-first, w - the bit length of their XOR there (p if equal);
-    # int32 block counts keep lcp int32
-    first_diff, equal_blocks = None, 0
-    for b in range(0, p, w):
-        ranked = codes.ravel()[b:].take(at)
-        x = ranked[1:] ^ ranked[:-1]
-        if b:
-            undecided = first_diff == 0
-            equal_blocks = np.add(equal_blocks, undecided, dtype=np.int32)
-            x = np.where(undecided, x, first_diff)
-        first_diff = x
-    return order, w * equal_blocks + w - _bit_length(first_diff)
+    # being MSB-first, w - the bit length of their XOR there (p if equal).
+    # The XORs go to the first half of scratch, and the ranked codes, then
+    # the bit lengths' mantissas, to its second.  take writes into `out`
+    # directly only in a mode that cannot raise, and every index is in range
+    pairs = scratch.view(codes.dtype)
+    first_diff, ranked = pairs[:size], pairs[-at.size:]
+    flat.take(at, out=ranked, mode="clip")
+    np.bitwise_xor(ranked[1:], ranked[:-1], out=first_diff)
+    if w < p:
+        # the equal blocks before first_diff's, counted
+        equal_blocks = ws("equal_blocks", np.int32, size)
+        equal_blocks.fill(0)
+        x, undecided = ws("x", codes.dtype, size), ws("undecided", bool, size)
+        for b in range(w, p, w):
+            flat[b:].take(at, out=ranked, mode="clip")
+            np.bitwise_xor(ranked[1:], ranked[:-1], out=x)
+            np.equal(first_diff, 0, out=undecided)
+            equal_blocks += undecided
+            x *= undecided
+            first_diff |= x
+    _bit_length(first_diff, gap, scratch[-size:].view(np.float64))
+    np.subtract(w - p // 2, gap, out=gap)
+    if w < p:
+        equal_blocks *= w
+        gap += equal_blocks
 
 
-def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
-    """band_first_starts for one chunk of 0/1 rows of length 7p - 1."""
+def _chunk_first_starts(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
+    """band_first_starts for one chunk of 0/1 rows of length 7p - 1, in
+    its band call's workspace."""
     r, m, half = bits.shape[0], 6 * p, p // 2
     size, cols = r * m, p - half
-    order, lcp = _sorted_lcp(bits, p)
-    starts = np.add(order.ravel(), 1, dtype=np.int32)
-    # gap[k]: the LCP of sorted windows k - 1 and k clamped to p/2..p and
-    # shifted down by p/2, since an LPF <= p/2 makes a window a first
-    # start at every n of the band; 0 at each row's first rank and at the
-    # end, so that no chain leaves its row
-    gap = np.zeros(size + 1, dtype=np.int32)
-    np.maximum(lcp - half, 0, out=gap[1:size])
-    gap[m::m] = 0
     # Node k walks left from rank k and node size + k right from it: `to`
     # is the node, on its own side, of the rank it has reached and `low`
-    # the least gap it has passed.  A chain ends at the nearest rank on its
-    # side with an earlier start (its LCP with that window is then `low`)
-    # or once `low` is 0.  The last slot of `node_start` is a sentinel
-    # only ended chains point at.
-    low = np.concatenate((gap[:-1], gap[1:]))
-    to = np.arange(-1, 2 * size - 1)
-    to[size:] += 2
-    node_start = np.concatenate((starts, starts, starts[:1]))
+    # the least gap it has passed, first the one on its side of rank k.
+    # The gap between two sorted windows is their LCP clamped to p/2..p and
+    # shifted down by p/2, since an LPF <= p/2 makes a window a first start
+    # at every n of the band; it is 0 before each row's first rank and
+    # after its last, so that no chain leaves its row.  A chain ends at the
+    # nearest rank on its side with an earlier start (its LCP with that
+    # window is then `low`) or once `low` is 0.  The last slot of
+    # `node_start` is a sentinel only ended chains point at.
+    # node_start, low and the S table share one int32 array
+    ints = ws("ints", np.int32, 4 * size + 1 + r * (cols + 1))
+    node_start, low = ints[:2 * size + 1], ints[2 * size + 1:4 * size + 1]
+    to, starts, after = ws("to", np.intp, 2 * size), node_start[:size], low[size:]
+    _sorted_lcp(bits, p, ws, starts, after[:-1], to)
+    np.maximum(after, 0, out=after)
+    after[m - 1::m] = 0
+    low[0] = 0
+    low[1:size] = after[:-1]
+    ramp = ws.arange(size)
+    np.subtract(ramp, 1, out=to[:size])
+    np.add(ramp, size + 1, out=to[size:])
+    node_start[size:-1] = starts
+    node_start[-1] = starts[0]
     # Of two neighbours sharing more than p/2 signs, the chain of the one
-    # that starts earlier walks on; the other's ends at once.
-    live = np.zeros(2 * size, dtype=bool)
-    shared, later = gap[1:size] > 0, starts[:-1] > starts[1:]
-    np.logical_and(shared, later, out=live[1:size])
-    np.greater(shared, later, out=live[size:-1])
+    # that starts earlier walks on; the other's ends at once.  With
+    # `shared` on the left side and `later` on the right, the right
+    # chains that walk are shared and not later, and the left ones then
+    # shared ^ right, that is shared and later.
+    live = ws("live", bool, 2 * size)
+    left, right = live[1:size], live[size:-1]
+    np.greater(after[:-1], 0, out=left)
+    np.greater(starts[:-1], starts[1:], out=right)
+    np.greater(left, right, out=right)
+    np.logical_xor(left, right, out=left)
+    live[0] = live[-1] = False
     live = np.flatnonzero(live)
     # Pointer jumping: a live chain takes over the chain of the rank it has
     # reached, which starts later.  Each round moves it at least one rank,
@@ -178,16 +268,21 @@ def _chunk_first_starts(bits: np.ndarray, p: int) -> np.ndarray:
     # n = p/2 + 1 + c exactly when its shifted LPF is at most c, so S is a
     # running maximum over the columns of the latest start at each shifted
     # LPF; the last column holds the repeats of a length-p window.
-    lpf = np.maximum(low[:size], low[size:]).reshape(r, m)
-    out = np.zeros((r, cols + 1), dtype=np.int32)
-    np.maximum.at(out.ravel(), (lpf + np.arange(0, out.size, cols + 1)[:, None]).ravel(), starts)
-    return np.maximum.accumulate(out, axis=1)[:, :cols]
+    lpf = np.maximum(low[:size], low[size:], out=low[:size]).reshape(r, m)
+    table = ints[4 * size + 1:].reshape(r, cols + 1)
+    table.fill(0)
+    index = to[:size].reshape(r, m)
+    np.add(lpf, np.arange(0, table.size, cols + 1)[:, None], out=index)
+    np.maximum.at(table.ravel(), index.ravel(), starts)
+    return np.maximum.accumulate(table, axis=1, out=table)[:, :cols]
 
 
 def _by_chunks(prefixes, length: int, columns: int, kernel, by_negation=True) -> np.ndarray:
-    """kernel(bits) over chunks of about CHUNK_ELEMENTS prefix bytes,
+    """kernel(bits, ws) over chunks of about CHUNK_ELEMENTS prefix bytes,
     stacked into one fresh (rows, columns) int32 array; bits holds the
-    first `length` signs of each prefix of the chunk as one 0/1 uint8 row.
+    first `length` signs of each prefix of the chunk as one 0/1 uint8 row,
+    and ws is the call's one _Workspace, which every chunk fills in place
+    and which is dropped when the call returns.
 
     The kernel sees each distinct key once, in first-seen order, and
     every prefix gets a copy of the row of its own; a prefix shorter than
@@ -207,10 +302,13 @@ def _by_chunks(prefixes, length: int, columns: int, kernel, by_negation=True) ->
     distinct = list(index)
     out = np.empty((len(distinct), columns), dtype=np.int32)
     step = max(1, CHUNK_ELEMENTS // length)
+    ws = _Workspace()
     for lo in range(0, len(distinct), step):
         chunk = distinct[lo:lo + step]
-        raw = np.frombuffer(b"".join(chunk), dtype=np.uint8)
-        out[lo:lo + step] = kernel((raw.reshape(len(chunk), length) == PLUS).view(np.uint8))
+        raw = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), length)
+        bits = ws("bits", np.uint8, len(chunk), length)
+        np.equal(raw, PLUS, out=bits.view(bool))
+        out[lo:lo + step] = kernel(bits, ws)
     return out[inverse]
 
 
@@ -241,41 +339,67 @@ def band_first_starts(prefixes, p: int, *, _by_negation=True) -> np.ndarray:
     chunks of about CHUNK_ELEMENTS prefix bytes.
     """
     return _by_chunks(prefixes, 7 * p - 1, p - p // 2,
-                      lambda bits: _chunk_first_starts(bits, p), _by_negation)
+                      lambda bits, ws: _chunk_first_starts(bits, p, ws), _by_negation)
 
 
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Exact bit length of every entry of an unsigned integer array.
+def _bit_length(x: np.ndarray, out=None, mantissa=None) -> np.ndarray:
+    """Exact bit length of every entry of an unsigned integer array, as
+    int32, written into `out`; `mantissa` is float64 scratch of x's shape.
+    Both are allocated when not given.
 
     frexp gives it as the exponent of a value float64 holds exactly, as it
-    does every value below 2^53; a 64-bit value is taken as its two 32-bit
-    halves, since its float64 rounds near 2^64.
+    does every value below 2^53.  A 64-bit value is first cut, in place, to
+    its one bits that have a zero above them, x & ~(x >> 1): its top bit
+    stays and the bit below that is zero, so the float64 it rounds to
+    keeps its exponent.
     """
-    if x.dtype.itemsize < 8:
-        return np.frexp(x.astype(np.float64))[1]
-    high = x >> np.uint64(32)
-    return np.where(high != 0, _bit_length(high.astype(np.uint32)) + 32,
-                    _bit_length(x.astype(np.uint32)))
+    if out is None:
+        out = np.empty(x.shape, dtype=np.int32)
+    if mantissa is None:
+        mantissa = np.empty(x.shape)
+    if x.dtype.itemsize == 8:
+        above = mantissa.view(x.dtype)
+        np.right_shift(x, 1, out=above)
+        np.invert(above, out=above)
+        x &= above
+    # cast first: frexp would take a narrow type through float16
+    mantissa[...] = x
+    np.frexp(mantissa, out=(mantissa, out))
+    return out
 
 
-def _chunk_target_lcp(bits: np.ndarray, p: int) -> np.ndarray:
+def _chunk_target_lcp(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     """Entry [r, i] is the common prefix, capped at p, of row r's windows at
-    starts i + 1 and 6p, for one chunk of 0/1 rows of length 7p - 1: the
-    step _chunk_target_summary reduces.  Every window's blocks are
-    compared with the target's, in start order, with no sort."""
+    starts i + 1 and 6p, for one chunk of 0/1 rows of length 7p - 1, in
+    its band call's workspace: the step _chunk_target_summary reduces.
+    Every window's blocks are compared with the target's, in start order,
+    with no sort."""
     w = min(p, 64)
-    codes = _window_codes(bits, w)
-    target, m = 6 * p - 1, 6 * p
-    # the XOR of the first differing block pair, and the equal blocks before it
-    first_diff = np.zeros((len(bits), m), dtype=codes.dtype)
-    equal_blocks = np.zeros((len(bits), m), dtype=np.int32)
-    for b in range(0, p, w):
-        x = codes[:, b:b + m] ^ codes[:, target + b:target + b + 1]
-        undecided = first_diff == 0
-        equal_blocks += undecided & (x == 0)
-        first_diff = np.where(undecided, x, first_diff)
+    codes = _window_codes(bits, w, ws)
+    r, target, m = len(bits), 6 * p - 1, 6 * p
+    # the XOR of the first differing block pair, and the equal blocks
+    # before it, counted; the XORs of later blocks, 64-bit since w < p only
+    # at w = 64, go where the bit lengths' mantissas will
+    first_diff = ws("first_diff", codes.dtype, r, m)
+    np.bitwise_xor(codes[:, :m], codes[:, target:target + 1], out=first_diff)
+    mantissa = ws("mantissa", np.float64, r, m)
+    if w < p:
+        equal_blocks = ws("equal_blocks", np.int32, r, m)
+        equal_blocks.fill(0)
+        x, undecided = mantissa.view(codes.dtype), ws("undecided", bool, r, m)
+        for b in range(w, p, w):
+            np.bitwise_xor(codes[:, b:b + m], codes[:, target + b:target + b + 1], out=x)
+            np.equal(first_diff, 0, out=undecided)
+            equal_blocks += undecided
+            x *= undecided
+            first_diff |= x
     # codes are MSB-first, so a block's common prefix is w - bit length
-    return np.minimum(equal_blocks * w + w - _bit_length(first_diff), p)
+    lcp = _bit_length(first_diff, ws("lcp", np.int32, r, m), mantissa)
+    np.subtract(w, lcp, out=lcp)
+    if w < p:
+        equal_blocks *= w
+        lcp += equal_blocks
+    return lcp
 
 
 # The columns of a target_summary row, and the first start of an n no
@@ -284,23 +408,23 @@ OFF_TARGET, AT_TARGET, FIRST_START = 0, 1, 2
 NOT_FOUND = 0
 
 
-def _chunk_target_summary(bits: np.ndarray, p: int) -> np.ndarray:
+def _chunk_target_summary(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     """target_summary for one chunk of 0/1 rows of length 7p - 1, reduced
-    from the chunk's own target-LCP rows."""
-    lcp = _chunk_target_lcp(bits, p)
+    in place from the chunk's own target-LCP rows."""
+    lcp = _chunk_target_lcp(bits, p, ws)
     r, m, half = lcp.shape[0], 6 * p, p // 2
-    out = np.empty((r, FIRST_START + p - half), dtype=np.int32)
-    out[:, OFF_TARGET] = np.maximum(lcp[:, :4 * p - 1].max(axis=1),
-                                    lcp[:, 4 * p:m - 1].max(axis=1))
+    out = ws("summary", np.int32, r, FIRST_START + p - half)
+    np.maximum(lcp[:, :4 * p - 1].max(axis=1), lcp[:, 4 * p:m - 1].max(axis=1),
+               out=out[:, OFF_TARGET])
     out[:, AT_TARGET] = lcp[:, m - 1]
     # after a running maximum along each row, the first start at LCP >= n
     # is where n would go in the row; offsetting row j's keys by j * (p + 1)
     # makes the chunk one sorted array, and an n its row never reaches
     # lands on the next row's first key
     np.maximum.accumulate(lcp, axis=1, out=lcp)
-    offsets = np.arange(r, dtype=np.int64)[:, None] * (p + 1)
-    at = np.searchsorted((lcp + offsets).ravel(),
-                         (offsets + np.arange(half + 1, p + 1)).ravel())
+    offsets = np.arange(0, r * (p + 1), p + 1, dtype=np.int32)[:, None]
+    lcp += offsets
+    at = np.searchsorted(lcp.ravel(), (offsets + np.arange(half + 1, p + 1, dtype=np.int32)).ravel())
     at = at.reshape(r, p - half) - np.arange(0, r * m, m)[:, None]
     out[:, FIRST_START:] = np.where(at < m, at + 1, NOT_FOUND)
     return out
@@ -323,7 +447,7 @@ def target_summary(prefixes, p: int) -> np.ndarray:
     prefixes of 7p - 1 signs are compared once per negation pair.
     """
     return _by_chunks(prefixes, 7 * p - 1, FIRST_START + p - p // 2,
-                      lambda bits: _chunk_target_summary(bits, p))
+                      lambda bits, ws: _chunk_target_summary(bits, p, ws))
 
 
 def _least_bad_k(first_bad: np.ndarray, high: np.ndarray, codes: np.ndarray,

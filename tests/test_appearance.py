@@ -1,6 +1,8 @@
 import itertools
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,7 +272,7 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
         # a chunk holds, so the last chunk is a partial one
         mp.setattr(_batch, "CHUNK_ELEMENTS", (distinct - 1) * length)
         mp.setattr(_batch, "_chunk_first_starts",
-                   lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
+                   lambda bits, p, ws: chunks.append(len(bits)) or real_chunk(bits, p, ws))
         band = _batch.band_first_starts(rows, p)
     assert chunks == [distinct - 1, 1]
     assert band.shape == (len(rows), p - p // 2)
@@ -350,7 +352,7 @@ def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
     chunks = []
     real_chunk = _batch._chunk_first_starts
     monkeypatch.setattr(_batch, "_chunk_first_starts",
-                        lambda bits, p: chunks.append(len(bits)) or real_chunk(bits, p))
+                        lambda bits, p, ws: chunks.append(len(bits)) or real_chunk(bits, p, ws))
     band = _batch.band_first_starts(rows, p)
     assert chunks == [negation_pairs(rows)]
     assert band.tolist() == [scalar_band(row, p) for row in rows]
@@ -387,8 +389,8 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
     seen = []
     real_chunk = _batch._chunk_target_lcp
 
-    def recording(bits, p):
-        lcp = real_chunk(bits, p)
+    def recording(bits, p, ws):
+        lcp = real_chunk(bits, p, ws)
         seen.append(lcp.copy())  # the summary takes a running maximum in place
         return lcp
     with pytest.MonkeyPatch.context() as mp:
@@ -452,8 +454,8 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
     # scans one row per negation pair, blinds the rows the reference does
     real_chunk = _batch._chunk_target_lcp
 
-    def half_blind(bits, p):
-        lcp = real_chunk(bits, p)
+    def half_blind(bits, p, ws):
+        lcp = real_chunk(bits, p, ws)
         lcp[bits[:, 0] == bits[:, 1], 6 * p - 1] = 0
         return lcp
     with pytest.MonkeyPatch.context() as mp:
@@ -490,7 +492,7 @@ def test_band_kernels_scan_repeated_prefixes_once(monkeypatch, kernel, chunk_nam
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
     monkeypatch.setattr(_batch, chunk_name,
-                        lambda bits, p: seen.append(len(bits)) or real_chunk(bits, p))
+                        lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
     got = kernel(tuple(rows), p)
     assert seen == [2, 2, 1]
     assert got.dtype == alone.dtype and np.array_equal(got, alone)
@@ -542,9 +544,9 @@ def test_band_kernels_scan_a_prefix_and_its_negation_once(monkeypatch, p):
     def counting(name):
         real = getattr(_batch, name)
 
-        def kernel(bits, p):
+        def kernel(bits, p, ws):
             seen[name] += len(bits)
-            return real(bits, p)
+            return real(bits, p, ws)
         return kernel
     for name in seen:
         monkeypatch.setattr(_batch, name, counting(name))
@@ -569,11 +571,11 @@ def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
                "_chunk_target_lcp": _batch._chunk_target_summary}[chunk_name]
     columns = kernel(prefixes[:1], p).shape[1]
     apart = _batch._by_chunks(prefixes, 7 * p - 1, columns,
-                              lambda bits: one_row(bits, p), by_negation=False)
+                              lambda bits, ws: one_row(bits, p, ws), by_negation=False)
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, chunk_name,
-                        lambda bits, p: seen.append(len(bits)) or real_chunk(bits, p))
+                        lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
     got = kernel(prefixes, p)
     assert sum(seen) == 1 << (depth - 2)
     assert len(got) == len(prefixes) == 1 << depth
@@ -591,10 +593,107 @@ def test_band_kernels_refuse_a_short_last_prefix(kernel, p):
         kernel(rows, p)
 
 
+class PoisonedWorkspace(_batch._Workspace):
+    """A band call's workspace that fills every array it hands out with
+    fresh junk bytes: a kernel that reads an entry before it writes it in
+    the same chunk reads junk, not what an earlier chunk or a fresh page
+    left there.  Its arange is not an array it hands out, and stays."""
+
+    def __init__(self):
+        super().__init__()
+        self._junk = np.random.default_rng(27)
+
+    def __call__(self, name, dtype, *shape):
+        array = super().__call__(name, dtype, *shape)
+        raw = array.view(np.uint8)
+        raw[...] = self._junk.integers(0, 256, raw.shape, dtype=np.uint8)
+        return array
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+def test_band_kernels_write_every_workspace_entry_they_read(monkeypatch, p):
+    # Five negation pairs in chunks of two, so the last chunk is shorter
+    # and every chunk gets arrays full of junk: a row with a cut copy of
+    # its target window, a row whose sorted windows all share more than
+    # p/2 signs (chains to its row's end), a periodic row with flipped
+    # signs, a constant row, random rows up to five pairs, and the
+    # negation of the first three (scanned once).
+    length = 7 * p - 1
+    rng = random.Random(p)
+    copied = bytearray(rng.choice(b"+-") for _ in range(length))
+    at, cut = rng.randrange(6 * p - 1), rng.randrange(p + 1)
+    copied[at:at + p] = copied[6 * p - 1:]
+    if cut < p:
+        copied[at + cut] = ord("+") if copied[at + cut] == ord("-") else ord("-")
+    periodic = bytearray((b"+--+-" * length)[:length])
+    for j in rng.sample(range(length), min(length, 3)):
+        periodic[j] = ord("+") if periodic[j] == ord("-") else ord("-")
+    rows = []
+    for row in itertools.chain([bytes(copied), long_chain_rows(p, 1, seed=p)[-1],
+                                bytes(periodic), b"-" * length],
+                               iter(lambda: bytes(rng.choice(b"+-") for _ in range(length)), None)):
+        if negation_pairs(rows + [row]) > len(rows):
+            rows.append(row)
+        if len(rows) == 5:
+            break
+    rows += [negated(row) for row in rows[:3]]
+    chunks = {"_chunk_first_starts": [], "_chunk_target_lcp": []}
+    for name, seen in chunks.items():
+        real = getattr(_batch, name)
+        monkeypatch.setattr(_batch, name, lambda bits, p, ws, real=real, seen=seen:
+                            seen.append(len(bits)) or real(bits, p, ws))
+    monkeypatch.setattr(_batch, "_Workspace", PoisonedWorkspace)
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
+    band = _batch.band_first_starts(rows, p)
+    summary = _batch.target_summary(rows, p)
+    assert chunks == dict.fromkeys(chunks, [2, 2, 1])
+    assert band.tolist() == [scalar_band(row, p) for row in rows]
+    want = summary_from_array(np.array([brute_target_lcp(row, p) for row in rows]), p)
+    assert summary.tolist() == want.tolist()
+
+
+# A band of 12 chunks at p = 128 and one of a single chunk, each read after
+# a warm-up call in a fresh interpreter, whose heap is not shaped by the
+# tests run before.  The rows are paper-folding prefixes in no negation
+# pair: their long repeated factors keep many chains walking, as in the
+# sampled suites.
+CHUNK_FAULTS = """
+import resource, sys
+from foldscope import _batch
+p, length = 128, 7 * 128 - 1
+per_chunk = _batch.CHUNK_ELEMENTS // length
+grid = _batch.sign_grid(10)
+rows = _batch.prefix_rows(grid[grid[:, 0] > 0][:12 * per_chunk], length)
+
+def faults(batch):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _batch.band_first_starts(batch, p)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+_batch.band_first_starts(rows, p)
+print(faults(rows[:per_chunk]), faults(rows))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the minor page faults Linux counts in ru_minflt")
+def test_band_kernel_chunks_fill_the_pages_of_the_first():
+    # The chunks of one call fill one workspace, so the 11 extra chunks
+    # add about no page faults: 0 to 49 in all on a 2-core Xeon with glibc
+    # 2.36.  Chunks that each freed their arrays took about 290 a chunk
+    # there, 3,163 to 3,231 in all, since glibc trimmed the heap top
+    # between them.
+    src = os.path.dirname(os.path.dirname(_batch.__file__))
+    done = subprocess.run([sys.executable, "-c", CHUNK_FAULTS], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    one, many = map(int, done.stdout.split())
+    assert many - one < 250, (one, many)
+
+
 def test_bit_length_is_exact_near_two_to_the_64():
     x = np.array([0, 1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**53 + 1, 2**63 - 1, 2**63,
                   2**64 - 1], dtype=np.uint64)
-    assert _batch._bit_length(x).tolist() == [int(v).bit_length() for v in x.tolist()]
+    want = [int(v).bit_length() for v in x.tolist()]
+    assert _batch._bit_length(x).tolist() == want
     # and for every narrower code type, up to its top value
     for t in (np.uint8, np.uint16, np.uint32):
         top = int(np.iinfo(t).max)
@@ -610,7 +709,7 @@ def test_window_codes_equal_exactly_when_windows_are():
     row += [rng.randrange(2) for _ in range(64)]
     bits = np.array([row], dtype=np.uint8)
     for w in range(1, 65):
-        codes = _batch._window_codes(bits, w)
+        codes = _batch._window_codes(bits, w, _batch._Workspace())
         windows = np.lib.stride_tricks.sliding_window_view(bits[0], w)
         assert codes.shape == (1, len(windows)), w
         _, window_ids = np.unique(windows, axis=0, return_inverse=True)

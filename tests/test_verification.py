@@ -319,8 +319,8 @@ def blind_target_kernel(monkeypatch):
     of each chunk: its self-comparison column reads 0 there."""
     real = _batch._chunk_target_lcp
 
-    def kernel(bits, p):
-        lcp = real(bits, p)
+    def kernel(bits, p, ws):
+        lcp = real(bits, p, ws)
         lcp[0, 6 * p - 1] = 0
         return lcp
     monkeypatch.setattr(_batch, "_chunk_target_lcp", kernel)
@@ -358,8 +358,8 @@ def test_lemma1_witness_comes_from_the_bytes(clean_caches, monkeypatch):
     # the occurrences it reports are that row's own byte search
     real = _batch._chunk_target_lcp
 
-    def kernel(bits, p):
-        lcp = real(bits, p)
+    def kernel(bits, p, ws):
+        lcp = real(bits, p, ws)
         lcp[0, 5 - 1] = p
         return lcp
     monkeypatch.setattr(_batch, "_chunk_target_lcp", kernel)
@@ -646,8 +646,8 @@ def test_monotonicity_reads_a_pattern_and_its_negation_from_rows_of_their_own(
     # starts with '+', so they pass; monotonicity scans every pattern apart
     real = _batch._chunk_first_starts
 
-    def off_in_minus_rows(bits, p):
-        out = real(bits, p)
+    def off_in_minus_rows(bits, p, ws):
+        out = real(bits, p, ws)
         out[bits[:, 0] == 0] += 1
         return out
     monkeypatch.setattr(_batch, "_chunk_first_starts", off_in_minus_rows)
@@ -708,10 +708,10 @@ def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch)
     def counting(name):
         real = getattr(_batch, name)
 
-        def kernel(bits, p):
+        def kernel(bits, p, ws):
             rows[name] += len(bits)
             minus_first[name] += int((bits[:, 0] == 0).sum())
-            return real(bits, p)
+            return real(bits, p, ws)
         return kernel
 
     for name in rows:
