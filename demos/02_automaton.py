@@ -6,9 +6,10 @@
 # k, latches the instruction paired with the first 1-digit, lets the next
 # digit fix r mod 4, and then never changes its mind.
 
-from foldscope import (build_pf_evaluator, export_dot, export_table,
-                       lsd2_digits, parse_instructions, pf_value, run_dfao,
-                       tracked_input, verify_formula_vs_dfao, OutputUndefined)
+from foldscope import (build_pf_evaluator, dfao_mutation_catalog, export_dot,
+                       export_table, lsd2_digits, parse_instructions, pf_value,
+                       run_dfao, tracked_input, verify_formula_vs_dfao,
+                       OutputUndefined)
 
 machine = build_pf_evaluator()
 print(export_table(machine))
@@ -37,6 +38,15 @@ print("with width 9:", run_dfao(machine, tracked_input(regular, 4, 9)))
 outcome = verify_formula_vs_dfao(4096, 13, machine=machine)
 print(f"equivalence sweep: passed={outcome.passed} ({outcome.cases_checked} "
       f"cases over {outcome.details['grid_patterns']} patterns)")
+
+# The same sweep catches a broken machine, here the evaluator with one
+# transition of its absorbing "+" state redirected, and names the least
+# failing position k with the first instruction pattern that fails there:
+label, broken = dfao_mutation_catalog(machine)[15]
+outcome = verify_formula_vs_dfao(4096, 13, machine=broken)
+ce = outcome.counterexample
+print(f"mutant {label}: passed={outcome.passed}, instructions {ce['instructions']} "
+      f"at k = {ce['k']}: formula {ce['formula']}, dfao {ce['dfao']}")
 
 # Graphviz rendering, if you want to look at it:
 print(export_dot(machine))

@@ -11,8 +11,8 @@ split-digit automaton sweep that checks a DFAO against the closed form
 over many instruction rows at once (one pass over the low digits per
 distinct low half of a row, one over the high digits from every state
 per distinct high half, the formula read off pf_prefix_matrix on those
-halves, one AND of two boolean code sets per row for its verdict, and
-the least failing (k, row) searched only in the failing rows).  Both band
+halves, and one pass over every row that gives both its verdict and its
+least failing k from two small tables of least k).  Both band
 kernels read a window as blocks of min(p, 64) signs, each one packed
 code of _window_codes, and find a common prefix at the first block pair
 whose XOR is nonzero; each keeps its own walk over the blocks, so the
@@ -91,10 +91,10 @@ def prefix_rows(rows: np.ndarray, length: int) -> tuple:
 # and 54, 221, 555 and 1,257 faults (in-process, 2-core Xeon), with
 # verify-all flat within its noise: 2^14 stays.  Each step
 # of the automaton sweep (the low-half passes with their prefixes, the
-# high-half passes from every state, the row verdicts and the search of
-# the failing rows) takes about as many cells per chunk, at up to about
-# 20 bytes each: its whole tracemalloc peak, row keys included, is near
-# 0.5 MiB on 4,096 and 8,192 rows.
+# high-half passes from every state and the pass over the rows) takes
+# about as many cells per chunk, at up to about 20 bytes each: its whole
+# tracemalloc peak, row keys included, is near 0.5 MiB on 4,096 and 8,192
+# rows, for a failing machine as for a passing one.
 CHUNK_ELEMENTS = 1 << 14
 
 # The packed code of up to 8, 16, 32 or 64 signs fits these unsigned types.
@@ -450,44 +450,20 @@ def target_summary(prefixes, p: int) -> np.ndarray:
                       lambda bits, ws: _chunk_target_summary(bits, p, ws))
 
 
-def _least_bad_k(first_bad: np.ndarray, high: np.ndarray, codes: np.ndarray,
-                 last: np.ndarray, low: int):
-    """The least (k, row) at which the automaton leaves the formula, over
-    one chunk of the rows that _failing_rows flags, in row order (each
-    fails at some k).
+def _least_k(fail_hi: np.ndarray, least_lo: np.ndarray, high_of: np.ndarray,
+             low_of: np.ndarray) -> np.ndarray:
+    """Each row's least failing k over one chunk of rows, or at least the
+    tables' sentinel where the row never fails.
 
-    Row r looks up first_bad[high[r], codes[r, lo]] for every low digit
-    pattern lo at once: the first hi at which column lo leaves its formula
-    pattern.  Column lo fails when that hi is at most last[lo], at
-    k = lo + 2^low * hi.  Within a row each k has its own column, so the
-    first least k in row order has the least row.
+    fail_hi[h, g, c] is first_bad[h, c] shifted to k's high digits where
+    high half h fails code c at group g's value of last, and the sentinel
+    where it does not; least_lo[l, g, c] is the least column of low half
+    l in group g that holds code c, or the sentinel.  Every column with
+    the same (g, c) fails at the same hi, so the least sum over (g, c) is
+    the row's least k.
     """
-    hi = first_bad.take(high[:, None] * first_bad.shape[1] + codes)
-    row, lo = np.nonzero(hi <= last)
-    k = lo + (hi[row, lo].astype(np.int64) << low)
-    i = k.argmin()
-    return int(k[i]), int(row[i])
-
-
-def _failing_rows(uses: np.ndarray, first_bad: np.ndarray, values: np.ndarray,
-                  low_of: np.ndarray, high_of: np.ndarray) -> np.ndarray:
-    """Mask of the rows at which the automaton leaves the formula at some k.
-
-    uses[l, g, c] is set when low half l puts (state, pattern) code c in
-    a column whose last hi is values[g], and high half h fails code c at
-    value v when first_bad[h, c] <= v (never at v = -1, the undecidable
-    column).  With fails[h, g, c] set the same way, row r fails exactly
-    when uses[low_of[r]] & fails[high_of[r]] has a set entry.  The
-    product goes in chunks of about CHUNK_ELEMENTS entries.
-    """
-    fails = first_bad[:, None, :] <= values[:, None]
-    uses, fails = uses.reshape(len(uses), -1), fails.reshape(len(fails), -1)
-    failing = np.empty(len(low_of), dtype=bool)
-    step = max(1, CHUNK_ELEMENTS // uses.shape[1])
-    for first in range(0, len(low_of), step):
-        both = uses[low_of[first:first + step]] & fails[high_of[first:first + step]]
-        failing[first:first + step] = both.any(axis=1)
-    return failing
+    k = fail_hi[high_of] + least_lo[low_of]
+    return k.reshape(len(k), -1).min(axis=1)
 
 
 def _distinct_halves(half: np.ndarray) -> tuple:
@@ -535,14 +511,17 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     pattern (pattern 4 being the high half's prefix, k = 0 and the
     undecidable k skipped), or the hi count if it never does.  Column lo
     of a row fails when that hi is at most last[lo], the last hi of the
-    column at k <= top, which takes at most two values.  So a row's
-    verdict is one AND of two boolean sets (_failing_rows): the codes its
-    low half puts in the columns of each value of last, and the codes its
-    high half fails at that value.  Only the failing rows then look up
-    every low digit pattern (_least_bad_k), and the least failing (k, row)
-    has its formula and DFAO values read at that one cell.  The passes,
-    the verdicts and the lookups go in chunks of about CHUNK_ELEMENTS
-    cells.
+    column at k <= top, which takes at most two values.  Every column of a
+    row with the same value of last and the same (state, pattern) code
+    fails at the same hi, and k is least in (hi, lo), so the least column
+    lo of each (value, code) is the only one a row's least k can come
+    from.  The low pass keeps that least lo per distinct low half
+    (least_lo), the high pass the failing hi per distinct high half
+    (fail_hi), and a row's least failing k is the least sum over its at
+    most 2 * 5 * states (value, code) pairs (_least_k), or none.  One pass
+    over the rows gives every row's verdict and the least (k, row), whose
+    formula and DFAO values are read at that one cell.  The passes go in
+    chunks of about CHUNK_ELEMENTS cells.
     """
     m, w = rows.shape
     top = min(k_max, (1 << w) - 1)
@@ -572,25 +551,31 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     # the last hi of each column at k <= top: top >> low at the columns
     # lo <= top mod 2^low, one less at the rest.  The undecidable k =
     # 2^(w-1) is column 0's at hi = 2^(high-1), masked below, except at
-    # w = 1, where it is column 1's only k and its last is -1.  The code
-    # sets keep one group per value least..most of last; column lo is in
+    # w = 1, where it is column 1's only k and its last is -1.  The
+    # tables keep one group per value least..most of last; column lo is in
     # group last[lo] - least.
     last = (top - np.arange(los)) >> low
     if undecidable < los:
         last[undecidable] = -1
     least = int(last.min())
     values = np.arange(least, int(last.max()) + 1)
-    group = last - least
+    # every k <= top is below the sentinel, and two sentinels fit the type
+    never = 1 << top.bit_length()
+    k_type = np.min_scalar_type(2 * never)
 
-    # codes[l, lo] = 5 * A[lo] + the pattern of column lo of low half l:
-    # bit 0 its sign at even hi, bit 1 at odd hi (1 for '+'), 4 at lo = 0;
-    # uses[l, g] holds the codes of l's columns with last == values[g].
-    # The prefix pads f_low, which no position lo != 0 (mod 2^low) reads.
+    # The code of column lo of low half l is 5 * A[lo] + its pattern: bit
+    # 0 its sign at even hi, bit 1 at odd hi (1 for '+'), 4 at lo = 0.
+    # least_lo[l, g, c] is the least column of l with last == values[g]
+    # and code c, one minimum.at over flat indices and values (repeated
+    # indices leave a plain assignment's order unspecified, and numpy
+    # 2.4.6 read wrong values broadcast against a 2-D index).  The prefix
+    # pads f_low, which no position lo != 0 (mod 2^low) reads.
     low_rows, low_of = _distinct_halves(rows[:, :low])
     padded = np.concatenate((low_rows, np.ones((len(low_rows), 1), dtype=rows.dtype)), axis=1)
-    codes = np.empty((len(low_rows), los), dtype=np.min_scalar_type(5 * states))
-    uses = np.zeros((len(low_rows), len(values), 5 * states), dtype=bool)
+    least_lo = np.full((len(low_rows), len(values), 5 * states), never, dtype=k_type)
+    columns = np.arange(los, dtype=k_type)
     lo = np.arange(1, los)
+    group_at = (last - least) * (5 * states)
     step = max(1, CHUNK_ELEMENTS >> (low + 1))
     for first in range(0, len(low_rows), step):
         chunk = padded[first:first + step]
@@ -600,8 +585,9 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
         after_low *= 5
         after_low[:, 0] += 4
         after_low[:, 1:] += plus[:, lo - 1] + 2 * plus[:, lo + (1 << low) - 1]
-        codes[first:first + step] = after_low
-        uses[np.arange(first, first + len(chunk))[:, None], group, after_low] = True
+        after_low += group_at
+        after_low += np.arange(first, first + len(chunk))[:, None] * least_lo[0].size
+        np.minimum.at(least_lo.reshape(-1), after_low.ravel(), np.tile(columns, len(chunk)))
 
     # first_bad[h, 5 * q + pattern]; the wanted bytes of patterns 0..3 are
     # shared, pattern 4's are each high half's prefix from hi = 1 on
@@ -628,16 +614,18 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
         first_bad[first:first + step] = np.where(
             bad.any(axis=-1), bad.argmax(axis=-1), his).reshape(r, 5 * states)
 
-    failing = np.flatnonzero(_failing_rows(uses, first_bad, values, low_of, high_of))
-    step, best = max(1, CHUNK_ELEMENTS // los), None
-    for first in range(0, len(failing), step):
-        chunk = failing[first:first + step]
-        found = _least_bad_k(first_bad, high_of[chunk], codes[low_of[chunk]], last, low)
-        if best is None or found[0] < best[0]:
-            best = (found[0], int(chunk[found[1]]))
-    if best is None:
+    # fail_hi[h, g, c] = first_bad[h, c] << low where that hi is at most
+    # values[g] (never at -1, the undecidable column), else the sentinel
+    fail_hi = np.where(first_bad[:, None, :] <= values[:, None],
+                       first_bad[:, None, :].astype(k_type) << low, k_type.type(never))
+    step, k, j = max(1, CHUNK_ELEMENTS // least_lo[0].size), never, None
+    for first in range(0, m, step):
+        found = _least_k(fail_hi, least_lo, high_of[first:first + step], low_of[first:first + step])
+        i = int(found.argmin())
+        if found[i] < k:
+            k, j = int(found[i]), first + i
+    if j is None:
         return cases, skipped, None
-    k, j = best
     state = dfao.start_state
     for i in range(w):
         state = dfao.transitions[(state, (int(rows[j, i]), (k >> i) & 1))]

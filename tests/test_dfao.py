@@ -137,50 +137,51 @@ def _brute_force_sweep(machine, rows, k_max):
 
 
 def test_batch_runner_agrees_with_scalar(evaluator, monkeypatch):
-    # The least (k, row) is searched only in the rows the verdict flags,
-    # so the evaluator makes no search call.  A budget of two rows of low
-    # digit patterns splits each mutant's flagged rows into chunks of two
-    # (the last may hold one), so a wrong merge of the chunks' first
-    # mismatches shows: some call first finds its least k in a later
-    # chunk, and some finds it in two chunks, where the earlier must win.
+    # Every row is decided chunk by chunk, and the chunks' least k are
+    # merged in row order.  A budget of 25 cells (one row's codes in one
+    # group of columns) per two rows puts half or a quarter of the rows in
+    # a chunk, so every call splits its rows and a wrong merge shows: some
+    # call first finds its least k in a later chunk, some finds it in two
+    # chunks, where the earlier must win, and some in two rows of a chunk,
+    # where the first must win.  The least k over the chunks is the
+    # mismatch's, or past every k the sweep reads when there is none.
     # k = 32 is undecidable at k_max = 40, and k_max = 12 drops whole
     # bit-1 halves.  Widths 2, 3 and the odd 7 split the digits unevenly
     # between the low and the high pass, and k_max = 10 < 2^4 leaves the
     # width-7 high pass with only the zero digits.
-    calls, lookup = [], _batch._least_bad_k
+    calls, least_k = [], _batch._least_k
 
-    def spy(table, high, *rest):
-        found = lookup(table, high, *rest)
-        calls[-1].append((len(high), found[0]))
+    def spy(*args):
+        found = least_k(*args)
+        least = found.min()
+        calls[-1].append((len(found), int(least), int((found == least).sum())))
         return found
 
-    monkeypatch.setattr(_batch, "_least_bad_k", spy)
+    monkeypatch.setattr(_batch, "_least_k", spy)
     grids = (((2, 2), (3, 5)), ((3, 3), (7, 9)), ((3, 7), (10, 130)), ((4, 6), (12, 40)))
     machines = [evaluator] + [m for _, m in dfao_mutation_catalog(evaluator)]
-    caught = later = tied = 0
+    caught = later = tied = inner = 0
     for machine in machines:
-        first_call = len(calls)
         for shape, k_maxes in grids:
             rows = _batch.sign_grid(*shape)
-            w = rows.shape[1]
-            monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 << (w - w // 2))
+            top = (1 << rows.shape[1]) - 1
+            monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 25 * len(rows) // 2)
             for k_max in k_maxes:
                 calls.append([])
                 expected = _brute_force_sweep(machine, rows, k_max)
                 assert _batch.compare_formula_vs_dfao(machine, rows, k_max) == expected
-                ks = [k for _, k in calls[-1]]
-                assert (expected[2] is None) == (not ks)
-                if ks:
+                sizes, ks, counts = zip(*calls[-1])
+                assert sum(sizes) == len(rows) and len(sizes) > 1
+                if expected[2] is None:
+                    assert min(ks) > min(k_max, top)
+                else:
+                    assert min(ks) == expected[2][1]
                     later += ks.index(min(ks)) > 0
+                    inner += counts[ks.index(min(ks))] > 1
                     tied += ks.count(min(ks)) > 1
-        chunks = [size for call in calls[first_call:] for size, _ in call]
-        if machine is evaluator:
-            assert not chunks
-        else:
-            assert len(chunks) >= 3 and max(chunks) > 1
         caught += expected[2] is not None
     assert expected[:2] == (16 * 39, [32]) and caught == 20
-    assert later and tied
+    assert later and tied and inner
 
 
 @st.composite
@@ -236,18 +237,23 @@ def test_batch_runner_agrees_with_scalar_on_random_machines(machine, case, budge
 @example(machine=replace_transition(build_pf_evaluator(), 2, (1, 1), 4),
          case=(_batch.sign_grid(3, 5), 20), budget=2)
 def test_failing_rows_match_a_per_row_brute_force(machine, case, budget):
-    # The verdict flags exactly the rows with a mismatch at some k, on
-    # tiny budgets too; the examples pin width 1, whose column 1 holds
-    # only the undecidable k (last = -1), and a k_max below 2^w - 1.
+    # Each row's least failing k, over all its chunks on tiny budgets too,
+    # is the least k of a brute force over that row alone, and a row that
+    # never fails reads past every k the sweep checks.  The examples pin
+    # width 1, whose column 1 holds only the undecidable k (last = -1), and
+    # a k_max below 2^w - 1.
     rows, k_max = case
-    masks, verdict = [], _batch._failing_rows
+    chunks, least_k = [], _batch._least_k
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_batch, "CHUNK_ELEMENTS", budget)
-        mp.setattr(_batch, "_failing_rows", lambda *args: masks.append(verdict(*args)) or masks[-1])
+        mp.setattr(_batch, "_least_k", lambda *args: chunks.append(least_k(*args)) or chunks[-1])
         _batch.compare_formula_vs_dfao(machine, rows, k_max)
-    expected = [_brute_force_sweep(machine, rows[j:j + 1], k_max)[2] is not None
-                for j in range(len(rows))]
-    assert masks[0].tolist() == expected
+    got = np.concatenate(chunks).tolist()
+    top = min(k_max, (1 << rows.shape[1]) - 1)
+    assert len(got) == len(rows)
+    for j, k in enumerate(got):
+        mismatch = _brute_force_sweep(machine, rows[j:j + 1], k_max)[2]
+        assert k > top if mismatch is None else k == mismatch[1]
 
 
 @settings(max_examples=60)

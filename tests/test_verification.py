@@ -126,16 +126,21 @@ def test_formula_dfao_tiny():
         assert outcome.details["grid_skipped_k"] == []
 
 
-@pytest.mark.parametrize("args", [(1 << 16, 16), (4096,)], ids=["depth16", "depth13"])
-def test_formula_dfao_working_set(args, clean_caches):
+@pytest.mark.parametrize("args, mutant", [((1 << 16, 16), None), ((4096,), None),
+                                          ((1 << 16, 16), 3)],
+                         ids=["depth16", "depth13", "depth16-mutant3"])
+def test_formula_dfao_working_set(args, mutant, clean_caches):
     # The automaton-sweep call and run_all's depth-13 call each stay within
-    # 1 MiB of traced allocations, grid and sampled streams included.
+    # 1 MiB of traced allocations, grid and sampled streams included, and
+    # so does a failing machine at the automaton-sweep size.
+    machine = None if mutant is None else dfao_mutation_catalog()[mutant][1]
     tracemalloc.start()
     try:
-        assert verify_formula_vs_dfao(*args, samples=100).passed
+        outcome = verify_formula_vs_dfao(*args, samples=100, machine=machine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert outcome.passed == (machine is None)
     assert peak <= 1 << 20
 
 
