@@ -1,12 +1,13 @@
 """Internal numpy helpers for bulk enumeration.
 
 Everything here is plumbing for the verification suites: sign grids over
-instruction bits, bulk sequence prefixes filled as the b'+'/b'-' byte
-rows every scan reads, the band kernel that reads the latest first start
-for every n of a phi-band off one longest-previous-factor pass per
-prefix, the target-LCP kernel that compares every window of a phi-band
-with the one at 6p and whose one product is the few values per row the
-lemma checks read (target_summary, reduced chunk by chunk), and the
+instruction bits, bulk sequence prefixes as the b'+'/b'-' rows every
+scan reads (pf_prefix_matrix, the one bulk sequence generator), the band
+kernel that reads the latest first start for every n of a phi-band off
+one longest-previous-factor pass per prefix, the target-LCP kernel that
+compares every window of a phi-band with the one at 6p and whose one
+product is the few values per row the lemma checks read
+(target_summary, reduced chunk by chunk), and the
 split-digit automaton sweep that checks a DFAO against the closed form
 over many instruction rows at once (one pass over the low digits per
 distinct low half of a row, one over the high digits from every state
@@ -17,9 +18,13 @@ kernels read a window as blocks of min(p, 64) signs, each one packed
 code of _window_codes, and find a common prefix at the first block pair
 whose XOR is nonzero; each keeps its own walk over the blocks, so the
 lemma checks share no sort, neighbour LCP or previous factor with the
-kernel that gives S.  Both make one scan per negation pair (_by_chunks):
-a grid's 2^depth rows reach the kernel as 2^(depth - 2), as twins from
-one unread instruction bit and as negation pairs, P_(-f) = -P_f.
+kernel that gives S.  Both take int8 instruction rows and make one scan
+per negation pair (_by_chunks): each row is keyed by the m + 3 signs
+f_0..f_(m+2) its band prefix reads (p = 2^m) as one integer, one
+np.unique gives the distinct keys, and each chunk's prefixes come from
+pf_prefix_matrix, so a grid's 2^depth rows reach the kernel as
+2^(depth - 2), as twins from one unread instruction bit and as negation
+pairs, P_(-f) = -P_f, and no whole grid of prefixes is ever built.
 Each band call gives its chunks one _Workspace: every array a chunk of
 either kernel fills is allocated once, for the first (largest) chunk,
 and filled in place through out= by every chunk after it, and the
@@ -40,7 +45,6 @@ from .folding import position_blocks
 
 PLUS = ord("+")
 MINUS = ord("-")
-_NEGATED = bytes.maketrans(b"+-", b"-+")
 
 
 def sign_grid(depth: int, width: int = 0) -> np.ndarray:
@@ -73,14 +77,6 @@ def pf_prefix_matrix(rows: np.ndarray, length: int) -> np.ndarray:
         out[:, same.start::same.step] = same_sign[:, s:s + 1]
         out[:, flipped.start::flipped.step] = flipped_sign[:, s:s + 1]
     return out
-
-
-def prefix_rows(rows: np.ndarray, length: int) -> tuple:
-    """P[1:length] of every instruction row, one b'+'/b'-' bytes each (the
-    form the band kernel and the lemma checks read)."""
-    # each row viewed as one fixed-width bytes item (no sign is a NUL byte,
-    # so tolist keeps every byte)
-    return tuple(pf_prefix_matrix(rows, length).view(f"S{length}").ravel().tolist())
 
 
 # Prefix bytes per chunk of the band and target-LCP kernels.  A band
@@ -277,48 +273,60 @@ def _chunk_first_starts(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     return np.maximum.accumulate(table, axis=1, out=table)[:, :cols]
 
 
-def _by_chunks(prefixes, length: int, columns: int, kernel, by_negation=True) -> np.ndarray:
-    """kernel(bits, ws) over chunks of about CHUNK_ELEMENTS prefix bytes,
-    stacked into one fresh (rows, columns) int32 array; bits holds the
-    first `length` signs of each prefix of the chunk as one 0/1 uint8 row,
-    and ws is the call's one _Workspace, which every chunk fills in place
-    and which is dropped when the call returns.
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """(distinct rows in first-seen order, each row's index among them) of
+    +-1 instruction rows of at most 63 columns, keyed by their signs
+    packed as one integer."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for i in range(rows.shape[1]):
+        key |= (rows[:, i] > 0).astype(np.int64) << i
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return rows[first[order]], np.argsort(order)[inverse]
 
-    The kernel sees each distinct key once, in first-seen order, and
-    every prefix gets a copy of the row of its own; a prefix shorter than
-    `length` raises ValueError.  A key is the first `length` signs, with
-    by_negation negated when they start with '-': negation keeps equal
-    windows equal and every common prefix, so each window's LPF and target
-    LCP, hence the kernel row, is the same for a prefix and its negation.
+
+def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel, by_negation=True) -> np.ndarray:
+    """kernel(bits, ws) over chunks of about CHUNK_ELEMENTS prefix signs,
+    stacked into one fresh (rows, columns) int32 array; bits holds the band
+    prefix P[1:7p - 1] of each instruction row of the chunk as one 0/1
+    uint8 row, from pf_prefix_matrix, and ws is the call's one _Workspace,
+    which every chunk fills in place and which is dropped when the call
+    returns.
+
+    With p = 2^m the prefix reads f_0..f_(m+2) only, and each of them, f_s
+    at position 2^s <= 4p, so a row's key, those m + 3 signs packed as one
+    integer, is equal exactly when the prefixes are.  With by_negation a
+    row with f_0 = -1 is keyed and scanned as its negation: negation keeps
+    equal windows equal and every common prefix, so each window's LPF and
+    target LCP, hence the kernel row, is the same for a prefix and its
+    negation.  The kernel sees each distinct key once, in first-seen
+    order, and every row gets a copy of its key's row.  Rows of fewer than
+    m + 3 columns raise ValueError (pf_prefix_matrix) before any kernel
+    call.
     """
-    shortest = min(map(len, prefixes), default=length)
-    if shortest < length:
-        raise ValueError(f"need prefixes of {length} signs, the shortest has {shortest}")
-    index = {}
-    keys = (pb[:length] for pb in prefixes)
+    length = 7 * p - 1
+    head = rows[:, :length.bit_length()]
     if by_negation:
-        keys = (key.translate(_NEGATED) if key[0] == MINUS else key for key in keys)
-    inverse = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
-    distinct = list(index)
+        head = head * head[:, :1]
+    distinct, inverse = _distinct_rows(head)
     out = np.empty((len(distinct), columns), dtype=np.int32)
     step = max(1, CHUNK_ELEMENTS // length)
     ws = _Workspace()
     for lo in range(0, len(distinct), step):
-        chunk = distinct[lo:lo + step]
-        raw = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), length)
-        bits = ws("bits", np.uint8, len(chunk), length)
-        np.equal(raw, PLUS, out=bits.view(bool))
+        prefixes = pf_prefix_matrix(distinct[lo:lo + step], length)
+        bits = ws("bits", np.uint8, *prefixes.shape)
+        np.equal(prefixes, PLUS, out=bits.view(bool))
         out[lo:lo + step] = kernel(bits, ws)
     return out[inverse]
 
 
-def band_first_starts(prefixes, p: int, *, _by_negation=True) -> np.ndarray:
+def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> np.ndarray:
     """Latest first start, over starts 1..6p, for every n of a phi-band.
 
-    `prefixes` are equal-length b'+'/b'-' strings of at least 7p - 1
-    signs and p is a power of two.  Column c of the (rows, p - p//2)
-    result is n = p//2 + 1 + c, and its entry for a row is
-    max(_scan_first_starts(prefix, n, 6p).values()).
+    `rows` are +-1 instruction rows of at least m + 3 columns, f_0..f_(m+2)
+    for p = 2^m, the signs the band prefix P[1:7p - 1] reads.  Column c of
+    the (rows, p - p//2) result is n = p//2 + 1 + c, and its entry for a
+    row is max(_scan_first_starts(prefix, n, 6p).values()) of its prefix.
 
     A window is the first start of its length-n factor exactly when its
     longest previous factor, LPF, the longest common prefix with any
@@ -336,9 +344,9 @@ def band_first_starts(prefixes, p: int, *, _by_negation=True) -> np.ndarray:
     puts each start at its (row, LPF) cell and a running maximum over the
     columns gives S.  The prefixes of 7p - 1 signs are sorted once per
     negation pair (once per distinct prefix with _by_negation off), in
-    chunks of about CHUNK_ELEMENTS prefix bytes.
+    chunks of about CHUNK_ELEMENTS prefix signs.
     """
-    return _by_chunks(prefixes, 7 * p - 1, p - p // 2,
+    return _by_chunks(rows, p, p - p // 2,
                       lambda bits, ws: _chunk_first_starts(bits, p, ws), _by_negation)
 
 
@@ -430,12 +438,12 @@ def _chunk_target_summary(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarra
     return out
 
 
-def target_summary(prefixes, p: int) -> np.ndarray:
+def target_summary(rows: np.ndarray, p: int) -> np.ndarray:
     """The three things the lemma checks read off the common prefixes of
-    each window up to start 6p with the one at 6p, per row of equal-length
-    b'+'/b'-' prefixes of at least 7p - 1 signs: a (rows, 2 + p - p//2)
-    int32 array, reduced chunk by chunk from _chunk_target_lcp so that no
-    (rows, 6p) array is ever whole.
+    each window up to start 6p with the one at 6p, in the band prefix
+    P[1:7p - 1] of each +-1 instruction row (of at least m + 3 columns,
+    p = 2^m): a (rows, 2 + p - p//2) int32 array, reduced chunk by chunk
+    from _chunk_target_lcp so that no (rows, 6p) array is ever whole.
 
     Column OFF_TARGET is the largest common prefix, capped at p, with the
     window at 6p at any start up to 6p other than 4p and 6p, column AT_TARGET the one at 6p itself, and
@@ -446,7 +454,7 @@ def target_summary(prefixes, p: int) -> np.ndarray:
     target LCPs, one searchsorted finds it for every n of the band.  The
     prefixes of 7p - 1 signs are compared once per negation pair.
     """
-    return _by_chunks(prefixes, 7 * p - 1, FIRST_START + p - p // 2,
+    return _by_chunks(rows, p, FIRST_START + p - p // 2,
                       lambda bits, ws: _chunk_target_summary(bits, p, ws))
 
 
@@ -464,16 +472,6 @@ def _least_k(fail_hi: np.ndarray, least_lo: np.ndarray, high_of: np.ndarray,
     """
     k = fail_hi[high_of] + least_lo[low_of]
     return k.reshape(len(k), -1).min(axis=1)
-
-
-def _distinct_halves(half: np.ndarray) -> tuple:
-    """(distinct rows, each row's index among them) of a column slice of
-    instruction rows, keyed by the slice's signs packed as one integer."""
-    key = np.zeros(len(half), dtype=np.int64)
-    for i in range(half.shape[1]):
-        key |= (half[:, i] > 0).astype(np.int64) << i
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return half[first], inverse
 
 
 def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
@@ -570,7 +568,7 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
     # indices leave a plain assignment's order unspecified, and numpy
     # 2.4.6 read wrong values broadcast against a 2-D index).  The prefix
     # pads f_low, which no position lo != 0 (mod 2^low) reads.
-    low_rows, low_of = _distinct_halves(rows[:, :low])
+    low_rows, low_of = _distinct_rows(rows[:, :low])
     padded = np.concatenate((low_rows, np.ones((len(low_rows), 1), dtype=rows.dtype)), axis=1)
     least_lo = np.full((len(low_rows), len(values), 5 * states), never, dtype=k_type)
     columns = np.arange(los, dtype=k_type)
@@ -591,7 +589,7 @@ def compare_formula_vs_dfao(dfao, rows: np.ndarray, k_max: int):
 
     # first_bad[h, 5 * q + pattern]; the wanted bytes of patterns 0..3 are
     # shared, pattern 4's are each high half's prefix from hi = 1 on
-    high_rows, high_of = _distinct_halves(rows[:, low:])
+    high_rows, high_of = _distinct_rows(rows[:, low:])
     first_bad = np.empty((len(high_rows), 5 * states), dtype=np.min_scalar_type(his))
     parity = np.arange(his) & 1
     period2 = np.where((np.arange(4)[:, None] >> parity) & 1, np.uint8(PLUS), np.uint8(MINUS))

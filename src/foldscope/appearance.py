@@ -35,11 +35,11 @@ share.
 The scalar _scan_first_starts (a dict of first starts) serves the
 per-instance reports and is the oracle the tests hold the other scan to.
 Bulk S values come from the band kernel _batch.band_first_starts, which
-sorts each prefix's windows once, reads each window's longest previous
-factor off the sorted order (a window is a first start for n exactly
-when that is below n) and yields S(n) for every n of a phi-band
-(phi/2, phi]; _band caches it per prefix tuple and s_column reads one n
-from it.
+takes int8 instruction rows, sorts each row's prefix's windows once,
+reads each window's longest previous factor off the sorted order (a
+window is a first start for n exactly when that is below n) and yields
+S(n) for every n of a phi-band (phi/2, phi]; _band caches it, read-only,
+on the rows' bytes, and s_column reads one n from it.
 """
 
 from __future__ import annotations
@@ -191,23 +191,16 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bulk enumeration used by the verification and classifier modules
 
-# Entries kept by each memoized grid, band, lemma summary and sample, so
+# Entries kept by each memoized band, lemma summary, grid and sample, so
 # a long-lived process holds a bounded number of them.  `verify --claim
 # all --n-max 64` fills at most 14 per cache (the band cache) and keeps
 # its four lemma summaries (0.19 MB) to the end.  At depth 12 (n <= 256)
-# the largest entries are the band prefixes (4,096 of 1,791 bytes, about
-# 7.5 MB); that band's S array and lemma summary are 4,096 x 128 and
-# 4,096 x 130 int32, about 2 MB each.  The kernels make one scan per
-# negation pair, a grid's 2^depth rows reaching the kernel as
-# 2^(depth - 2), but every cached array keeps a row for every prefix.
+# the largest entries are that band's S array and lemma summary, 4,096 x
+# 128 and 4,096 x 130 int32, about 2 MB each; each is keyed on its rows'
+# bytes, 48 KB there.  The kernels make one scan per negation pair, a
+# grid's 2^depth rows reaching the kernel as 2^(depth - 2), but every
+# cached array keeps a row for every instruction row.
 CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _grid_prefix_bytes(depth: int, width: int, length: int) -> tuple:
-    """Sequence prefixes (as bytes) for every pattern of
-    _batch.sign_grid(depth, width)."""
-    return _batch.prefix_rows(_batch.sign_grid(depth, width), length)
 
 
 def band_length(n: int) -> int:
@@ -217,35 +210,43 @@ def band_length(n: int) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _band(prefixes: tuple, p: int) -> np.ndarray:
-    """_batch.band_first_starts of `prefixes` for the phi-band p, cached on
-    the prefix tuple itself."""
-    return _batch.band_first_starts(prefixes, p)
+def _band(data: bytes, width: int, p: int) -> np.ndarray:
+    """_batch.band_first_starts for the phi-band p of the int8 rows whose
+    bytes are `data`, `width` to a row; cached on that content, read-only."""
+    band = _batch.band_first_starts(np.frombuffer(data, np.int8).reshape(-1, width), p)
+    band.flags.writeable = False
+    return band
 
 
-def s_column(prefixes: tuple, n: int) -> np.ndarray:
-    """S(n) for every prefix of `prefixes` (each at least band_length(n)
-    signs), read from the cached phi-band."""
+def s_column(rows: np.ndarray, n: int) -> np.ndarray:
+    """S(n) for every int8 instruction row of `rows` (each of at least
+    m + 3 signs, phi(n) = 2^m), read-only, from the cached phi-band."""
     p = phi(n)
-    return _band(prefixes, p)[:, n - p // 2 - 1]
-
-
-def _s_from_prefix(prefix: bytes, n: int) -> int:
-    """S(n) of one band prefix."""
-    return int(s_column((prefix,), n)[0])
+    return _band(rows.tobytes(), rows.shape[1], p)[:, n - p // 2 - 1]
 
 
 def grid_s_values(n: int, depth: int) -> np.ndarray:
-    """S(n) for every depth-bit instruction pattern as the numpy column
-    s_column reads from the cached phi-band of n.
+    """S(n) for every depth-bit instruction pattern as the read-only numpy
+    column s_column reads from the cached phi-band of n.
 
     Pattern i has f_t = +1 iff bit t of i is set (grid row order), and
     depth must cover every bit the scan for n reads.
     """
-    return s_column(_grid_prefix_bytes(depth, depth, band_length(n)), n)
+    return s_column(_batch.sign_grid(depth), n)
+
+
+# Trace-only, like verification._sample_prefix_bytes: no library code calls
+# them, perfbench/layers.py wraps them by name, ROADMAP item 1 drops both.
+def _grid_prefix_bytes(depth: int, width: int, length: int) -> np.ndarray:
+    """Sequence prefixes of every pattern of _batch.sign_grid(depth, width)."""
+    return _batch.pf_prefix_matrix(_batch.sign_grid(depth, width), length)
+
+
+def _s_from_prefix(prefix: bytes, n: int) -> int:
+    """S(n) of one band prefix, by the scalar scan."""
+    return max(_scan_first_starts(prefix, n, 6 * phi(n)).values())
 
 
 def clear_caches():
-    """Drop memoized grids (used by tests that patch the scan internals)."""
-    _grid_prefix_bytes.cache_clear()
+    """Drop memoized bands (used by tests that patch the scan internals)."""
     _band.cache_clear()

@@ -16,18 +16,20 @@ and target-LCP kernels make one scan per negation pair, and a grid's
 to the closed form, which reads only the two bits that matter.
 
 Each grid suite reads its grid whole through one accessor, _grid(n,
-...) -> (depth, rows, prefixes): rows is a read-only int8 array (the
-sign grid, built once per depth, or the cached seeded sample) and S is
-the numpy column s_column(prefixes, n) from the band kernel.  The three
-lemmas, which all compare windows with the one at 6*phi(n), read one
-cached summary per phi-band (_batch.target_summary): per row, the
-largest common prefix with that window off starts 4*phi and 6*phi, the
-one at 6*phi, and the first start reaching each n of the band.  So each
-lemma reads one or two columns per n, and no (rows, 6*phi) array is
-kept.  Each check builds a per-row failure mask, and one helper,
-_first_failure, turns its first failing row into the counterexample;
-only that row is looked at on its own (lemma1 finds its row's
-occurrences by a byte search that shares no kernel).
+...) -> (depth, rows): rows is a read-only int8 array (the sign grid,
+built once per depth, or the cached seeded sample) and S is the
+read-only numpy column s_column(rows, n) from the band kernel, which
+builds the rows' band prefixes chunk by chunk.  The three lemmas, which
+all compare windows with the one at 6*phi(n), read one cached summary
+per phi-band (_batch.target_summary), cached like the band on the rows'
+bytes: per row, the largest common prefix with that window off starts
+4*phi and 6*phi, the one at 6*phi, and the first start reaching each n
+of the band.  So each lemma reads one or two columns per n, and no
+(rows, 6*phi) array is kept.  Each check builds a per-row failure mask,
+and one helper, _first_failure, turns its first failing row into the
+counterexample; only that row is looked at on its own, its prefix built
+by pf_prefix_matrix (lemma1 finds its occurrences by a byte search that
+shares no kernel).
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ import numpy as np
 
 from . import _batch, appearance
 from .appearance import CACHE_SIZE, band_length, phi, predicted_s, s_column, scan_depth
-# No suite reads S one prefix at a time any more; the name stays importable
-# because perfbench/layers.py traces it.
+# Trace-only, like _sample_prefix_bytes below: no library code calls it,
+# perfbench/layers.py wraps it by name, ROADMAP item 1 drops both.
 from .appearance import _s_from_prefix  # noqa: F401
 from .dfao import ALPHABET, ParallelDFAO, build_pf_evaluator, replace_transition
-from .folding import FoldingInstructions, format_instructions, parse_instructions
+from .folding import FoldingInstructions, format_instructions, instruction, parse_instructions
 
 DEFAULT_SEED = 31337
 # the formula/automaton sweep enumerates every pattern up to this depth
@@ -171,21 +173,15 @@ def _sign_grid(depth: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> tuple:
-    return _batch.prefix_rows(_sample_rows(width, samples, seed), length)
+def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> np.ndarray:
+    return _batch.pf_prefix_matrix(_sample_rows(width, samples, seed), length)
 
 
 def _grid(n, sampled=False, samples=0, seed=0):
-    """(depth, rows, prefixes) of every pattern enumerated at n: the
-    scan_depth(n)-bit sign grid, or with `sampled` the seeded streams of
-    that width, and their band prefixes, which s_column reads."""
-    depth, length = scan_depth(n), band_length(n)
-    if sampled:
-        return (depth, _sample_rows(depth, samples, seed),
-                _sample_prefix_bytes(depth, samples, seed, length))
-    return (depth, _sign_grid(depth),
-            appearance._grid_prefix_bytes(depth, depth, length))
+    """(depth, rows) of every pattern enumerated at n: the scan_depth(n)-bit
+    sign grid, or with `sampled` the seeded streams of that width."""
+    depth = scan_depth(n)
+    return depth, _sample_rows(depth, samples, seed) if sampled else _sign_grid(depth)
 
 
 def _first_failure(n, depth, rows, fail, fields):
@@ -209,7 +205,6 @@ def _check_samples(samples):
 def clear_caches():
     _sign_grid.cache_clear()
     _sample_rows.cache_clear()
-    _sample_prefix_bytes.cache_clear()
     _target_summary.cache_clear()
     appearance.clear_caches()
 
@@ -313,8 +308,8 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 
 
 def _extremes_for_n(n, sampled, samples, seed):
-    depth, rows, prefixes = _grid(n, sampled, samples, seed)
-    s = s_column(prefixes, n)
+    depth, rows = _grid(n, sampled, samples, seed)
+    s = s_column(rows, n)
     p = phi(n)
     # the max first, then (from n = 7) the min; the counterexample is the
     # first row that reads the failing extreme
@@ -357,18 +352,21 @@ def _check_range(claim, n_lo, n_hi, exhaustive=True, n_min=7):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _target_summary(prefixes: tuple, p: int) -> np.ndarray:
-    """_batch.target_summary of `prefixes` for the phi-band p, cached on the
-    prefix tuple itself: one summary serves every lemma at every n of the
-    band."""
-    return _batch.target_summary(prefixes, p)
+def _target_summary(data: bytes, width: int, p: int) -> np.ndarray:
+    """_batch.target_summary for the phi-band p of the int8 rows whose
+    bytes are `data`, `width` to a row; cached on that content, read-only.
+    One summary serves every lemma at every n of the band."""
+    summary = _batch.target_summary(np.frombuffer(data, np.int8).reshape(-1, width), p)
+    summary.flags.writeable = False
+    return summary
 
 
-def _first_starts_for_n(prefixes, n) -> np.ndarray:
+def _first_starts_for_n(rows, n) -> np.ndarray:
     """Per row, the first start whose window shares at least n signs with
     the one at 6*phi(n), or _batch.NOT_FOUND."""
     p = phi(n)
-    return _target_summary(prefixes, p)[:, _batch.FIRST_START + n - p // 2 - 1]
+    summary = _target_summary(rows.tobytes(), rows.shape[1], p)
+    return summary[:, _batch.FIRST_START + n - p // 2 - 1]
 
 
 def _first_start_field(start) -> Optional[int]:
@@ -380,14 +378,14 @@ _NOT_FOUND_NOTE = "no start up to 6*phi(n) shares {} signs with the window at 6*
 
 def _lemma1_for_n(n, _sampled):
     p = phi(n)
-    depth, rows, prefixes = _grid(n)
+    depth, rows = _grid(n)
     # the window at 6p occurs at start i + 1 <= 6p exactly when its target
     # LCP is >= n: it must at 6p, and may at 4p only
-    summary = _target_summary(prefixes, p)
+    summary = _target_summary(rows.tobytes(), rows.shape[1], p)
     fail = (summary[:, _batch.OFF_TARGET] >= n) | (summary[:, _batch.AT_TARGET] < n)
 
     def fields(i):
-        pb = prefixes[i]
+        pb = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes()
         target = pb[6 * p - 1:6 * p - 1 + n]
         return {"occurrences": [j + 1 for j in range(6 * p) if pb[j:j + n] == target],
                 "allowed": [4 * p, 6 * p]}
@@ -408,15 +406,15 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
 
 def _lemma2_for_n(n, _sampled):
     p = phi(n)
-    depth, rows, prefixes = _grid(n)
-    s = s_column(prefixes, n)
+    depth, rows = _grid(n)
+    s = s_column(rows, n)
     # the target's first occurrence; it equals S only if the window at S
     # is the target, so one compare covers both halves of the lemma
     # (NOT_FOUND, where no window reaches n, equals no S)
-    direct_first = _first_starts_for_n(prefixes, n)
+    direct_first = _first_starts_for_n(rows, n)
 
     def fields(i):
-        pb, si = prefixes[i], int(s[i])
+        pb, si = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes(), int(s[i])
         found = _first_start_field(direct_first[i])
         out = {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
                "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
@@ -447,9 +445,9 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
 
 
 def _lemma3_for_n(n, _sampled):
-    depth, rows, prefixes = _grid(n)
-    first_short = _first_starts_for_n(prefixes, n)
-    first_full = _first_starts_for_n(prefixes, phi(n))
+    depth, rows = _grid(n)
+    first_short = _first_starts_for_n(rows, n)
+    first_full = _first_starts_for_n(rows, phi(n))
 
     def fields(i):
         short, full = _first_start_field(first_short[i]), _first_start_field(first_full[i])
@@ -478,8 +476,8 @@ def _theorem_for_n(n, sampled, samples, seed):
     if k + 2 >= depth:
         raise ValueError(f"instruction depth {depth} at n={n} does not reach "
                          f"f_{k + 2}, which the closed form reads")
-    _, rows, prefixes = _grid(n, sampled, samples, seed)
-    s = s_column(prefixes, n)
+    _, rows = _grid(n, sampled, samples, seed)
+    s = s_column(rows, n)
     # each row's (f_{k+1}, f_{k+2}) class, and the first row of each class
     _, firsts, group = np.unique(2 * rows[:, k + 1] + rows[:, k + 2],
                                  return_index=True, return_inverse=True)
@@ -537,19 +535,20 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
                                        for head in heads for tail in tails])
     rows, factors = np.array(rows, dtype=np.int8), np.array(factors)
     catalog = tuple(parse_instructions(text) for text in NON_QUALIFYING_TAILS)
-    # one prefix tuple, family rows then catalog rows, so both read the
-    # same cached bands
-    prefixes = tuple(appearance._prefix_bytes(f, band_length(max(n_hi, 64)))
-                     for f in family_sets + catalog)
+    # one array of instruction rows, family rows then catalog rows, so both
+    # read the same cached bands: f_0..f_(m+2) of the top band, phi = 2^m
+    width = band_length(max(n_hi, 64)).bit_length()
+    signs = np.array([[instruction(f, t) for t in range(width)]
+                      for f in family_sets + catalog], dtype=np.int8)
 
     def check_n(n, _sampled):
-        s, expected = s_column(prefixes, n)[:len(rows)], factors * phi(n)
+        s, expected = s_column(signs, n)[:len(rows)], factors * phi(n)
         return _first_failure(n, 4, rows, s != expected, lambda i: {
             "expected": int(expected[i]), "observed": int(s[i]),
             "instructions": format_instructions(family_sets[i])})
 
     # the catalog's branches, by entry and n = 7..64
-    branch = np.stack([s_column(prefixes, n)[len(rows):] // phi(n)
+    branch = np.stack([s_column(signs, n)[len(rows):] // phi(n)
                        for n in range(7, 65)], axis=1)
     is4, is6 = branch == 4, branch == 6
     mixed = is4.any(axis=1) & is6.any(axis=1) & (is4 | is6).all(axis=1)
@@ -590,9 +589,8 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     rows = _sign_grid(depth)
     # S by (n - 1, pattern); the negation of pattern i is pattern
     # 2^depth - 1 - i, so a column read in reverse holds the negated S
-    bands = {p: _batch.band_first_starts(appearance._grid_prefix_bytes(
-        depth, width, band_length(p)), p, _by_negation=False)
-        for p in {phi(n) for n in range(1, n_max + 1)}}
+    bands = {p: _batch.band_first_starts(_batch.sign_grid(depth, width), p, _by_negation=False)
+             for p in {phi(n) for n in range(1, n_max + 1)}}
     columns = np.array([bands[phi(n)][:, n - phi(n) // 2 - 1] for n in range(1, n_max + 1)])
 
     def check_n(n, _sampled):

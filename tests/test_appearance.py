@@ -234,6 +234,46 @@ def negation_pairs(rows):
     return len({frozenset((row, negated(row))) for row in rows})
 
 
+def on_byte_rows(kernel, rows, p):
+    """The chunk kernel `kernel` of _batch, called as kernel(bits, p, ws),
+    on b'+'/b'-' rows of at least 7p - 1 signs that need not be sequence
+    prefixes: one kernel row per row, in chunks of CHUNK_ELEMENTS // (7p -
+    1) rows whose 0/1 signs go to the "bits" of the one _Workspace that
+    every chunk of the call fills, as _by_chunks runs the kernels on the
+    prefixes of instruction rows."""
+    length = 7 * p - 1
+    step = max(1, _batch.CHUNK_ELEMENTS // length)
+    ws = _batch._Workspace()
+    out = []
+    for lo in range(0, len(rows), step):
+        chunk = [row[:length] for row in rows[lo:lo + step]]
+        bits = ws("bits", np.uint8, len(chunk), length)
+        raw = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(bits.shape)
+        np.equal(raw, ord("+"), out=bits.view(bool))
+        # a chunk's result is in the workspace, which the next chunk fills
+        out.append(getattr(_batch, kernel)(bits, p, ws).copy())
+    return np.concatenate(out)
+
+
+def band_of_bytes(rows, p):
+    """The band_first_starts values of b'+'/b'-' rows (on_byte_rows)."""
+    return on_byte_rows("_chunk_first_starts", rows, p)
+
+
+def summary_of_bytes(rows, p):
+    """The target_summary values of b'+'/b'-' rows (on_byte_rows)."""
+    return on_byte_rows("_chunk_target_summary", rows, p)
+
+
+def pf_rows_and_prefixes(rows, length):
+    """Instruction rows as one int8 array, and each row's prefix of
+    `length` signs from the scalar generator, which shares no code with
+    pf_prefix_matrix."""
+    rows = np.array(rows, dtype=np.int8)
+    return rows, [appearance_mod._prefix_bytes(make_instructions(row), length)
+                  for row in rows.tolist()]
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 300), word=st.text("+-", min_size=1, max_size=20),
        seed=st.integers(0, 2**32 - 1))
@@ -264,17 +304,15 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
         if i in pf_rows:
             pf_rows[len(rows)] = negate(pf_rows[i])
         rows.append(negated(rows[i]))
-    distinct = negation_pairs(rows)
     chunks = []
     real_chunk = _batch._chunk_first_starts
     with pytest.MonkeyPatch.context() as mp:
-        # the kernel sees one row per negation pair: one such row more than
-        # a chunk holds, so the last chunk is a partial one
-        mp.setattr(_batch, "CHUNK_ELEMENTS", (distinct - 1) * length)
+        # one row more than a chunk holds, so the last chunk is a partial one
+        mp.setattr(_batch, "CHUNK_ELEMENTS", (len(rows) - 1) * length)
         mp.setattr(_batch, "_chunk_first_starts",
                    lambda bits, p, ws: chunks.append(len(bits)) or real_chunk(bits, p, ws))
-        band = _batch.band_first_starts(rows, p)
-    assert chunks == [distinct - 1, 1]
+        band = band_of_bytes(rows, p)
+    assert chunks == [len(rows) - 1, 1]
     assert band.shape == (len(rows), p - p // 2)
     for i, (row, got) in enumerate(zip(rows, band[:, n - p // 2 - 1])):
         if i in pf_rows:
@@ -305,7 +343,7 @@ def test_band_kernel_sorts_and_compares_blocks_past_the_first(p):
         lcps = [len(os.path.commonprefix([row[i:i + p], row[j:j + p]]))
                 for i, j in zip(windows, windows[1:])]
         assert any(64 <= lcp < p for lcp in lcps)
-    band = _batch.band_first_starts(rows, p)
+    band = band_of_bytes(rows, p)
     for row, got in zip(rows, band):
         want = [max(appearance_mod._scan_first_starts(row, n, 6 * p).values())
                 for n in range(p // 2 + 1, p + 1)]
@@ -322,7 +360,7 @@ def scalar_band(row, p):
 def test_band_kernel_matches_scalar_scan_on_every_row_at_p_1_and_2(p):
     # p // 2 is 0 and 1: every row of 6 and of 13 signs
     rows = [bytes(row) for row in itertools.product(b"+-", repeat=7 * p - 1)]
-    band = _batch.band_first_starts(rows, p)
+    band = band_of_bytes(rows, p)
     assert band.tolist() == [scalar_band(row, p) for row in rows]
 
 
@@ -342,7 +380,7 @@ def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
     # at a short LCP: in a constant row each runs to its row's end, and the
     # rows meet inside one chunk, where a chain that left its row would
     # read the next row's ranks.  The constant rows and the last two are
-    # negation pairs, which the kernel scans once each.
+    # negation pairs.
     rows = long_chain_rows(p, 4, seed=p)
     rows.append(negated(rows[-1]))
     for row in rows:
@@ -353,8 +391,8 @@ def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
     real_chunk = _batch._chunk_first_starts
     monkeypatch.setattr(_batch, "_chunk_first_starts",
                         lambda bits, p, ws: chunks.append(len(bits)) or real_chunk(bits, p, ws))
-    band = _batch.band_first_starts(rows, p)
-    assert chunks == [negation_pairs(rows)]
+    band = band_of_bytes(rows, p)
+    assert chunks == [len(rows)]
     assert band.tolist() == [scalar_band(row, p) for row in rows]
 
 
@@ -394,23 +432,15 @@ def test_target_lcp_matches_byte_comparison(j, extra, seed):
         seen.append(lcp.copy())  # the summary takes a running maximum in place
         return lcp
     with pytest.MonkeyPatch.context() as mp:
-        # two rows per chunk, the last one partial for an odd count; at
-        # p = 1 rows can share their first 6 signs, and the kernel sees
-        # each band prefix once per negation pair, in first-seen order
+        # two rows per chunk, the last one partial for an odd count
         mp.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
         mp.setattr(_batch, "_chunk_target_lcp", recording)
-        _batch.target_summary(rows, p)
-    first_seen = {}
-    for row in rows:
-        band_prefix = row[:7 * p - 1]
-        first_seen.setdefault(frozenset((band_prefix, negated(band_prefix))), band_prefix)
-    pairs, odd = divmod(len(first_seen), 2)
+        summary_of_bytes(rows, p)
+    pairs, odd = divmod(len(rows), 2)
     assert [len(lcp) for lcp in seen] == [2] * pairs + [1] * odd
     got = np.concatenate(seen)
-    assert got.shape == (len(first_seen), 6 * p)
-    # whichever member of a pair the kernel scanned, its LCPs are those
-    # the byte comparison gives the first-seen one
-    for row, lcp in zip(first_seen.values(), got):
+    assert got.shape == (len(rows), 6 * p)
+    for row, lcp in zip(rows, got):
         assert lcp.tolist() == brute_target_lcp(row, p)
 
 
@@ -449,9 +479,7 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
     # rows whose negation is in the batch too, and rows whose is not
     rows += [negated(rows[1]), negated(rows[5])]
     # a kernel blind to the target itself in every row whose first two
-    # signs are equal, so that rows where no start reaches n occur too;
-    # that set of rows is closed under negation, so the kernel, which
-    # scans one row per negation pair, blinds the rows the reference does
+    # signs are equal, so that rows where no start reaches n occur too
     real_chunk = _batch._chunk_target_lcp
 
     def half_blind(bits, p, ws):
@@ -461,7 +489,7 @@ def test_target_summary_matches_the_target_lcp_array(j, per_chunk, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_batch, "_chunk_target_lcp", half_blind)
         mp.setattr(_batch, "CHUNK_ELEMENTS", per_chunk * length)
-        got = _batch.target_summary(rows, p)
+        got = summary_of_bytes(rows, p)
     # the reference compares bytes and blinds the same rows, with no kernel
     lcp = np.array([brute_target_lcp(row, p) for row in rows])
     lcp[[row[0] == row[1] for row in rows], 6 * p - 1] = 0
@@ -480,65 +508,65 @@ BAND_KERNELS = [(_batch.band_first_starts, "_chunk_first_starts"),
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
 @pytest.mark.parametrize("p", [1, 4, 128])
 def test_band_kernels_scan_repeated_prefixes_once(monkeypatch, kernel, chunk_name, p):
-    length = 7 * p - 1
+    # instruction rows of m + 5 columns, p = 2^m: five in distinct negation
+    # pairs (four at p = 1, which has no more), either sign first, each
+    # repeated with its own signs past f_(m+2), which the band prefix does
+    # not read, shuffled
+    keyed = (7 * p - 1).bit_length()
     rng = random.Random(p)
-    distinct = [bytes(rng.choice(b"+-") for _ in range(length)) for _ in range(5)]
-    # repeats, some with a different tail past the band prefix, shuffled
-    rows = [pb + bytes(rng.choice(b"+-") for _ in range(rng.randrange(3)))
-            for pb in distinct * 3 + distinct[:2]]
+    heads = {}
+    while len(heads) < min(5, 1 << (keyed - 1)):
+        heads[(1,) + tuple(rng.choice((-1, 1)) for _ in range(keyed - 1))] = rng.choice((-1, 1))
+    heads = [[sign * v for v in head] for head, sign in heads.items()]
+    rows = [head + [rng.choice((-1, 1)) for _ in range(2)] for head in heads * 3 + heads[:2]]
     rng.shuffle(rows)
-    alone = np.concatenate([kernel((row,), p) for row in rows])
+    rows = np.array(rows, dtype=np.int8)
+    alone = np.concatenate([kernel(row[None], p) for row in rows])
     seen = []
     real_chunk = getattr(_batch, chunk_name)
-    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
-    got = kernel(tuple(rows), p)
-    assert seen == [2, 2, 1]
+    got = kernel(rows, p)
+    pairs, odd = divmod(len(heads), 2)
+    assert seen == [2] * pairs + [1] * odd
     assert got.dtype == alone.dtype and np.array_equal(got, alone)
     # a fresh array: a twin of row 0 keeps its own values
-    twin = next(i for i in range(1, len(rows)) if rows[i][:length] == rows[0][:length])
+    twin = next(i for i in range(1, len(rows)) if (rows[i, :keyed] == rows[0, :keyed]).all())
     got[0] += 1
     assert np.array_equal(got[twin], alone[twin])
 
 
 @pytest.mark.parametrize("p", [1, 4, 64, 128])
 def test_band_kernels_scan_a_prefix_and_its_negation_once(monkeypatch, p):
-    # Rows with a copy of the target window (0-based 6p - 1 on) at a start
-    # below 5p: two with their negation in the batch and two without, one
-    # of each first sign, and a row with its twin that differs only in
-    # the last sign of the band prefix.  A key that merges rows which are
-    # not negations of each other (the twins, or every row starting with
-    # '-') hands some row another row's values.
-    length = 7 * p - 1
+    # Instruction rows of m + 4 columns, p = 2^m: two with their negation
+    # in the batch and two without, one of each first sign; a row with its
+    # twin that differs only at f_(m+2), the last sign the band prefix
+    # reads; a row with the one that differs only at f_0; and copies of
+    # the paired rows that differ past f_(m+2).  A key one sign short
+    # merges the twins, and one that sets f_0 to +1 without negating the
+    # rest merges the rows that differ only at f_0 and splits the
+    # negation pairs; either changes the kernels' row count.
+    keyed = (7 * p - 1).bit_length()
     rng = random.Random(p)
-    drawn = set()
 
-    def copied_target(first):
-        """A new row, in no negation pair drawn before."""
-        while True:
-            pb = bytearray(rng.choice(b"+-") for _ in range(length))
-            to = rng.randrange(5 * p)
-            pb[to:to + p] = pb[6 * p - 1:]
-            pb[0] = first
-            pb = bytes(pb)
-            if drawn.isdisjoint((pb, negated(pb))):
-                drawn.update((pb, negated(pb)))
-                return pb
-    twin = copied_target(ord("-"))
-    last_flipped = twin[:-1] + negated(twin[-1:])
-    drawn.update((last_flipped, negated(last_flipped)))
-    paired = [copied_target(ord("+")), copied_target(ord("-"))]
-    alone = [copied_target(ord("+")), copied_target(ord("-"))]
-    rows = (paired + alone + [twin, negated(paired[1]), last_flipped, negated(paired[0])]
-            + [pb + b"+-" for pb in paired])
+    def draw(first):
+        return [first] + [rng.choice((-1, 1)) for _ in range(keyed)]
+
+    def flipped(row, *at):
+        return [-v if t in at else v for t, v in enumerate(row)]
+    paired, alone, twin, first = [draw(1), draw(-1)], [draw(1), draw(-1)], draw(-1), draw(1)
+    rows, prefixes = pf_rows_and_prefixes(
+        paired + alone + [twin, flipped(paired[1], *range(keyed + 1)), flipped(twin, keyed - 1),
+                          flipped(paired[0], *range(keyed + 1)), first, flipped(first, 0)]
+        + [flipped(row, keyed) for row in paired], 7 * p - 1)
     # reference values from the scalar scan and the byte comparison alone
-    want_band = [scalar_band(row, p) for row in rows]
+    want_band = [scalar_band(pb, p) for pb in prefixes]
     want_summary = summary_from_array(
-        np.array([brute_target_lcp(row, p) for row in rows]), p).tolist()
-    # each fault shows: the twins differ, and so do rows starting with '-'
-    assert want_summary[4] != want_summary[6]
-    assert len({str((want_band[i], want_summary[i])) for i in (1, 3, 4, 6)}) > 1
+        np.array([brute_target_lcp(pb, p) for pb in prefixes]), p).tolist()
+    # the faults show: each merged pair holds distinct prefixes
+    assert prefixes[4] != prefixes[6] and prefixes[8] != prefixes[9]
+    assert negated(prefixes[0]) == prefixes[7] and prefixes[0] == prefixes[10]
     seen = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
 
     def counting(name):
@@ -550,47 +578,108 @@ def test_band_kernels_scan_a_prefix_and_its_negation_once(monkeypatch, p):
         return kernel
     for name in seen:
         monkeypatch.setattr(_batch, name, counting(name))
-    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
     assert _batch.band_first_starts(rows, p).tolist() == want_band
     assert _batch.target_summary(rows, p).tolist() == want_summary
-    assert seen == dict.fromkeys(seen, negation_pairs([row[:length] for row in rows])) \
-        == dict.fromkeys(seen, 6)
+    assert seen == dict.fromkeys(seen, negation_pairs(prefixes))
+
+
+@st.composite
+def keyed_batches(draw):
+    """(p, instruction rows): rows of m + 3 to m + 6 columns, p = 2^m <=
+    256, then copies, twins that differ only past f_(m+2) and negations of
+    rows drawn before."""
+    j, extra = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    keyed, width = j + 3, j + 3 + extra
+    sign_rows = st.lists(st.sampled_from((-1, 1)), min_size=width, max_size=width)
+    rows = draw(st.lists(sign_rows, min_size=1, max_size=3))
+    for kind in draw(st.lists(st.sampled_from(("copy", "twin", "negation")), max_size=5)):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "twin" and extra:
+            t = draw(st.integers(keyed, width - 1))
+            row = row[:t] + [-row[t]] + row[t + 1:]
+        elif kind == "negation":
+            row = [-v for v in row]
+        rows.append(row)
+    return 1 << j, rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=keyed_batches())
+@example(batch=(1, [list(row) for row in itertools.product((-1, 1), repeat=4)]))
+def test_band_kernels_see_each_distinct_key_once(batch):
+    # every row reads the values of its own prefix from the scalar scan and
+    # the byte comparison, and the kernels see each distinct f_0..f_(m+2)
+    # once, up to negation with the map on and as it is with it off: as
+    # many as there are distinct prefixes, up to negation or not
+    p, rows = batch
+    keyed = p.bit_length() + 2
+    rows, prefixes = pf_rows_and_prefixes(rows, 7 * p - 1)
+    keys = {tuple(row[:keyed]) for row in rows.tolist()}
+    pair_keys = {frozenset((key, tuple(-v for v in key))) for key in keys}
+    assert (len(keys), len(pair_keys)) == (len(set(prefixes)), negation_pairs(prefixes))
+    want = {pb: (scalar_band(pb, p), summary_from_array(
+        np.array([brute_target_lcp(pb, p)]), p)[0].tolist()) for pb in set(prefixes)}
+    seen = []
+
+    def kernel_rows(call, *args, **kwargs):
+        seen.clear()
+        return call(rows, p, *args, **kwargs).tolist(), sum(seen)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_chunk_first_starts", "_chunk_target_lcp"):
+            real = getattr(_batch, name)
+            mp.setattr(_batch, name, lambda bits, p, ws, real=real:
+                       seen.append(len(bits)) or real(bits, p, ws))
+        # a few rows a chunk, so that most batches take more than one
+        mp.setattr(_batch, "CHUNK_ELEMENTS", 3 * (7 * p - 1))
+        band = kernel_rows(_batch.band_first_starts)
+        raw = kernel_rows(_batch.band_first_starts, _by_negation=False)
+        summary = kernel_rows(_batch.target_summary)
+    want_band = [want[pb][0] for pb in prefixes]
+    assert band == (want_band, len(pair_keys)) and raw == (want_band, len(keys))
+    assert summary == ([want[pb][1] for pb in prefixes], len(pair_keys))
 
 
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
 @pytest.mark.parametrize("n", [7, 9, 33])
 def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
     # scan_depth(n) is one instruction bit above those the band prefix
-    # reads, so the prefixes come in byte-identical twins, and the grid
-    # holds every pattern with its negation: the kernel sees a quarter of
-    # the rows, and every row reads what a scan of each distinct prefix
-    # on its own, with no negation map, gives it
-    depth, _, prefixes = verification._grid(n)
+    # reads, so the rows come in twins with byte-identical prefixes, and
+    # the grid holds every pattern with its negation: the kernel sees a
+    # quarter of the rows, and every row reads what a scan of each
+    # distinct prefix on its own, with no negation map, gives it
+    depth, rows = verification._grid(n)
     p = phi(n)
     one_row = {"_chunk_first_starts": _batch._chunk_first_starts,
                "_chunk_target_lcp": _batch._chunk_target_summary}[chunk_name]
-    columns = kernel(prefixes[:1], p).shape[1]
-    apart = _batch._by_chunks(prefixes, 7 * p - 1, columns,
+    columns = kernel(rows[:1], p).shape[1]
+    apart = _batch._by_chunks(rows, p, columns,
                               lambda bits, ws: one_row(bits, p, ws), by_negation=False)
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
-    got = kernel(prefixes, p)
+    got = kernel(rows, p)
     assert sum(seen) == 1 << (depth - 2)
-    assert len(got) == len(prefixes) == 1 << depth
+    assert len(got) == len(rows) == 1 << depth
     assert np.array_equal(got, apart)
 
 
-@pytest.mark.parametrize("kernel", [_batch.band_first_starts,
-                                    pytest.param(_batch.target_summary, id="target_lcp")])
+@pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
 @pytest.mark.parametrize("p", [1, 64])
-def test_band_kernels_refuse_a_short_last_prefix(kernel, p):
+def test_band_kernels_refuse_too_few_instruction_columns(monkeypatch, kernel, chunk_name, p):
+    # the band prefix of 7p - 1 signs reads f_0..f_(m+2), p = 2^m: rows of
+    # m + 3 columns are scanned, and rows of one column fewer are refused
+    # before any kernel call
     length = 7 * p - 1
-    rows = (b"+" * (length + 1), b"-" * length, b"+-" * length, b"-" * (length - 1))
-    with pytest.raises(ValueError,
-                       match=f"need prefixes of {length} signs, the shortest has {length - 1}"):
-        kernel(rows, p)
+    grid = _batch.sign_grid(length.bit_length())
+    assert len(kernel(grid, p)) == len(grid)
+    calls = []
+    monkeypatch.setattr(_batch, chunk_name, lambda bits, p, ws: calls.append(len(bits)))
+    with pytest.raises(ValueError, match=f"^{length.bit_length() - 1} instruction columns "
+                                         f"cannot cover positions up to {length}$"):
+        kernel(grid[:, :-1], p)
+    assert calls == []
 
 
 class PoisonedWorkspace(_batch._Workspace):
@@ -612,12 +701,14 @@ class PoisonedWorkspace(_batch._Workspace):
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 32, 64, 128, 256])
 def test_band_kernels_write_every_workspace_entry_they_read(monkeypatch, p):
-    # Five negation pairs in chunks of two, so the last chunk is shorter
-    # and every chunk gets arrays full of junk: a row with a cut copy of
-    # its target window, a row whose sorted windows all share more than
-    # p/2 signs (chains to its row's end), a periodic row with flipped
-    # signs, a constant row, random rows up to five pairs, and the
-    # negation of the first three (scanned once).
+    # Eight byte rows in chunks of three, so the last chunk is shorter and
+    # every chunk gets arrays full of junk: a row with a cut copy of its
+    # target window, a row whose sorted windows all share more than p/2
+    # signs (chains to its row's end), a periodic row with flipped signs,
+    # a constant row, random rows up to five negation pairs, and the
+    # negation of the first three.  Then the kernels' own chunks, on five
+    # instruction rows in distinct negation pairs and the negations of
+    # three (scanned once), in chunks of two.
     length = 7 * p - 1
     rng = random.Random(p)
     copied = bytearray(rng.choice(b"+-") for _ in range(length))
@@ -643,27 +734,44 @@ def test_band_kernels_write_every_workspace_entry_they_read(monkeypatch, p):
         monkeypatch.setattr(_batch, name, lambda bits, p, ws, real=real, seen=seen:
                             seen.append(len(bits)) or real(bits, p, ws))
     monkeypatch.setattr(_batch, "_Workspace", PoisonedWorkspace)
-    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
-    band = _batch.band_first_starts(rows, p)
-    summary = _batch.target_summary(rows, p)
-    assert chunks == dict.fromkeys(chunks, [2, 2, 1])
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 3 * length)
+    band = band_of_bytes(rows, p)
+    summary = summary_of_bytes(rows, p)
+    assert chunks == dict.fromkeys(chunks, [3, 3, 2])
     assert band.tolist() == [scalar_band(row, p) for row in rows]
     want = summary_from_array(np.array([brute_target_lcp(row, p) for row in rows]), p)
+    assert summary.tolist() == want.tolist()
+
+    keyed = length.bit_length()
+    heads = rng.sample(range(1 << (keyed - 1)), min(5, 1 << (keyed - 1)))
+    signs = [[1] + [1 if (h >> t) & 1 else -1 for t in range(keyed - 1)] for h in heads]
+    signs = [[-v for v in row] if i % 2 else row for i, row in enumerate(signs)]
+    pf_rows, prefixes = pf_rows_and_prefixes(signs + [[-v for v in row] for row in signs[:3]],
+                                             length)
+    for seen in chunks.values():
+        seen.clear()
+    monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
+    band = _batch.band_first_starts(pf_rows, p)
+    summary = _batch.target_summary(pf_rows, p)
+    pairs, odd = divmod(len(heads), 2)
+    assert chunks == dict.fromkeys(chunks, [2] * pairs + [1] * odd)
+    assert band.tolist() == [scalar_band(pb, p) for pb in prefixes]
+    want = summary_from_array(np.array([brute_target_lcp(pb, p) for pb in prefixes]), p)
     assert summary.tolist() == want.tolist()
 
 
 # A band of 12 chunks at p = 128 and one of a single chunk, each read after
 # a warm-up call in a fresh interpreter, whose heap is not shaped by the
-# tests run before.  The rows are paper-folding prefixes in no negation
-# pair: their long repeated factors keep many chains walking, as in the
-# sampled suites.
+# tests run before.  The rows are instruction rows in no negation pair,
+# each a kernel row of its own: the long repeated factors of their
+# prefixes keep many chains walking, as in the sampled suites.
 CHUNK_FAULTS = """
 import resource, sys
 from foldscope import _batch
 p, length = 128, 7 * 128 - 1
 per_chunk = _batch.CHUNK_ELEMENTS // length
 grid = _batch.sign_grid(10)
-rows = _batch.prefix_rows(grid[grid[:, 0] > 0][:12 * per_chunk], length)
+rows = grid[grid[:, 0] > 0][:12 * per_chunk]
 
 def faults(batch):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -251,7 +251,6 @@ def test_verify_refuses_exhaustive_grids_past_the_depth_cap(capsys, monkeypatch)
     def forbidden(*args):
         pytest.fail("a grid or sweep was built")
 
-    monkeypatch.setattr(appearance, "_grid_prefix_bytes", forbidden)
     monkeypatch.setattr(appearance, "_prefix_bytes", forbidden)
     monkeypatch.setattr(_batch, "sign_grid", forbidden)
     monkeypatch.setattr(_batch, "pf_prefix_matrix", forbidden)
@@ -285,7 +284,7 @@ def test_verify_refuses_sampled_sizes_past_their_caps(capsys, monkeypatch):
         pytest.fail("a sample, grid or sweep was built")
 
     monkeypatch.setattr(verification, "_sample_rows", forbidden)
-    monkeypatch.setattr(appearance, "_grid_prefix_bytes", forbidden)
+    monkeypatch.setattr(_batch, "pf_prefix_matrix", forbidden)
     monkeypatch.setattr(_batch, "compare_formula_vs_dfao", forbidden)
     # the samples cap is the size of the largest exhaustive grid
     assert verification.SAMPLES_MAX == 1 << verification.EXHAUSTIVE_DEPTH_MAX == 4096

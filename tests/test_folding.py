@@ -277,13 +277,13 @@ def test_sign_grid_rows_are_the_periodic_sets():
             grid = _batch.sign_grid(depth, width)
             assert grid.shape == (1 << depth, width)
             length = min((1 << width) - 1, 700)
-            prefixes = _batch.prefix_rows(grid, length)
+            prefixes = _batch.pf_prefix_matrix(grid, length)
             assert len(prefixes) == 1 << depth
             for i, row in enumerate(grid.tolist()):
                 f = FoldingInstructions((), tuple(1 if (i >> t) & 1 else -1
                                                   for t in range(depth)))
                 assert row == [instruction(f, t) for t in range(width)]
-                assert prefixes[i] == _prefix_bytes(f, length)
+                assert prefixes[i].tobytes() == _prefix_bytes(f, length)
 
 
 @given(bits=st.lists(signs, min_size=8, max_size=8),

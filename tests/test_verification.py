@@ -42,9 +42,11 @@ def dropping_scan(prefix, n, limit):
 
 
 def kernel_from_scan(scan):
-    """A band kernel that reads every (prefix, n) off the scalar `scan`, so
-    a scan mutation becomes a mutation of the kernel the suites call."""
-    def kernel(prefixes, p):
+    """A band kernel that reads every (row's prefix, n) off the scalar
+    `scan`, so a scan mutation becomes a mutation of the kernel the suites
+    call."""
+    def kernel(rows, p):
+        prefixes = [pb.tobytes() for pb in _batch.pf_prefix_matrix(rows, 7 * p - 1)]
         return np.array([[max(scan(pb, n, 6 * p).values())
                           for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
                         dtype=np.int32).reshape(len(prefixes), p - p // 2)
@@ -52,12 +54,12 @@ def kernel_from_scan(scan):
 
 
 def kernel_with_s(n, row, value):
-    """The real band kernel, except that prefix `row` (an index or a slice)
+    """The real band kernel, except that row `row` (an index or a slice)
     of every band holding n reads S(n) = value."""
     real = _batch.band_first_starts
 
-    def kernel(prefixes, p, **private):
-        out = real(prefixes, p, **private)
+    def kernel(rows, p, **private):
+        out = real(rows, p, **private)
         if p == phi(n):
             out[row, n - p // 2 - 1] = value
         return out
@@ -65,22 +67,30 @@ def kernel_with_s(n, row, value):
 
 
 def grid_with_copied_target(n, row, to, break_after=False):
-    """The real lemma grids, except that in prefix `row` of the band of n
-    the length-n window at 6*phi(n) is copied to start `to`, and with
-    break_after the sign just after the copy differs from the target's."""
-    real = appearance_mod._grid_prefix_bytes
+    """The real sequence prefixes, except that in the band prefix at n of
+    grid row `row` the length-n window at 6*phi(n) is copied to start `to`,
+    and with break_after the sign just after the copy differs from the
+    target's.  The row is known by the signs its band prefix reads, up to
+    negation, as the band kernels key it, and its twin and negation read
+    the same prefix there; the fields of a counterexample build their
+    row's prefix with pf_prefix_matrix too."""
+    real = _batch.pf_prefix_matrix
+    length = appearance_mod.band_length(n)
+    keyed = length.bit_length()
+    key = verification._sign_grid(appearance_mod.scan_depth(n))[row, :keyed]
 
-    def grid(depth, width, length):
-        rows = list(real(depth, width, length))
-        if length == appearance_mod.band_length(n):
+    def prefixes(rows, at):
+        out = real(rows, at)
+        if at == length:
             p = phi(n)
-            pb = bytearray(rows[row])
-            pb[to - 1:to - 1 + n] = pb[6 * p - 1:6 * p - 1 + n]
-            if break_after:
-                pb[to - 1 + n] = ord("+") if pb[6 * p - 1 + n] == ord("-") else ord("-")
-            rows[row] = bytes(pb)
-        return tuple(rows)
-    return grid
+            head = rows[:, :keyed]
+            for i in np.flatnonzero((head == key).all(axis=1) | (head == -key).all(axis=1)):
+                pb = out[i]
+                pb[to - 1:to - 1 + n] = pb[6 * p - 1:6 * p - 1 + n]
+                if break_after:
+                    pb[to - 1 + n] = ord("+") if pb[6 * p - 1 + n] == ord("-") else ord("-")
+        return out
+    return prefixes
 
 
 def json_counterexample(outcome):
@@ -284,7 +294,7 @@ def test_lemmas_reject_small_n(verify):
 ])
 def test_lemma1_reports_a_stray_occurrence(clean_caches, monkeypatch, n, row, to,
                                            n_lo, n_hi, cases, counter):
-    monkeypatch.setattr(appearance_mod, "_grid_prefix_bytes",
+    monkeypatch.setattr(_batch, "pf_prefix_matrix",
                         grid_with_copied_target(n, row, to))
     outcome = verify_lemma_first_occurrence(n_lo, n_hi)
     assert not outcome.passed and outcome.cases_checked == cases
@@ -300,7 +310,7 @@ def test_lemma1_reports_a_stray_occurrence(clean_caches, monkeypatch, n, row, to
 ])
 def test_lemma3_reports_split_first_starts(clean_caches, monkeypatch, n, row, to,
                                            n_lo, n_hi, cases, counter):
-    monkeypatch.setattr(appearance_mod, "_grid_prefix_bytes",
+    monkeypatch.setattr(_batch, "pf_prefix_matrix",
                         grid_with_copied_target(n, row, to, break_after=True))
     outcome = verify_lemma_shared_start(n_lo, n_hi)
     assert not outcome.passed and outcome.cases_checked == cases
@@ -309,7 +319,7 @@ def test_lemma3_reports_split_first_starts(clean_caches, monkeypatch, n, row, to
 
 
 def test_lemma2_reports_the_row_that_moved(clean_caches, monkeypatch):
-    monkeypatch.setattr(appearance_mod, "_grid_prefix_bytes",
+    monkeypatch.setattr(_batch, "pf_prefix_matrix",
                         grid_with_copied_target(7, 3, 2, break_after=True))
     outcome = verify_lemma_last_factor(7, 8)
     assert not outcome.passed and outcome.cases_checked == 256
@@ -372,7 +382,7 @@ def test_lemma1_witness_comes_from_the_bytes(clean_caches, monkeypatch):
     counter = outcome.counterexample
     assert not outcome.passed and outcome.cases_checked == 128
     assert (counter["n"], counter["instructions"]) == (7, "-------")
-    pb = verification._grid(7)[2][0]
+    pb = _batch.pf_prefix_matrix(verification._grid(7)[1][:1], 55).tobytes()
     target, found = pb[47:47 + 7], []
     at = pb.find(target)
     while 0 <= at < 48:
@@ -754,3 +764,28 @@ def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch)
         asked = [(a["n_lo"], a["n_hi"], a["mode"]) for name, a in calls
                  if name == "verify_theorem"]
         assert asked == theorems
+
+
+def test_cached_bands_and_summaries_are_read_only(clean_caches):
+    # S columns and lemma summaries are views into cached arrays: a write
+    # into one is refused, and every later read and suite sees what the
+    # kernels gave
+    theorem, lemma2 = verify_theorem(7, 8).to_json(), verify_lemma_last_factor(7, 8).to_json()
+    depth = appearance_mod.scan_depth(7)
+    s = appearance_mod.grid_s_values(7, depth)
+    kept = s.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        s[:] = 0
+    rows = verification._grid(7)[1]
+    summary = verification._target_summary(rows.tobytes(), rows.shape[1], 8)
+    first = verification._first_starts_for_n(rows, 7)
+    kept = [kept, summary.copy(), first.copy()]
+    for array in (summary, first):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0
+    assert np.array_equal(appearance_mod.grid_s_values(7, depth), kept[0])
+    assert np.array_equal(verification._target_summary(rows.tobytes(), rows.shape[1], 8),
+                          kept[1])
+    assert np.array_equal(verification._first_starts_for_n(rows, 7), kept[2])
+    assert verify_theorem(7, 8).to_json() == theorem
+    assert verify_lemma_last_factor(7, 8).to_json() == lemma2
