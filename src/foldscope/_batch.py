@@ -18,8 +18,13 @@ kernels read a window as blocks of min(p, 64) signs, each one packed
 code of _window_codes, and find a common prefix at the first block pair
 whose XOR is nonzero; each keeps its own walk over the blocks, so the
 lemma checks share no sort, neighbour LCP or previous factor with the
-kernel that gives S.  Both take int8 instruction rows and make one scan
-per negation pair (_by_chunks): each row is keyed by the m + 3 signs
+kernel that gives S.  The S kernel sorts each row's windows with no
+stable comparison sort (_window_order): one argsort of the block codes
+up to p = 64, and past that one lexsort of the 16-bit dense ranks of the
+block codes, whose passes numpy makes by radix; equal windows may come in
+any order, which no step after the sort reads (_sorted_lcp).  Both
+take int8 instruction rows and make one scan per negation pair
+(_by_chunks): each row is keyed by the m + 3 signs
 f_0..f_(m+2) its band prefix reads (p = 2^m) as one integer, one
 np.unique gives the distinct keys, and each chunk's prefixes come from
 pf_prefix_matrix, so a grid's 2^depth rows reach the kernel as
@@ -108,7 +113,9 @@ class _Workspace:
     set back in.  An array holds what the last chunk left there, so a
     kernel writes every entry it reads, and a kernel may use an array for
     something else while its own contents are not needed yet.  Nothing is
-    kept past the call.
+    kept past the call.  A request for a name in another dtype, or for
+    more entries than its first request, raises ValueError; the arange
+    grows to the largest size asked for.
     """
 
     def __init__(self):
@@ -119,13 +126,19 @@ class _Workspace:
         array = self._arrays.get(name)
         if array is None:
             array = self._arrays[name] = np.empty(shape, dtype)
+        elif array.dtype != dtype:
+            raise ValueError(f"workspace array {name!r} is {array.dtype}, not {np.dtype(dtype)}")
         elif array.shape != shape:
-            array = array.ravel()[:math.prod(shape)].reshape(shape)
+            size = math.prod(shape)
+            if size > array.size:
+                raise ValueError(f"workspace array {name!r} holds {array.size} entries, "
+                                 f"not {size}")
+            array = array.ravel()[:size].reshape(shape)
         return array
 
     def arange(self, size: int) -> np.ndarray:
         """0, 1, ..., size - 1, as intp."""
-        if self._ramp is None:
+        if self._ramp is None or self._ramp.size < size:
             self._ramp = np.arange(size)
         return self._ramp[:size]
 
@@ -161,20 +174,77 @@ def _window_codes(bits: np.ndarray, w: int, ws: _Workspace) -> np.ndarray:
     return codes
 
 
+def _dense_ranks(codes: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """ranks[r, i] is the number of distinct codes of row r below
+    codes[r, i], so ranks are equal exactly when the codes are and order as
+    they do, and a row's largest is its distinct count - 1; in the least
+    unsigned type that holds a row's length - 1, uint16 for the 7p - 64
+    block codes of every band up to p = 2048.
+
+    One unstable argsort per row, one take of the codes in that order, a
+    not_equal of sorted neighbours and a cumsum give the ranks in sorted
+    order, and one scatter puts them back, all in the workspace.
+    """
+    r, n = codes.shape
+    at = np.argsort(codes, axis=1)
+    at += np.arange(0, codes.size, n)[:, None]
+    at = at.ravel()
+    ordered = ws("ordered", codes.dtype, r, n)
+    codes.ravel().take(at, out=ordered.ravel(), mode="clip")
+    steps = ws("steps", bool, r, n)
+    steps[:, 0] = False
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    rank_type = np.min_scalar_type(n - 1)
+    ranked = np.cumsum(steps, axis=1, dtype=rank_type, out=ws("ranked", rank_type, r, n))
+    ranks = ws("ranks", rank_type, r, n)
+    ranks.ravel()[at] = ranked.ravel()
+    return ranks
+
+
+def _window_order(codes: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
+    """Each row's 6p window starts - 1 in the order of their windows of
+    length p, equal windows in any order, from the windows' p / w block
+    codes of w = min(p, 64) signs (_window_codes), block 0 first.
+
+    One block is one argsort per row: numpy's stable sort is a radix sort
+    for codes of up to 16 bits (p <= 16), and its default unstable sort
+    is the faster one for 32- and 64-bit codes.  Past one block, each
+    block code is replaced by its dense rank in its row (_dense_ranks), as
+    in the naming step of prefix doubling (Manber & Myers, "Suffix arrays:
+    a new method for on-line string searches", 1993), and one lexsort over
+    the p / 64 rank columns, block 0 the primary key, sorts each pass's
+    16-bit keys by radix.
+    """
+    m, w = 6 * p, min(p, 64)
+    if w < p:
+        ranks = _dense_ranks(codes, ws)
+        return np.lexsort([ranks[:, b:b + m] for b in range(p - w, -1, -w)], axis=1)
+    return np.argsort(codes[:, :m], axis=1, kind="stable" if codes.itemsize <= 2 else "quicksort")
+
+
 def _sorted_lcp(bits: np.ndarray, p: int, ws: _Workspace, starts: np.ndarray,
                 gap: np.ndarray, scratch: np.ndarray) -> None:
     """For one chunk of 0/1 rows of length 7p - 1, fill `starts` with each
-    row's 6p starts of its windows of length p in sorted order (equal
-    windows in start order), row after row, and `gap` with the common
-    prefix of each sorted window with the next (the pairs across a row
-    boundary included) less p/2.  `scratch` is an intp array of
-    2 * len(starts) entries that the caller reads only after this returns.
+    row's 6p starts of its windows of length p in sorted order, row after
+    row, and `gap` with the common prefix of each sorted window with the
+    next (the pairs across a row boundary included) less p/2.  `scratch`
+    is an intp array of 2 * len(starts) entries that the caller reads only
+    after this returns.
+
+    Equal windows may come in any order (_window_order), and the band is
+    the same for every order of them.  In any order sorted by window, the
+    common prefix of two ranks is the least neighbour LCP between them.
+    Equal windows are joined by LCPs of p, the largest there is, so the
+    walk from any window to the nearest one on either side that starts
+    earlier passes the same least LCP whatever order the ties are in.  The
+    live-chain rule (`shared`, `later`), the pointer jumping and the
+    maximum.at table of _chunk_first_starts compare starts only, and none
+    of them reads the order of ties.
     """
     m, w = 6 * p, min(p, 64)
     size = gap.size
     codes = _window_codes(bits, w, ws)
-    # block 0 is the primary key; the sort is stable
-    order = np.lexsort([codes[:, b:b + m] for b in range(p - w, -1, -w)], axis=1)
+    order = _window_order(codes, p, ws)
     np.add(order.ravel(), 1, out=starts, dtype=np.int32)
     # order, offset in place, is the flat index of each sorted window's
     # block 0; block b is b further
@@ -334,9 +404,14 @@ def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> np.ndar
     Longest Previous Factor in linear time and applications", 2008), so
     S(n) = max{i : LPF(i) < n} and one LPF per window gives every n of
     the band.  Each row's 6p windows of length p are sorted once, by their
-    p / w block codes of w = min(p, 64) signs (one stable lexsort, block 0
-    the primary key), and each window's common prefix with the one sorted
-    after it is read off the first block pair that differs.  LPF(i) is
+    p / w block codes of w = min(p, 64) signs, block 0 the primary key:
+    one argsort per row up to p = 64, and past that one lexsort of the
+    blocks' dense ranks (_window_order).  Equal windows may come in any
+    order, since the common prefix of two sorted windows is the least
+    neighbour LCP between them, equal windows are joined by the largest,
+    p, and every later step compares starts only (_sorted_lcp).  Each
+    window's common prefix with the one sorted after it is read off the
+    first block pair that differs.  LPF(i) is
     then the larger common prefix with the nearest sorted window on either
     side that starts earlier: the least neighbour LCP in between, found by
     pointer jumping, which stops a walk once that least LCP is p/2 or

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -326,18 +327,22 @@ def test_band_kernel_matches_scalar_scan(n, word, seed):
         assert got == want
 
 
-@pytest.mark.parametrize("p", [128, 256])
-def test_band_kernel_sorts_and_compares_blocks_past_the_first(p):
-    # 64 fixed signs and a 16-sign tag, eight times a period; the tags are
-    # in turn a count in binary and one fixed word.  The windows at the
-    # fixed signs share their first 64-sign block and differ in a later
-    # one, and past a differing tag their blocks can agree again.  The rows
-    # start at every 16th sign of the first two units.
+def block_rows(p):
+    """Rows of 7p - 1 signs, starting at every 16th sign of the first two
+    units of a period of 64 fixed signs and a 16-sign tag, eight times; the
+    tags are in turn a count in binary and one fixed word.  The windows at
+    the fixed signs share their first 64-sign block and differ in a later
+    one, and past a differing tag their blocks can agree again."""
     head = "+-" * 16 + "+" * 16 + "-" * 16
     period = "".join(head + format(k, "016b") + head + "1" * 8 + "0" * 8
                      for k in range(4)).translate(str.maketrans("01", "-+"))
     word = period * (7 * p // len(period) + 2)
-    rows = [word[r:r + 7 * p - 1].encode() for r in range(0, 160, 16)]
+    return [word[r:r + 7 * p - 1].encode() for r in range(0, 160, 16)]
+
+
+@pytest.mark.parametrize("p", [128, 256])
+def test_band_kernel_sorts_and_compares_blocks_past_the_first(p):
+    rows = block_rows(p)
     for row in rows:
         windows = sorted(range(6 * p), key=lambda i: row[i:i + p])
         lcps = [len(os.path.commonprefix([row[i:i + p], row[j:j + p]]))
@@ -394,6 +399,102 @@ def test_band_kernel_follows_chains_to_the_row_end(monkeypatch, p):
     band = band_of_bytes(rows, p)
     assert chunks == [len(rows)]
     assert band.tolist() == [scalar_band(row, p) for row in rows]
+
+
+def ties_reordered(how, seed):
+    """A _window_order that puts every run of equal windows the real one
+    gives in reverse start order (how="reverse") or in a seeded shuffle
+    (how="shuffle"), and counts in .changed the rows whose order moved.
+    Two windows are equal when every one of their block codes is."""
+    real = _batch._window_order
+    rng = np.random.default_rng(seed)
+
+    def window_order(codes, p, ws):
+        order = real(codes, p, ws)
+        out = np.empty_like(order)
+        for i, (row_codes, row) in enumerate(zip(codes, order)):
+            blocks = np.stack([row_codes[row + b] for b in range(0, p, min(p, 64))])
+            run = np.cumsum(np.r_[True, (blocks[:, 1:] != blocks[:, :-1]).any(axis=0)])
+            within = -row if how == "reverse" else rng.permutation(len(row))
+            out[i] = row[np.lexsort((within, run))]
+            window_order.changed += not np.array_equal(out[i], row)
+        return out
+    window_order.changed = 0
+    return window_order
+
+
+@pytest.mark.parametrize("p", [1, 8, 32, 64, 128, 256])
+def test_band_kernel_reads_no_order_of_equal_windows(monkeypatch, p):
+    # Tie-heavy rows: the constant rows and the long-chain rows, whose
+    # sorted windows all share more than p/2 signs, and the periodic rows
+    # of the block test, whose equal windows span several blocks.  With
+    # every run of equal windows reversed or shuffled the band is still the
+    # scalar scan's, and the reordering moves the order of most rows.
+    rows = long_chain_rows(p, 2, seed=p) + block_rows(p)[::3]
+    want = [scalar_band(row, p) for row in rows]
+    for how in ("reverse", "shuffle"):
+        window_order = ties_reordered(how, seed=p)
+        monkeypatch.setattr(_batch, "_window_order", window_order)
+        assert band_of_bytes(rows, p).tolist() == want, how
+        assert window_order.changed >= len(rows) // 2, how
+
+
+@st.composite
+def code_rows(draw):
+    """(rows, columns) uint64 codes drawn from a pool of at most eight
+    values, so that most codes repeat; up to 300 columns, so that ranks
+    come in uint8 and in uint16."""
+    pool = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8, unique=True))
+    shape = draw(st.integers(1, 3)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(pool, dtype=np.uint64)[rng.integers(0, len(pool), shape)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=code_rows())
+@example(codes=np.array([[2**64 - 1, 0, 2**63, 2**63 - 1, 0, 2**64 - 1]], dtype=np.uint64))
+def test_dense_ranks_are_dense_and_keep_order(codes):
+    # a workspace of junk: every entry the ranks read is written first
+    ranks = _batch._dense_ranks(codes, PoisonedWorkspace())
+    assert ranks.shape == codes.shape
+    assert ranks.dtype == np.min_scalar_type(codes.shape[1] - 1)
+    for code_row, rank_row in zip(codes, ranks):
+        assert np.array_equal(code_row[:, None] < code_row, rank_row[:, None] < rank_row)
+        assert np.array_equal(code_row[:, None] == code_row, rank_row[:, None] == rank_row)
+        assert rank_row.max() == len(set(code_row.tolist())) - 1
+
+
+def test_workspace_refuses_an_array_it_cannot_hand_out():
+    # a request in another dtype or for more entries than the first names
+    # the array; the arange grows to the largest size asked for
+    ws = _batch._Workspace()
+    assert ws.arange(4).tolist() == [0, 1, 2, 3]
+    assert ws.arange(10).tolist() == list(range(10))
+    assert ws.arange(3).tolist() == [0, 1, 2]
+    first = ws("a", np.uint16, 2, 3)
+    with pytest.raises(ValueError, match="^workspace array 'a' is uint16, not uint64$"):
+        ws("a", np.uint64, 2, 3)
+    with pytest.raises(ValueError, match="^workspace array 'a' holds 6 entries, not 16$"):
+        ws("a", np.uint16, 4, 4)
+    # a smaller request, in any shape, is the start of the first
+    first[...] = np.arange(6).reshape(2, 3)
+    assert ws("a", np.uint16, 5).tolist() == [0, 1, 2, 3, 4]
+    assert ws("a", np.uint16, 3, 2).tolist() == [[0, 1], [2, 3], [4, 5]]
+
+
+# The bands of every instruction row at phi = 256 and 512, four and eight
+# 64-sign blocks a window, as sha256 of their little-endian int32 bytes.
+MULTI_BLOCK_BANDS = {
+    (11, 256): "abd085cae3399456ca0e06b9cff62312d62928be000b2cc0a13d8ffa0d5e7018",
+    (12, 512): "9a8eda7ce1240b1495fc2b9d9265c2abf8a2fcb972b0c49e6ead9f8ae233354d",
+}
+
+
+@pytest.mark.parametrize("depth, p", MULTI_BLOCK_BANDS)
+def test_multi_block_bands_are_pinned(depth, p):
+    band = _batch.band_first_starts(_batch.sign_grid(depth), p)
+    assert band.dtype == np.int32 and band.shape == (1 << depth, p - p // 2)
+    assert hashlib.sha256(band.astype("<i4").tobytes()).hexdigest() == MULTI_BLOCK_BANDS[depth, p]
 
 
 def brute_target_lcp(pb, p):
