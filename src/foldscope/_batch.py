@@ -29,7 +29,8 @@ f_0..f_(m+2) its band prefix reads (p = 2^m) as one integer, one
 np.unique gives the distinct keys, and each chunk's prefixes come from
 pf_prefix_matrix, so a grid's 2^depth rows reach the kernel as
 2^(depth - 2), as twins from one unread instruction bit and as negation
-pairs, P_(-f) = -P_f, and no whole grid of prefixes is ever built.
+pairs, P_(-f) = -P_f; each returns one row per kernel row and each row's
+index among them, and builds no whole grid of prefixes or per-row copy.
 Each band call gives its chunks one _Workspace: every array a chunk of
 either kernel fills is allocated once, for the first (largest) chunk,
 and filled in place through out= by every chunk after it, and the
@@ -344,24 +345,21 @@ def _chunk_first_starts(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple:
-    """(distinct rows in first-seen order, each row's index among them) of
-    +-1 instruction rows of at most 63 columns, keyed by their signs
-    packed as one integer."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    for i in range(rows.shape[1]):
-        key |= (rows[:, i] > 0).astype(np.int64) << i
+    """(distinct rows in key order, each row's index among them) of +-1
+    instruction rows of at most 63 columns, keyed by their signs packed as
+    one integer, one product of the sign bits with powers of two."""
+    key = (rows > 0) @ (np.int64(1) << np.arange(rows.shape[1], dtype=np.int64))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return rows[first[order]], np.argsort(order)[inverse]
+    return rows[first], inverse
 
 
-def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel, by_negation=True) -> np.ndarray:
-    """kernel(bits, ws) over chunks of about CHUNK_ELEMENTS prefix signs,
-    stacked into one fresh (rows, columns) int32 array; bits holds the band
-    prefix P[1:7p - 1] of each instruction row of the chunk as one 0/1
-    uint8 row, from pf_prefix_matrix, and ws is the call's one _Workspace,
-    which every chunk fills in place and which is dropped when the call
-    returns.
+def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel, by_negation=True) -> tuple:
+    """(per_key, inverse): kernel(bits, p, ws) over chunks of about
+    CHUNK_ELEMENTS prefix signs, stacked into one fresh (keys, columns)
+    int32 array, and each row's index among the keys; bits holds the band
+    prefix P[1:7p - 1] of each key of the chunk as one 0/1 uint8 row, from
+    pf_prefix_matrix, and ws is the call's one _Workspace, which every
+    chunk fills in place and which is dropped when the call returns.
 
     With p = 2^m the prefix reads f_0..f_(m+2) only, and each of them, f_s
     at position 2^s <= 4p, so a row's key, those m + 3 signs packed as one
@@ -369,16 +367,13 @@ def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel, by_negation=True)
     row with f_0 = -1 is keyed and scanned as its negation: negation keeps
     equal windows equal and every common prefix, so each window's LPF and
     target LCP, hence the kernel row, is the same for a prefix and its
-    negation.  The kernel sees each distinct key once, in first-seen
-    order, and every row gets a copy of its key's row.  Rows of fewer than
-    m + 3 columns raise ValueError (pf_prefix_matrix) before any kernel
-    call.
+    negation.  The kernel sees each distinct key once, in key order, and
+    row r reads per_key[inverse[r]].  Rows of fewer than m + 3 columns
+    raise ValueError (pf_prefix_matrix) before any kernel call.
     """
     length = 7 * p - 1
     head = rows[:, :length.bit_length()]
-    if by_negation:
-        head = head * head[:, :1]
-    distinct, inverse = _distinct_rows(head)
+    distinct, inverse = _distinct_rows(head * head[:, :1] if by_negation else head)
     out = np.empty((len(distinct), columns), dtype=np.int32)
     step = max(1, CHUNK_ELEMENTS // length)
     ws = _Workspace()
@@ -386,17 +381,17 @@ def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel, by_negation=True)
         prefixes = pf_prefix_matrix(distinct[lo:lo + step], length)
         bits = ws("bits", np.uint8, *prefixes.shape)
         np.equal(prefixes, PLUS, out=bits.view(bool))
-        out[lo:lo + step] = kernel(bits, ws)
-    return out[inverse]
+        out[lo:lo + step] = kernel(bits, p, ws)
+    return out, inverse
 
 
-def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> np.ndarray:
+def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> tuple:
     """Latest first start, over starts 1..6p, for every n of a phi-band.
 
     `rows` are +-1 instruction rows of at least m + 3 columns, f_0..f_(m+2)
-    for p = 2^m, the signs the band prefix P[1:7p - 1] reads.  Column c of
-    the (rows, p - p//2) result is n = p//2 + 1 + c, and its entry for a
-    row is max(_scan_first_starts(prefix, n, 6p).values()) of its prefix.
+    for p = 2^m, the signs the band prefix P[1:7p - 1] reads.  Of the
+    (per_key, inverse) of _by_chunks, per_key[inverse[r], c] is, for n = p//2
+    + 1 + c, max(_scan_first_starts(prefix, n, 6p).values()) of row r.
 
     A window is the first start of its length-n factor exactly when its
     longest previous factor, LPF, the longest common prefix with any
@@ -421,8 +416,7 @@ def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> np.ndar
     negation pair (once per distinct prefix with _by_negation off), in
     chunks of about CHUNK_ELEMENTS prefix signs.
     """
-    return _by_chunks(rows, p, p - p // 2,
-                      lambda bits, ws: _chunk_first_starts(bits, p, ws), _by_negation)
+    return _by_chunks(rows, p, p - p // 2, _chunk_first_starts, _by_negation)
 
 
 def _bit_length(x: np.ndarray, out=None, mantissa=None) -> np.ndarray:
@@ -513,12 +507,13 @@ def _chunk_target_summary(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarra
     return out
 
 
-def target_summary(rows: np.ndarray, p: int) -> np.ndarray:
+def target_summary(rows: np.ndarray, p: int) -> tuple:
     """The three things the lemma checks read off the common prefixes of
     each window up to start 6p with the one at 6p, in the band prefix
     P[1:7p - 1] of each +-1 instruction row (of at least m + 3 columns,
-    p = 2^m): a (rows, 2 + p - p//2) int32 array, reduced chunk by chunk
-    from _chunk_target_lcp so that no (rows, 6p) array is ever whole.
+    p = 2^m): the (per_key, inverse) of _by_chunks, 2 + p - p//2 int32
+    columns a kernel row, reduced chunk by chunk from _chunk_target_lcp so
+    that no (rows, 6p) array is ever whole.
 
     Column OFF_TARGET is the largest common prefix, capped at p, with the
     window at 6p at any start up to 6p other than 4p and 6p, column AT_TARGET the one at 6p itself, and
@@ -529,8 +524,7 @@ def target_summary(rows: np.ndarray, p: int) -> np.ndarray:
     target LCPs, one searchsorted finds it for every n of the band.  The
     prefixes of 7p - 1 signs are compared once per negation pair.
     """
-    return _by_chunks(rows, p, FIRST_START + p - p // 2,
-                      lambda bits, ws: _chunk_target_summary(bits, p, ws))
+    return _by_chunks(rows, p, FIRST_START + p - p // 2, _chunk_target_summary)
 
 
 def _least_k(fail_hi: np.ndarray, least_lo: np.ndarray, high_of: np.ndarray,

@@ -38,8 +38,9 @@ Bulk S values come from the band kernel _batch.band_first_starts, which
 takes int8 instruction rows, sorts each row's prefix's windows once,
 reads each window's longest previous factor off the sorted order (a
 window is a first start for n exactly when that is below n) and yields
-S(n) for every n of a phi-band (phi/2, phi]; _band caches it, read-only,
-on the rows' bytes, and s_column reads one n from it.
+S(n) for every n of a phi-band (phi/2, phi]; _band, the one band store,
+keeps it or the lemma summary per kernel row, read-only, on the kernel
+and the rows' bytes, and s_column gathers one n from it (band_column).
 """
 
 from __future__ import annotations
@@ -191,15 +192,15 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bulk enumeration used by the verification and classifier modules
 
-# Entries kept by each memoized band, lemma summary, grid and sample, so
-# a long-lived process holds a bounded number of them.  `verify --claim
-# all --n-max 64` fills at most 14 per cache (the band cache) and keeps
-# its four lemma summaries (0.19 MB) to the end.  At depth 12 (n <= 256)
-# the largest entries are that band's S array and lemma summary, 4,096 x
-# 128 and 4,096 x 130 int32, about 2 MB each; each is keyed on its rows'
-# bytes, 48 KB there.  The kernels make one scan per negation pair, a
-# grid's 2^depth rows reaching the kernel as 2^(depth - 2), but every
-# cached array keeps a row for every instruction row.
+# Entries kept by each memoized band, grid and sample, so a long-lived
+# process holds a bounded number of them.  One cache serves both band
+# kernels, S and the lemma summary, and its entries count kernel rows,
+# one per negation pair: a grid's 2^depth rows are kept as 2^(depth - 2)
+# rows and one index per grid row.  A cold `run_all` keeps nine S bands
+# and four lemma summaries at `--n-max 64` and 16 and four at 2048;
+# monotonicity's six bands, read once, are not kept.  At depth 12 (n <= 256)
+# the largest entries are that band's S and lemma summary, 1,024 x 128
+# and 1,024 x 130 int32, about 0.5 MB each, and the grid keyed on, 48 KB.
 CACHE_SIZE = 32
 
 
@@ -210,29 +211,51 @@ def band_length(n: int) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _band(data: bytes, width: int, p: int) -> np.ndarray:
-    """_batch.band_first_starts for the phi-band p of the int8 rows whose
-    bytes are `data`, `width` to a row; cached on that content, read-only."""
-    band = _batch.band_first_starts(np.frombuffer(data, np.int8).reshape(-1, width), p)
-    band.flags.writeable = False
-    return band
+def _band(kernel, data: bytes, width: int, p: int) -> tuple:
+    """(per_key, inverse) of kernel(rows, p), a _batch band kernel, read-only,
+    cached on the kernel and the rows' bytes `data`, `width` to a row."""
+    per_key, inverse = kernel(np.frombuffer(data, np.int8).reshape(-1, width), p)
+    per_key.flags.writeable = inverse.flags.writeable = False
+    return per_key, inverse
+
+
+def band_index(n: int) -> int:
+    """Column of n in its phi-band: n = phi(n)//2 + 1 + column."""
+    return n - phi(n) // 2 - 1
+
+
+def gather(per_key: np.ndarray, inverse: np.ndarray, column: int) -> np.ndarray:
+    """Column `column` of a band kernel's result for every row, as a fresh array."""
+    return per_key[:, column].take(inverse)
+
+
+def band_column(kernel, rows: np.ndarray, p: int, column: int) -> np.ndarray:
+    """The column accessor: gather of the stored band p of `kernel` on `rows`."""
+    return gather(*_band(kernel, rows.tobytes(), rows.shape[1], p), column)
 
 
 def s_column(rows: np.ndarray, n: int) -> np.ndarray:
     """S(n) for every int8 instruction row of `rows` (each of at least
-    m + 3 signs, phi(n) = 2^m), read-only, from the cached phi-band."""
-    p = phi(n)
-    return _band(rows.tobytes(), rows.shape[1], p)[:, n - p // 2 - 1]
+    m + 3 signs, phi(n) = 2^m), from the cached phi-band."""
+    return band_column(_batch.band_first_starts, rows, phi(n), band_index(n))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def sign_grid(depth: int) -> np.ndarray:
+    """_batch.sign_grid(depth) as a read-only array, built once per depth."""
+    rows = _batch.sign_grid(depth)
+    rows.flags.writeable = False
+    return rows
 
 
 def grid_s_values(n: int, depth: int) -> np.ndarray:
-    """S(n) for every depth-bit instruction pattern as the read-only numpy
-    column s_column reads from the cached phi-band of n.
+    """S(n) for every depth-bit instruction pattern as the numpy column
+    s_column reads from the cached phi-band of n.
 
     Pattern i has f_t = +1 iff bit t of i is set (grid row order), and
     depth must cover every bit the scan for n reads.
     """
-    return s_column(_batch.sign_grid(depth), n)
+    return s_column(sign_grid(depth), n)
 
 
 # Trace-only, like verification._sample_prefix_bytes: no library code calls
@@ -248,5 +271,6 @@ def _s_from_prefix(prefix: bytes, n: int) -> int:
 
 
 def clear_caches():
-    """Drop memoized bands (used by tests that patch the scan internals)."""
+    """Drop memoized bands and grids (used by tests that patch the scan internals)."""
     _band.cache_clear()
+    sign_grid.cache_clear()

@@ -15,21 +15,21 @@ and target-LCP kernels make one scan per negation pair, and a grid's
 2^depth rows reach the kernel as 2^(depth - 2).  verify_theorem holds S
 to the closed form, which reads only the two bits that matter.
 
-Each grid suite reads its grid whole through one accessor, _grid(n,
-...) -> (depth, rows): rows is a read-only int8 array (the sign grid,
-built once per depth, or the cached seeded sample) and S is the
-read-only numpy column s_column(rows, n) from the band kernel, which
-builds the rows' band prefixes chunk by chunk.  The three lemmas, which
-all compare windows with the one at 6*phi(n), read one cached summary
-per phi-band (_batch.target_summary), cached like the band on the rows'
-bytes: per row, the largest common prefix with that window off starts
-4*phi and 6*phi, the one at 6*phi, and the first start reaching each n
-of the band.  So each lemma reads one or two columns per n, and no
-(rows, 6*phi) array is kept.  Each check builds a per-row failure mask,
-and one helper, _first_failure, turns its first failing row into the
-counterexample; only that row is looked at on its own, its prefix built
-by pf_prefix_matrix (lemma1 finds its occurrences by a byte search that
-shares no kernel).
+Each grid suite reads its grid whole through one accessor, _grid(n, ...)
+-> (depth, rows): rows is a read-only int8 array (the sign grid, built
+once per depth, or the cached seeded sample) and S is the numpy column
+s_column(rows, n) from the band kernel, which builds the rows' band
+prefixes chunk by chunk.  The three lemmas, which all compare windows
+with the one at 6*phi(n), read one summary per phi-band
+(_batch.target_summary) from the band store that holds S: per row, the
+largest common prefix with that window off starts 4*phi and 6*phi, the
+one at 6*phi, and the first start reaching each n of the band.  So each
+lemma gathers one or two fresh columns per n (appearance.band_column),
+and no (rows, 6*phi) array is kept.  Each check builds a per-row failure
+mask, and one helper, _first_failure, turns its first failing row into
+the counterexample; only that row is looked at on its own, its prefix
+built by pf_prefix_matrix (lemma1 finds its occurrences by a byte search
+that shares no kernel).
 """
 
 from __future__ import annotations
@@ -165,14 +165,6 @@ def _sample_rows(width: int, samples: int, seed: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _sign_grid(depth: int) -> np.ndarray:
-    """_batch.sign_grid(depth) as a read-only array, built once per depth."""
-    rows = _batch.sign_grid(depth)
-    rows.flags.writeable = False
-    return rows
-
-
 def _sample_prefix_bytes(width: int, samples: int, seed: int, length: int) -> np.ndarray:
     return _batch.pf_prefix_matrix(_sample_rows(width, samples, seed), length)
 
@@ -181,7 +173,7 @@ def _grid(n, sampled=False, samples=0, seed=0):
     """(depth, rows) of every pattern enumerated at n: the scan_depth(n)-bit
     sign grid, or with `sampled` the seeded streams of that width."""
     depth = scan_depth(n)
-    return depth, _sample_rows(depth, samples, seed) if sampled else _sign_grid(depth)
+    return depth, _sample_rows(depth, samples, seed) if sampled else appearance.sign_grid(depth)
 
 
 def _first_failure(n, depth, rows, fail, fields):
@@ -203,9 +195,7 @@ def _check_samples(samples):
 
 
 def clear_caches():
-    _sign_grid.cache_clear()
     _sample_rows.cache_clear()
-    _target_summary.cache_clear()
     appearance.clear_caches()
 
 
@@ -351,22 +341,11 @@ def _check_range(claim, n_lo, n_hi, exhaustive=True, n_min=7):
         raise ValueError(f"n_hi={n_hi} exceeds the budget of n <= {SAMPLED_N_MAX}")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _target_summary(data: bytes, width: int, p: int) -> np.ndarray:
-    """_batch.target_summary for the phi-band p of the int8 rows whose
-    bytes are `data`, `width` to a row; cached on that content, read-only.
-    One summary serves every lemma at every n of the band."""
-    summary = _batch.target_summary(np.frombuffer(data, np.int8).reshape(-1, width), p)
-    summary.flags.writeable = False
-    return summary
-
-
 def _first_starts_for_n(rows, n) -> np.ndarray:
     """Per row, the first start whose window shares at least n signs with
     the one at 6*phi(n), or _batch.NOT_FOUND."""
-    p = phi(n)
-    summary = _target_summary(rows.tobytes(), rows.shape[1], p)
-    return summary[:, _batch.FIRST_START + n - p // 2 - 1]
+    return appearance.band_column(_batch.target_summary, rows, phi(n),
+                                  _batch.FIRST_START + appearance.band_index(n))
 
 
 def _first_start_field(start) -> Optional[int]:
@@ -381,8 +360,8 @@ def _lemma1_for_n(n, _sampled):
     depth, rows = _grid(n)
     # the window at 6p occurs at start i + 1 <= 6p exactly when its target
     # LCP is >= n: it must at 6p, and may at 4p only
-    summary = _target_summary(rows.tobytes(), rows.shape[1], p)
-    fail = (summary[:, _batch.OFF_TARGET] >= n) | (summary[:, _batch.AT_TARGET] < n)
+    fail = ((appearance.band_column(_batch.target_summary, rows, p, _batch.OFF_TARGET) >= n)
+            | (appearance.band_column(_batch.target_summary, rows, p, _batch.AT_TARGET) < n))
 
     def fields(i):
         pb = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes()
@@ -575,7 +554,8 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
 
     The other suites scan a prefix and its negation as one kernel row,
     which assumes the invariance checked here, so this suite scans its
-    grid with that map off: each pattern's S comes from a row of its own.
+    grid with that map off: each pattern's S comes from a row of its own,
+    in bands read once and kept out of the band store.
 
     details also records the two readings of the fixed point at n = 7:
     whether S_f(7) = 48 for every f, and whether max_f S_f(7) = 48.
@@ -586,12 +566,13 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     if width > EXHAUSTIVE_DEPTH_MAX:
         raise ValueError(f"monotonicity grid width {width} exceeds the "
                          f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
-    rows = _sign_grid(depth)
+    rows = appearance.sign_grid(depth)
     # S by (n - 1, pattern); the negation of pattern i is pattern
     # 2^depth - 1 - i, so a column read in reverse holds the negated S
     bands = {p: _batch.band_first_starts(_batch.sign_grid(depth, width), p, _by_negation=False)
              for p in {phi(n) for n in range(1, n_max + 1)}}
-    columns = np.array([bands[phi(n)][:, n - phi(n) // 2 - 1] for n in range(1, n_max + 1)])
+    columns = np.array([appearance.gather(*bands[phi(n)], appearance.band_index(n))
+                        for n in range(1, n_max + 1)])
 
     def check_n(n, _sampled):
         """Per pattern, S(n - 1) <= S(n) and S(n) equals the negated pattern's."""

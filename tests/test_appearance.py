@@ -266,6 +266,14 @@ def summary_of_bytes(rows, p):
     return on_byte_rows("_chunk_target_summary", rows, p)
 
 
+def per_row(band):
+    """A band kernel's (per_key, inverse) read out as one row per
+    instruction row, for comparison with per-row references."""
+    per_key, inverse = band
+    assert len(inverse) and inverse.max() < len(per_key)
+    return per_key[inverse]
+
+
 def pf_rows_and_prefixes(rows, length):
     """Instruction rows as one int8 array, and each row's prefix of
     `length` signs from the scalar generator, which shares no code with
@@ -492,8 +500,12 @@ MULTI_BLOCK_BANDS = {
 
 @pytest.mark.parametrize("depth, p", MULTI_BLOCK_BANDS)
 def test_multi_block_bands_are_pinned(depth, p):
-    band = _batch.band_first_starts(_batch.sign_grid(depth), p)
-    assert band.dtype == np.int32 and band.shape == (1 << depth, p - p // 2)
+    # the grid holds exactly the m + 3 bits the band prefix reads, so one
+    # kernel row per negation pair and one index per grid row
+    per_key, inverse = _batch.band_first_starts(_batch.sign_grid(depth), p)
+    assert per_key.dtype == np.int32 and per_key.shape == (1 << (depth - 1), p - p // 2)
+    assert inverse.shape == (1 << depth,)
+    band = per_row((per_key, inverse))
     assert hashlib.sha256(band.astype("<i4").tobytes()).hexdigest() == MULTI_BLOCK_BANDS[depth, p]
 
 
@@ -622,20 +634,20 @@ def test_band_kernels_scan_repeated_prefixes_once(monkeypatch, kernel, chunk_nam
     rows = [head + [rng.choice((-1, 1)) for _ in range(2)] for head in heads * 3 + heads[:2]]
     rng.shuffle(rows)
     rows = np.array(rows, dtype=np.int8)
-    alone = np.concatenate([kernel(row[None], p) for row in rows])
+    alone = np.concatenate([per_row(kernel(row[None], p)) for row in rows])
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
-    got = kernel(rows, p)
+    per_key, inverse = kernel(rows, p)
     pairs, odd = divmod(len(heads), 2)
     assert seen == [2] * pairs + [1] * odd
-    assert got.dtype == alone.dtype and np.array_equal(got, alone)
-    # a fresh array: a twin of row 0 keeps its own values
+    assert per_key.dtype == alone.dtype and np.array_equal(per_row((per_key, inverse)), alone)
+    # one kernel row per head, which every copy and twin of it reads
+    assert len(per_key) == len(heads) and inverse.shape == (len(rows),)
     twin = next(i for i in range(1, len(rows)) if (rows[i, :keyed] == rows[0, :keyed]).all())
-    got[0] += 1
-    assert np.array_equal(got[twin], alone[twin])
+    assert inverse[twin] == inverse[0]
 
 
 @pytest.mark.parametrize("p", [1, 4, 64, 128])
@@ -680,8 +692,8 @@ def test_band_kernels_scan_a_prefix_and_its_negation_once(monkeypatch, p):
     for name in seen:
         monkeypatch.setattr(_batch, name, counting(name))
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
-    assert _batch.band_first_starts(rows, p).tolist() == want_band
-    assert _batch.target_summary(rows, p).tolist() == want_summary
+    assert per_row(_batch.band_first_starts(rows, p)).tolist() == want_band
+    assert per_row(_batch.target_summary(rows, p)).tolist() == want_summary
     assert seen == dict.fromkeys(seen, negation_pairs(prefixes))
 
 
@@ -725,7 +737,9 @@ def test_band_kernels_see_each_distinct_key_once(batch):
 
     def kernel_rows(call, *args, **kwargs):
         seen.clear()
-        return call(rows, p, *args, **kwargs).tolist(), sum(seen)
+        per_key, inverse = call(rows, p, *args, **kwargs)
+        assert len(per_key) == sum(seen)
+        return per_row((per_key, inverse)).tolist(), sum(seen)
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_chunk_first_starts", "_chunk_target_lcp"):
             real = getattr(_batch, name)
@@ -753,17 +767,16 @@ def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
     p = phi(n)
     one_row = {"_chunk_first_starts": _batch._chunk_first_starts,
                "_chunk_target_lcp": _batch._chunk_target_summary}[chunk_name]
-    columns = kernel(rows[:1], p).shape[1]
-    apart = _batch._by_chunks(rows, p, columns,
-                              lambda bits, ws: one_row(bits, p, ws), by_negation=False)
+    columns = kernel(rows[:1], p)[0].shape[1]
+    apart = per_row(_batch._by_chunks(rows, p, columns, one_row, by_negation=False))
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
-    got = kernel(rows, p)
-    assert sum(seen) == 1 << (depth - 2)
-    assert len(got) == len(rows) == 1 << depth
-    assert np.array_equal(got, apart)
+    per_key, inverse = kernel(rows, p)
+    assert sum(seen) == len(per_key) == 1 << (depth - 2)
+    assert len(inverse) == len(rows) == 1 << depth
+    assert np.array_equal(per_row((per_key, inverse)), apart)
 
 
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
@@ -774,7 +787,7 @@ def test_band_kernels_refuse_too_few_instruction_columns(monkeypatch, kernel, ch
     # before any kernel call
     length = 7 * p - 1
     grid = _batch.sign_grid(length.bit_length())
-    assert len(kernel(grid, p)) == len(grid)
+    assert len(kernel(grid, p)[1]) == len(grid)
     calls = []
     monkeypatch.setattr(_batch, chunk_name, lambda bits, p, ws: calls.append(len(bits)))
     with pytest.raises(ValueError, match=f"^{length.bit_length() - 1} instruction columns "
@@ -852,8 +865,8 @@ def test_band_kernels_write_every_workspace_entry_they_read(monkeypatch, p):
     for seen in chunks.values():
         seen.clear()
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
-    band = _batch.band_first_starts(pf_rows, p)
-    summary = _batch.target_summary(pf_rows, p)
+    band = per_row(_batch.band_first_starts(pf_rows, p))
+    summary = per_row(_batch.target_summary(pf_rows, p))
     pairs, odd = divmod(len(heads), 2)
     assert chunks == dict.fromkeys(chunks, [2] * pairs + [1] * odd)
     assert band.tolist() == [scalar_band(pb, p) for pb in prefixes]

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import json
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from foldscope import _batch
+from foldscope import _batch, classifier
 from foldscope import (make_instructions, parse_instructions, pf_value, phi, predicted_s,
                        verify_bounds, verify_corollary_tails,
                        verify_formula_vs_dfao, verify_lemma_first_occurrence,
@@ -44,25 +45,33 @@ def dropping_scan(prefix, n, limit):
 def kernel_from_scan(scan):
     """A band kernel that reads every (row's prefix, n) off the scalar
     `scan`, so a scan mutation becomes a mutation of the kernel the suites
-    call."""
+    call; every instruction row is a kernel row of its own."""
     def kernel(rows, p):
         prefixes = [pb.tobytes() for pb in _batch.pf_prefix_matrix(rows, 7 * p - 1)]
-        return np.array([[max(scan(pb, n, 6 * p).values())
-                          for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
-                        dtype=np.int32).reshape(len(prefixes), p - p // 2)
+        per_key = np.array([[max(scan(pb, n, 6 * p).values())
+                             for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
+                           dtype=np.int32).reshape(len(prefixes), p - p // 2)
+        return per_key, np.arange(len(rows))
     return kernel
 
 
 def kernel_with_s(n, row, value):
     """The real band kernel, except that row `row` (an index or a slice)
-    of every band holding n reads S(n) = value."""
+    of every band holding n reads S(n) = value: each edited instruction
+    row gets a kernel row of its own, a copy of its key's row, so no other
+    row that shares its key reads the edit."""
     real = _batch.band_first_starts
 
     def kernel(rows, p, **private):
-        out = real(rows, p, **private)
+        per_key, inverse = real(rows, p, **private)
         if p == phi(n):
-            out[row, n - p // 2 - 1] = value
-        return out
+            edited = np.atleast_1d(np.arange(len(rows))[row])
+            own = len(per_key) + np.arange(len(edited))
+            per_key = np.concatenate((per_key, per_key[inverse[edited]]))
+            inverse = inverse.copy()
+            inverse[edited] = own
+            per_key[own, n - p // 2 - 1] = value
+        return per_key, inverse
     return kernel
 
 
@@ -77,7 +86,7 @@ def grid_with_copied_target(n, row, to, break_after=False):
     real = _batch.pf_prefix_matrix
     length = appearance_mod.band_length(n)
     keyed = length.bit_length()
-    key = verification._sign_grid(appearance_mod.scan_depth(n))[row, :keyed]
+    key = appearance_mod.sign_grid(appearance_mod.scan_depth(n))[row, :keyed]
 
     def prefixes(rows, at):
         out = real(rows, at)
@@ -329,14 +338,23 @@ def test_lemma2_reports_the_row_that_moved(clean_caches, monkeypatch):
     assert json_counterexample(outcome) == outcome.counterexample
 
 
+def regular_rows(bits):
+    """The kernel rows of a chunk that hold the band prefix of the regular
+    fold, f = +1, +1, ...: grid row 0 (all -1) is keyed as its negation."""
+    regular = _batch.pf_prefix_matrix(np.ones((1, bits.shape[1].bit_length()), np.int8),
+                                      bits.shape[1])
+    return (bits == (regular == ord("+"))).all(axis=1)
+
+
 def blind_target_kernel(monkeypatch):
-    """A target kernel that misses the target window at 6p in the first row
-    of each chunk: its self-comparison column reads 0 there."""
+    """A target kernel that misses the target window at 6p in the kernel
+    row of grid row 0 (regular_rows): its self-comparison column reads 0
+    there."""
     real = _batch._chunk_target_lcp
 
     def kernel(bits, p, ws):
         lcp = real(bits, p, ws)
-        lcp[0, 6 * p - 1] = 0
+        lcp[regular_rows(bits), 6 * p - 1] = 0
         return lcp
     monkeypatch.setattr(_batch, "_chunk_target_lcp", kernel)
 
@@ -369,13 +387,13 @@ def test_lemma3_reports_a_target_no_start_reaches(clean_caches, monkeypatch):
 
 def test_lemma1_witness_comes_from_the_bytes(clean_caches, monkeypatch):
     # a target kernel that reports the window at 6p at start 5 of grid
-    # row 0 (the first row of the only chunk at n = 7) fails the row, but
-    # the occurrences it reports are that row's own byte search
+    # row 0 (its kernel row, regular_rows) fails the row, but the
+    # occurrences it reports are that row's own byte search
     real = _batch._chunk_target_lcp
 
     def kernel(bits, p, ws):
         lcp = real(bits, p, ws)
-        lcp[0, 5 - 1] = p
+        lcp[regular_rows(bits), 5 - 1] = p
         return lcp
     monkeypatch.setattr(_batch, "_chunk_target_lcp", kernel)
     outcome = verify_lemma_first_occurrence(7, 7)
@@ -736,6 +754,150 @@ def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch)
     assert minus_first == {"_chunk_first_starts": 252, "_chunk_target_lcp": 0}
 
 
+@pytest.mark.parametrize("n_max, s_calls", [(64, 15), (256, 19), (2048, 22)])
+def test_one_band_store_computes_each_band_once(clean_caches, monkeypatch, n_max, s_calls):
+    # With stub kernels, so that the wide bands cost nothing, a cold
+    # run_all asks each kernel for each (rows, p) once: the one store
+    # neither evicts a band it reads again nor serves one kernel's band
+    # for the other's request (a summary request would then find the S
+    # band of the same grid and p, and make no summary call).  The S calls
+    # include monotonicity's six, which bypass the store.
+    calls = collections.Counter()
+
+    def stub(name, columns):
+        def kernel(rows, p, **private):
+            calls[name, rows.tobytes(), rows.shape[1], p, bool(private)] += 1
+            return np.zeros((1, columns(p)), np.int32), np.zeros(len(rows), np.intp)
+        return kernel
+    monkeypatch.setattr(_batch, "band_first_starts", stub("S", lambda p: p - p // 2))
+    monkeypatch.setattr(_batch, "target_summary",
+                        stub("summary", lambda p: _batch.FIRST_START + p - p // 2))
+    verification.run_all(n_max=n_max)
+    assert set(calls.values()) == {1}
+    assert collections.Counter(key[0] for key in calls) == {"S": s_calls, "summary": 4}
+    assert sum(key[4] for key in calls) == 6
+    assert appearance_mod._band.cache_info().currsize == s_calls - 6 + 4
+
+
+@pytest.mark.parametrize("n", [7, 33])
+def test_cached_grid_band_keeps_one_row_per_kernel_row(clean_caches, n):
+    # a grid's 2^depth rows are kept as 2^(depth - 2) kernel rows and one
+    # index per grid row, and the S column is gathered from them
+    depth, p = appearance_mod.scan_depth(n), phi(n)
+    s = appearance_mod.grid_s_values(n, depth)
+    grid = appearance_mod.sign_grid(depth)
+    hits = appearance_mod._band.cache_info().hits
+    per_key, inverse = appearance_mod._band(_batch.band_first_starts, grid.tobytes(), depth, p)
+    assert appearance_mod._band.cache_info().hits == hits + 1
+    assert per_key.shape == (1 << (depth - 2), p - p // 2) and inverse.shape == (1 << depth,)
+    assert np.array_equal(per_key[inverse, appearance_mod.band_index(n)], s)
+
+
+# --- fault catalog: the band store, its dedupe and its column rule -----------
+
+def store_without_kernel(mp):
+    """The band store keyed on the rows and p alone: the first kernel to
+    ask for a (rows, p) band serves every later request for it."""
+    real, kept = appearance_mod._band.__wrapped__, {}
+
+    def band(kernel, data, width, p):
+        if (data, width, p) not in kept:
+            kept[data, width, p] = real(kernel, data, width, p)
+        return kept[data, width, p]
+    mp.setattr(appearance_mod, "_band", band)
+
+
+def inverse_shifted(mp):
+    """The dedupe's inverse shifted by one row: row r reads row r - 1's key."""
+    real = _batch._distinct_rows
+
+    def distinct_rows(rows):
+        distinct, inverse = real(rows)
+        return distinct, np.roll(inverse, 1)
+    mp.setattr(_batch, "_distinct_rows", distinct_rows)
+
+
+def key_one_sign_short(mp):
+    """The dedupe key one sign short: the band kernels' key drops f_(m+2),
+    so rows that differ only there share the first one's kernel row."""
+    real = _batch._distinct_rows
+
+    def distinct_rows(rows):
+        _, inverse = real(rows[:, :-1])
+        return rows[np.unique(inverse, return_index=True)[1]], inverse
+    mp.setattr(_batch, "_distinct_rows", distinct_rows)
+
+
+def column_one_n_early(mp):
+    """The n -> column rule one n early, in every band read (S and the
+    lemma summary alike); the first n of a band wraps to its last column."""
+    real = appearance_mod.band_index
+    mp.setattr(appearance_mod, "band_index", lambda n: real(n) - 1)
+
+
+# run_all's suites by the claim each reports
+RUN_ALL_SUITES = {
+    "verify_formula_vs_dfao": "formula-dfao", "verify_bounds": "bounds",
+    "verify_lemma_first_occurrence": "lemma1", "verify_lemma_last_factor": "lemma2",
+    "verify_lemma_shared_start": "lemma3", "verify_theorem": "theorem",
+    "verify_corollary_tails": "corollary-tails",
+    "verify_monotonicity_and_symmetry": "monotonicity"}
+
+# fault -> claim -> how the claim kills it: its outcome fails, or its
+# suite raises the named error.  A fault no claim killed would stay here
+# with an empty row.  S is constant across a band from n = 7 on, so the
+# column rule shows only where a band reaches below 7: n = 7 then reads
+# S(6), whose values 31 and 47 the bounds and the theorem reject.
+FAULT_KILLS = {
+    "store_without_kernel": {"lemma1": "fails", "lemma2": "IndexError",
+                             "lemma3": "IndexError"},
+    "inverse_shifted": {"theorem": "fails", "corollary-tails": "fails",
+                        "monotonicity": "fails", "small-n-tables": "fails"},
+    "key_one_sign_short": {"bounds": "fails", "theorem": "fails", "corollary-tails": "fails",
+                           "monotonicity": "fails", "small-n-tables": "fails"},
+    "column_one_n_early": {"bounds": "fails", "lemma2": "fails", "lemma3": "fails",
+                           "theorem": "fails", "corollary-tails": "fails",
+                           "monotonicity": "fails", "small-n-tables": "fails"},
+}
+
+
+def claims_killing(mp):
+    """Claim -> how it kills whatever fault is installed, over
+    run_all(n_max=16) and the small-n tables."""
+    killed = {}
+
+    def caught(claim, suite):
+        def run(*args, **kwargs):
+            try:
+                outcome = suite(*args, **kwargs)
+            except Exception as error:
+                killed[claim] = type(error).__name__
+                return None
+            if not outcome.passed:
+                killed[claim] = "fails"
+            return outcome
+        return run
+    for name, claim in RUN_ALL_SUITES.items():
+        mp.setattr(verification, name, caught(claim, getattr(verification, name)))
+    verification.run_all(n_max=16)
+    caught("small-n-tables", classifier.check_reported_sets)()
+    return killed
+
+
+def test_band_store_faults_are_killed_as_pinned(clean_caches):
+    with pytest.MonkeyPatch.context() as mp:
+        assert claims_killing(mp) == {}
+    # each fault from cold caches, and none of its bands kept after it
+    got = {}
+    for fault in (store_without_kernel, inverse_shifted, key_one_sign_short,
+                  column_one_n_early):
+        verification.clear_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            fault(mp)
+            got[fault.__name__] = claims_killing(mp)
+    assert got == FAULT_KILLS
+
+
 def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch):
     # past n = 256 a second, sampled theorem outcome covers the rest, and
     # the exhaustive one still covers every n its grid budget reaches
@@ -767,25 +929,28 @@ def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch)
 
 
 def test_cached_bands_and_summaries_are_read_only(clean_caches):
-    # S columns and lemma summaries are views into cached arrays: a write
-    # into one is refused, and every later read and suite sees what the
-    # kernels gave
+    # S and lemma summary columns are fresh gathers from the one band
+    # store: a write into one changes no later read or suite, and the
+    # cached (per_key, inverse) pair of either kernel, like the grid it is
+    # keyed on, refuses writes
     theorem, lemma2 = verify_theorem(7, 8).to_json(), verify_lemma_last_factor(7, 8).to_json()
     depth = appearance_mod.scan_depth(7)
-    s = appearance_mod.grid_s_values(7, depth)
-    kept = s.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        s[:] = 0
     rows = verification._grid(7)[1]
-    summary = verification._target_summary(rows.tobytes(), rows.shape[1], 8)
-    first = verification._first_starts_for_n(rows, 7)
-    kept = [kept, summary.copy(), first.copy()]
-    for array in (summary, first):
-        with pytest.raises(ValueError, match="read-only"):
-            array[:] = 0
-    assert np.array_equal(appearance_mod.grid_s_values(7, depth), kept[0])
-    assert np.array_equal(verification._target_summary(rows.tobytes(), rows.shape[1], 8),
-                          kept[1])
-    assert np.array_equal(verification._first_starts_for_n(rows, 7), kept[2])
+    reads = [lambda: appearance_mod.grid_s_values(7, depth),
+             lambda: appearance_mod.s_column(rows, 7),
+             lambda: verification._first_starts_for_n(rows, 7)]
+    reads += [lambda at=at: appearance_mod.band_column(_batch.target_summary, rows, 8, at)
+              for at in (_batch.OFF_TARGET, _batch.AT_TARGET)]
+    for read in reads:
+        column = read()
+        kept = column.copy()
+        column[:] = 0
+        assert np.array_equal(read(), kept)
+    for kernel in (_batch.band_first_starts, _batch.target_summary):
+        for array in appearance_mod._band(kernel, rows.tobytes(), rows.shape[1], 8):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        rows[...] = 0
     assert verify_theorem(7, 8).to_json() == theorem
     assert verify_lemma_last_factor(7, 8).to_json() == lemma2
