@@ -40,7 +40,9 @@ reads each window's longest previous factor off the sorted order (a
 window is a first start for n exactly when that is below n) and yields
 S(n) for every n of a phi-band (phi/2, phi]; _band, the one band store,
 keeps it or the lemma summary per kernel row, read-only, on the kernel
-and the rows' bytes, and s_column gathers one n from it (band_column).
+and the rows' bytes.  The verify suites read a whole band at once through
+stored_band and reduce over its kernel rows; grid_s_values gathers one n
+of a grid's S band through the band's row index.
 """
 
 from __future__ import annotations
@@ -198,9 +200,12 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # one per negation pair: a grid's 2^depth rows are kept as 2^(depth - 2)
 # rows and one index per grid row.  A cold `run_all` keeps nine S bands
 # and four lemma summaries at `--n-max 64` and 16 and four at 2048;
-# monotonicity's six bands, read once, are not kept.  At depth 12 (n <= 256)
-# the largest entries are that band's S and lemma summary, 1,024 x 128
-# and 1,024 x 130 int32, about 0.5 MB each, and the grid keyed on, 48 KB.
+# monotonicity's six bands, read once, are not kept.  A suite looks each
+# band it checks up once, not once per n, so those 13 entries take 29
+# lookups, each of which copies and hashes the rows' bytes.  At depth 12
+# (n <= 256) the largest entries are that band's S and lemma summary,
+# 1,024 x 128 and 1,024 x 130 int32, about 0.5 MB each, and the grid
+# keyed on, 48 KB.
 CACHE_SIZE = 32
 
 
@@ -224,20 +229,12 @@ def band_index(n: int) -> int:
     return n - phi(n) // 2 - 1
 
 
-def gather(per_key: np.ndarray, inverse: np.ndarray, column: int) -> np.ndarray:
-    """Column `column` of a band kernel's result for every row, as a fresh array."""
-    return per_key[:, column].take(inverse)
-
-
-def band_column(kernel, rows: np.ndarray, p: int, column: int) -> np.ndarray:
-    """The column accessor: gather of the stored band p of `kernel` on `rows`."""
-    return gather(*_band(kernel, rows.tobytes(), rows.shape[1], p), column)
-
-
-def s_column(rows: np.ndarray, n: int) -> np.ndarray:
-    """S(n) for every int8 instruction row of `rows` (each of at least
-    m + 3 signs, phi(n) = 2^m), from the cached phi-band."""
-    return band_column(_batch.band_first_starts, rows, phi(n), band_index(n))
+def stored_band(kernel, rows: np.ndarray, p: int) -> tuple:
+    """The band accessor: (per_key, inverse) of the stored band p of
+    `kernel` on the int8 instruction rows `rows` (each of at least m + 3
+    signs, p = 2^m).  Row r reads per_key[inverse[r], band_index(n)] at n;
+    for S, that is S(n)."""
+    return _band(kernel, rows.tobytes(), rows.shape[1], p)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -249,13 +246,14 @@ def sign_grid(depth: int) -> np.ndarray:
 
 
 def grid_s_values(n: int, depth: int) -> np.ndarray:
-    """S(n) for every depth-bit instruction pattern as the numpy column
-    s_column reads from the cached phi-band of n.
+    """S(n) for every depth-bit instruction pattern, as a fresh numpy
+    column gathered from the stored phi-band of n.
 
     Pattern i has f_t = +1 iff bit t of i is set (grid row order), and
     depth must cover every bit the scan for n reads.
     """
-    return s_column(sign_grid(depth), n)
+    per_key, inverse = stored_band(_batch.band_first_starts, sign_grid(depth), phi(n))
+    return per_key[:, band_index(n)].take(inverse)
 
 
 # Trace-only, like verification._sample_prefix_bytes: no library code calls

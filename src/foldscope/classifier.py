@@ -109,7 +109,7 @@ def check_reported_sets() -> VerificationOutcome:
     tables = {n: synthesize_table(n) for n in range(1, 7)}
     expected_rows = {1: EXPECTED_ROWS_N1, 2: EXPECTED_ROWS_N2}
 
-    def check_n(n, _sampled):
+    def check_n(n):
         table = tables[n]
         counter = None
         if table.value_set != EXPECTED_S_SETS[n]:
@@ -125,8 +125,9 @@ def check_reported_sets() -> VerificationOutcome:
                        "observed": {str(k): v for k, v in table.rows.items()}}
         return 1 << scan_depth(n), scan_depth(n), counter
 
-    return _run_suite("small-n-tables", 1, 6, check_n, details={
-        "relevant_bits": {n: list(t.relevant_bits) for n, t in tables.items()}})
+    return _run_suite(
+        "small-n-tables", 1, 6, lambda p, ns, _sampled: [check_n(n) for n in ns],
+        details={"relevant_bits": {n: list(t.relevant_bits) for n, t in tables.items()}})
 
 
 def export_table_csv(table: ClassifierTable) -> str:

@@ -17,19 +17,22 @@ to the closed form, which reads only the two bits that matter.
 
 Each grid suite reads its grid whole through one accessor, _grid(n, ...)
 -> (depth, rows): rows is a read-only int8 array (the sign grid, built
-once per depth, or the cached seeded sample) and S is the numpy column
-s_column(rows, n) from the band kernel, which builds the rows' band
-prefixes chunk by chunk.  The three lemmas, which all compare windows
-with the one at 6*phi(n), read one summary per phi-band
-(_batch.target_summary) from the band store that holds S: per row, the
-largest common prefix with that window off starts 4*phi and 6*phi, the
-one at 6*phi, and the first start reaching each n of the band.  So each
-lemma gathers one or two fresh columns per n (appearance.band_column),
-and no (rows, 6*phi) array is kept.  Each check builds a per-row failure
-mask, and one helper, _first_failure, turns its first failing row into
-the counterexample; only that row is looked at on its own, its prefix
-built by pf_prefix_matrix (lemma1 finds its occurrences by a byte search
-that shares no kernel).
+once per depth, or the cached seeded sample).  The skeleton, _run_suite,
+hands each suite the n of one phi-band at a time, and the suite reads
+that band once from the band store (appearance.stored_band): S from the
+band kernel, which builds the rows' band prefixes chunk by chunk, and for
+the three lemmas, which all compare windows with the one at 6*phi(n), one
+summary per phi-band (_batch.target_summary): per row, the largest common
+prefix with that window off starts 4*phi and 6*phi, the one at 6*phi, and
+the first start reaching each n of the band.  Both are kept one row per
+kernel row, and a check reduces over those rows, never over a per-row
+copy of the band: bounds takes a per-column max and min, lemma1 one max
+and one min per band, and lemma2, lemma3 and the theorem a per-column
+any-mismatch; no (rows, 6*phi) array is kept.  Only an n that fails is
+looked at row by row: one helper, _counterexample, turns the first
+failing row of a column gathered through the rows' index into the
+counterexample, that row's prefix built by pf_prefix_matrix (lemma1
+finds its occurrences by a byte search that shares no kernel).
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from . import _batch, appearance
-from .appearance import CACHE_SIZE, band_length, phi, predicted_s, s_column, scan_depth
+from .appearance import CACHE_SIZE, band_length, phi, predicted_s, scan_depth
 # Trace-only, like _sample_prefix_bytes below: no library code calls it,
 # perfbench/layers.py wraps it by name, ROADMAP item 1 drops both.
 from .appearance import _s_from_prefix  # noqa: F401
@@ -117,21 +121,27 @@ class VerificationOutcome:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _run_suite(claim_id, n_lo, n_hi, check_n, *, sampled_from=None, seed=None,
+def _run_suite(claim_id, n_lo, n_hi, check_band, *, sampled_from=None, seed=None,
                details=None) -> VerificationOutcome:
-    """The one per-n skeleton: an outcome from check_n(n, sampled) ->
-    (cases, depth, counterexample) over n_lo..n_hi.
+    """The one skeleton: an outcome from check_band(p, ns, sampled) ->
+    one (cases, depth, counterexample) per n of ns, over n_lo..n_hi.
 
-    The skeleton alone decides which n are sampled (n >= sampled_from,
-    drawn at `seed`) and passes that flag to check_n; sample_count is the
-    fewest cases (distinct prefixes) checked at any sampled n.  Every n is
-    checked and counted, and the lowest-n counterexample wins.
+    The skeleton walks n_lo..n_hi in runs ns of consecutive n that share
+    phi(n) = p and the sampled flag, so a check reads each band it needs
+    once per run.  The skeleton alone decides which n are sampled (n >=
+    sampled_from, drawn at `seed`) and passes that flag to check_band;
+    sample_count is the fewest cases (distinct prefixes) checked at any
+    sampled n.  Every n is checked and counted, and the lowest-n
+    counterexample wins.
     """
-    ns = range(n_lo, n_hi + 1)
-    is_sampled = [sampled_from is not None and n >= sampled_from for n in ns]
-    results = [check_n(n, sampled) for n, sampled in zip(ns, is_sampled)]
+    results, flags = [], []
+    for (p, sampled), run in groupby(range(n_lo, n_hi + 1), lambda n: (
+            phi(n), sampled_from is not None and n >= sampled_from)):
+        ns = list(run)
+        results += check_band(p, ns, sampled)
+        flags += [sampled] * len(ns)
     counter = next((c for _, _, c in results if c is not None), None)
-    sampled = [cases for (cases, _, _), flag in zip(results, is_sampled) if flag]
+    sampled = [cases for (cases, _, _), flag in zip(results, flags, strict=True) if flag]
     return VerificationOutcome(
         claim_id=claim_id, n_range=(n_lo, n_hi),
         instruction_depth=max(depth for _, depth, _ in results),
@@ -141,6 +151,39 @@ def _run_suite(claim_id, n_lo, n_hi, check_n, *, sampled_from=None, seed=None,
         sample_count=min(sampled) if sampled else None,
         seed=seed if sampled else None,
         counterexample=counter, details=details or {})
+
+
+def _band_results(depth, cases, failing, counter) -> list:
+    """One (cases, depth, counterexample) per n of a band check's ns from
+    its per-n failure flags: counter(j) builds the counterexample at ns[j]
+    and is called only where failing[j] is set."""
+    return [(cases, depth, counter(j) if bad else None) for j, bad in enumerate(failing)]
+
+
+def _columns(ns) -> list:
+    """The column of each n of ns in its phi-band."""
+    return [appearance.band_index(n) for n in ns]
+
+
+def _read_rows(per_key, inverse) -> np.ndarray:
+    """The rows of a band's per_key that some instruction row reads: all
+    of them, with no copy, from the band kernels, whose kernel rows are the
+    rows' distinct prefixes; a stub kernel may leave rows unread."""
+    read = np.zeros(len(per_key), bool)
+    read[inverse] = True
+    return per_key if read.all() else per_key[read]
+
+
+def _mismatches(values, inverse, group, expected) -> np.ndarray:
+    """Per column of a band's per-key `values`, whether some row r reads a
+    value other than expected[group[r], column]: one comparison of the
+    kernel rows per group, over those the group's rows read."""
+    reads = np.zeros((len(expected), len(values)), bool)
+    reads[group, inverse] = True
+    failing = np.zeros(values.shape[1], bool)
+    for want, read in zip(expected, reads):
+        failing |= np.any(values != want, axis=0, where=read[:, None])
+    return failing
 
 
 def _row_text(row) -> str:
@@ -176,17 +219,12 @@ def _grid(n, sampled=False, samples=0, seed=0):
     return depth, _sample_rows(depth, samples, seed) if sampled else appearance.sign_grid(depth)
 
 
-def _first_failure(n, depth, rows, fail, fields):
-    """(cases, depth, counterexample) of a check at n from its per-row
-    failure mask: fields(i) gives the counterexample fields of the first
-    failing row i, built from that row alone, and may replace its
-    instruction text."""
-    bad = np.flatnonzero(fail)
-    counter = None
-    if bad.size:
-        i = int(bad[0])
-        counter = {"n": n, "instructions": _row_text(rows[i]), **fields(i)}
-    return len(fail), depth, counter
+def _counterexample(n, rows, fail, fields) -> dict:
+    """The counterexample at n from a per-row failure mask with a failing
+    row: fields(i) gives the fields of the first failing row i, built from
+    that row alone, and may replace its instruction text."""
+    i = int(np.flatnonzero(fail)[0])
+    return {"n": n, "instructions": _row_text(rows[i]), **fields(i)}
 
 
 def _check_samples(samples):
@@ -297,18 +335,23 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 # bounds, lemmas, theorem
 
 
-def _extremes_for_n(n, sampled, samples, seed):
-    depth, rows = _grid(n, sampled, samples, seed)
-    s = s_column(rows, n)
-    p = phi(n)
-    # the max first, then (from n = 7) the min; the counterexample is the
-    # first row that reads the failing extreme
-    kind, expected, observed = "max", 6 * p, int(s.max())
-    if observed == expected and n >= 7:
-        kind, expected, observed = "min", 4 * p, int(s.min())
-    fail = (s == observed) & (observed != expected)
-    return _first_failure(n, depth, rows, fail, lambda i: {
-        "kind": kind, "expected": expected, "observed": observed})
+def _bounds_band(p, ns, sampled, samples, seed):
+    depth, rows = _grid(ns[0], sampled, samples, seed)
+    s, inverse = appearance.stored_band(_batch.band_first_starts, rows, p)
+    columns, read = _columns(ns), _read_rows(s, inverse)
+    # per n the max first, then (from n = 7) the min; the counterexample
+    # is the first row that reads the failing extreme
+    highs, lows = read.max(axis=0)[columns].tolist(), read.min(axis=0)[columns].tolist()
+    checks = [("max", 6 * p, hi) if hi != 6 * p or n < 7 else ("min", 4 * p, lo)
+              for n, hi, lo in zip(ns, highs, lows)]
+
+    def counter(j):
+        kind, expected, observed = checks[j]
+        column = s[:, columns[j]].take(inverse)
+        return _counterexample(ns[j], rows, column == observed, lambda i: {
+            "kind": kind, "expected": expected, "observed": observed})
+    return _band_results(depth, len(rows),
+                         [observed != expected for _, expected, observed in checks], counter)
 
 
 def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
@@ -319,7 +362,7 @@ def verify_bounds(n_lo: int = 3, n_hi: int = 64, *, samples: int = 200,
     _check_samples(samples)
     return _run_suite(
         "bounds", n_lo, n_hi,
-        lambda n, sampled: _extremes_for_n(n, sampled, samples, seed),
+        lambda p, ns, sampled: _bounds_band(p, ns, sampled, samples, seed),
         sampled_from=EXHAUSTIVE_BOUNDS_N_MAX + 1, seed=seed,
         details={"exhaustive_n_max": min(n_hi, EXHAUSTIVE_BOUNDS_N_MAX),
                  "min_checked_from": max(n_lo, 7)},
@@ -341,13 +384,6 @@ def _check_range(claim, n_lo, n_hi, exhaustive=True, n_min=7):
         raise ValueError(f"n_hi={n_hi} exceeds the budget of n <= {SAMPLED_N_MAX}")
 
 
-def _first_starts_for_n(rows, n) -> np.ndarray:
-    """Per row, the first start whose window shares at least n signs with
-    the one at 6*phi(n), or _batch.NOT_FOUND."""
-    return appearance.band_column(_batch.target_summary, rows, phi(n),
-                                  _batch.FIRST_START + appearance.band_index(n))
-
-
 def _first_start_field(start) -> Optional[int]:
     return None if start == _batch.NOT_FOUND else int(start)
 
@@ -355,20 +391,26 @@ def _first_start_field(start) -> Optional[int]:
 _NOT_FOUND_NOTE = "no start up to 6*phi(n) shares {} signs with the window at 6*phi(n)"
 
 
-def _lemma1_for_n(n, _sampled):
-    p = phi(n)
-    depth, rows = _grid(n)
+def _lemma1_band(p, ns, _sampled):
+    depth, rows = _grid(ns[0])
+    summary, inverse = appearance.stored_band(_batch.target_summary, rows, p)
+    read = _read_rows(summary, inverse)
     # the window at 6p occurs at start i + 1 <= 6p exactly when its target
     # LCP is >= n: it must at 6p, and may at 4p only
-    fail = ((appearance.band_column(_batch.target_summary, rows, p, _batch.OFF_TARGET) >= n)
-            | (appearance.band_column(_batch.target_summary, rows, p, _batch.AT_TARGET) < n))
+    off, at = int(read[:, _batch.OFF_TARGET].max()), int(read[:, _batch.AT_TARGET].min())
 
-    def fields(i):
-        pb = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes()
-        target = pb[6 * p - 1:6 * p - 1 + n]
-        return {"occurrences": [j + 1 for j in range(6 * p) if pb[j:j + n] == target],
-                "allowed": [4 * p, 6 * p]}
-    return _first_failure(n, depth, rows, fail, fields)
+    def counter(j):
+        n = ns[j]
+        fail = ((summary[:, _batch.OFF_TARGET] >= n)
+                | (summary[:, _batch.AT_TARGET] < n)).take(inverse)
+
+        def fields(i):
+            pb = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes()
+            target = pb[6 * p - 1:6 * p - 1 + n]
+            return {"occurrences": [k + 1 for k in range(6 * p) if pb[k:k + n] == target],
+                    "allowed": [4 * p, 6 * p]}
+        return _counterexample(n, rows, fail, fields)
+    return _band_results(depth, len(rows), [off >= n or at < n for n in ns], counter)
 
 
 def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
@@ -380,28 +422,42 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
     common prefix off those two starts and the one at 6*phi(n) itself.
     """
     _check_range("lemma1", n_lo, n_hi)
-    return _run_suite("lemma1", n_lo, n_hi, _lemma1_for_n)
+    return _run_suite("lemma1", n_lo, n_hi, _lemma1_band)
 
 
-def _lemma2_for_n(n, _sampled):
-    p = phi(n)
-    depth, rows = _grid(n)
-    s = s_column(rows, n)
+def _lemma2_band(p, ns, _sampled):
+    depth, rows = _grid(ns[0])
+    (s, s_inverse), (summary, inverse) = (appearance.stored_band(kernel, rows, p) for kernel
+                                          in (_batch.band_first_starts, _batch.target_summary))
     # the target's first occurrence; it equals S only if the window at S
     # is the target, so one compare covers both halves of the lemma
-    # (NOT_FOUND, where no window reaches n, equals no S)
-    direct_first = _first_starts_for_n(rows, n)
+    # (NOT_FOUND, where no window reaches n, equals no S).  The band
+    # kernels key the rows alike, so their kernel rows are compared
+    # directly; bands keyed otherwise are gathered and compared row by row
+    if np.array_equal(s_inverse, inverse):
+        read_s, read_summary = _read_rows(s, inverse), _read_rows(summary, inverse)
+    else:
+        read_s, read_summary = s[s_inverse], summary[inverse]
+    columns = _columns(ns)
+    failing = (read_s != read_summary[:, _batch.FIRST_START:]).any(axis=0)[columns]
 
-    def fields(i):
-        pb, si = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes(), int(s[i])
-        found = _first_start_field(direct_first[i])
-        out = {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
-               "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
-               "direct_first_start": found}
-        if found is None:
-            out["not_found"] = _NOT_FOUND_NOTE.format("n")
-        return out
-    return _first_failure(n, depth, rows, direct_first != s, fields)
+    def counter(j):
+        n, column = ns[j], columns[j]
+        s_rows = s[:, column].take(s_inverse)
+        direct_first = summary[:, _batch.FIRST_START + column].take(inverse)
+
+        def fields(i):
+            pb = _batch.pf_prefix_matrix(rows[i:i + 1], band_length(n)).tobytes()
+            si = int(s_rows[i])
+            found = _first_start_field(direct_first[i])
+            out = {"s": si, "latest_factor": pb[si - 1:si - 1 + n].decode(),
+                   "expected_factor": pb[6 * p - 1:6 * p - 1 + n].decode(),
+                   "direct_first_start": found}
+            if found is None:
+                out["not_found"] = _NOT_FOUND_NOTE.format("n")
+            return out
+        return _counterexample(n, rows, direct_first != s_rows, fields)
+    return _band_results(depth, len(rows), failing, counter)
 
 
 def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
@@ -420,23 +476,30 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
     fault in those cannot show in both.
     """
     _check_range("lemma2", n_lo, n_hi)
-    return _run_suite("lemma2", n_lo, n_hi, _lemma2_for_n)
+    return _run_suite("lemma2", n_lo, n_hi, _lemma2_band)
 
 
-def _lemma3_for_n(n, _sampled):
-    depth, rows = _grid(n)
-    first_short = _first_starts_for_n(rows, n)
-    first_full = _first_starts_for_n(rows, phi(n))
-
-    def fields(i):
-        short, full = _first_start_field(first_short[i]), _first_start_field(first_full[i])
-        out = {"first_start_len_n": short, "first_start_len_phi": full}
-        if full is None:
-            out["not_found"] = _NOT_FOUND_NOTE.format("n" if short is None else "phi(n)")
-        return out
+def _lemma3_band(p, ns, _sampled):
+    depth, rows = _grid(ns[0])
+    summary, inverse = appearance.stored_band(_batch.target_summary, rows, p)
+    columns, first = _columns(ns), _read_rows(summary, inverse)[:, _batch.FIRST_START:]
     # a window no start reaches cannot share its first start with the other
-    fail = (first_short == _batch.NOT_FOUND) | (first_short != first_full)
-    return _first_failure(n, depth, rows, fail, fields)
+    failing = ((first != first[:, appearance.band_index(p)][:, None]).any(axis=0)
+               | (first == _batch.NOT_FOUND).any(axis=0))
+
+    def counter(j):
+        first_short = summary[:, _batch.FIRST_START + columns[j]].take(inverse)
+        first_full = summary[:, _batch.FIRST_START + appearance.band_index(p)].take(inverse)
+
+        def fields(i):
+            short, full = _first_start_field(first_short[i]), _first_start_field(first_full[i])
+            out = {"first_start_len_n": short, "first_start_len_phi": full}
+            if full is None:
+                out["not_found"] = _NOT_FOUND_NOTE.format("n" if short is None else "phi(n)")
+            return out
+        return _counterexample(ns[j], rows, (first_short == _batch.NOT_FOUND)
+                               | (first_short != first_full), fields)
+    return _band_results(depth, len(rows), failing[columns], counter)
 
 
 def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutcome:
@@ -446,24 +509,34 @@ def verify_lemma_shared_start(n_lo: int = 7, n_hi: int = 64) -> VerificationOutc
     no start reaches n fails with a counterexample that says so.
     """
     _check_range("lemma3", n_lo, n_hi)
-    return _run_suite("lemma3", n_lo, n_hi, _lemma3_for_n)
+    return _run_suite("lemma3", n_lo, n_hi, _lemma3_band)
 
 
-def _theorem_for_n(n, sampled, samples, seed):
-    depth = scan_depth(n)
-    k = phi(n).bit_length() - 1
+def _theorem_band(p, ns, sampled, samples, seed):
+    depth = scan_depth(ns[0])
+    k = p.bit_length() - 1
     if k + 2 >= depth:
-        raise ValueError(f"instruction depth {depth} at n={n} does not reach "
+        raise ValueError(f"instruction depth {depth} at n={ns[0]} does not reach "
                          f"f_{k + 2}, which the closed form reads")
-    _, rows = _grid(n, sampled, samples, seed)
-    s = s_column(rows, n)
-    # each row's (f_{k+1}, f_{k+2}) class, and the first row of each class
+    _, rows = _grid(ns[0], sampled, samples, seed)
+    s, inverse = appearance.stored_band(_batch.band_first_starts, rows, p)
+    columns = _columns(ns)
+    # each row's (f_{k+1}, f_{k+2}) class, the first row of each class, and
+    # the closed form by class and column; a column of no n of ns is held
+    # to 0 and not read
     _, firsts, group = np.unique(2 * rows[:, k + 1] + rows[:, k + 2],
                                  return_index=True, return_inverse=True)
-    predicted = np.array([predicted_s(FoldingInstructions(rows[i].tolist()), n)
-                          for i in firsts])[group]
-    return _first_failure(n, depth, rows, s != predicted, lambda i: {
-        "computed": int(s[i]), "predicted": int(predicted[i])})
+    predicted = np.zeros((len(firsts), s.shape[1]), s.dtype)
+    for row, i in zip(predicted, firsts):
+        f = FoldingInstructions(rows[i].tolist())
+        row[columns] = [predicted_s(f, n) for n in ns]
+
+    def counter(j):
+        computed, want = s[:, columns[j]].take(inverse), predicted[group, columns[j]]
+        return _counterexample(ns[j], rows, computed != want, lambda i: {
+            "computed": int(computed[i]), "predicted": int(want[i])})
+    return _band_results(depth, len(rows),
+                         _mismatches(s, inverse, group, predicted)[columns], counter)
 
 
 def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
@@ -485,7 +558,7 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
     _check_samples(samples)
     return _run_suite(
         "theorem", n_lo, n_hi,
-        lambda n, sampled: _theorem_for_n(n, sampled, samples, seed),
+        lambda p, ns, sampled: _theorem_band(p, ns, sampled, samples, seed),
         sampled_from=n_lo if mode == "sampled" else None, seed=seed)
 
 
@@ -520,22 +593,34 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     signs = np.array([[instruction(f, t) for t in range(width)]
                       for f in family_sets + catalog], dtype=np.int8)
 
-    def check_n(n, _sampled):
-        s, expected = s_column(signs, n)[:len(rows)], factors * phi(n)
-        return _first_failure(n, 4, rows, s != expected, lambda i: {
-            "expected": int(expected[i]), "observed": int(s[i]),
-            "instructions": format_instructions(family_sets[i])})
+    # every S band the families and the catalog read, each fetched once
+    bands = {p: appearance.stored_band(_batch.band_first_starts, signs, p)
+             for p in {phi(n) for n in range(7, max(n_hi, 64) + 1)}}
+    family = len(rows)
+    branches, group = np.unique(factors, return_inverse=True)
+
+    def check_band(p, ns, _sampled):
+        s, inverse = bands[p]
+        columns = _columns(ns)
+
+        def counter(j):
+            observed, expected = s[inverse[:family], columns[j]], factors * p
+            return _counterexample(ns[j], rows, observed != expected, lambda i: {
+                "expected": int(expected[i]), "observed": int(observed[i]),
+                "instructions": format_instructions(family_sets[i])})
+        return _band_results(4, family, _mismatches(
+            s, inverse[:family], group, (branches * p)[:, None])[columns], counter)
 
     # the catalog's branches, by entry and n = 7..64
-    branch = np.stack([s_column(signs, n)[len(rows):] // phi(n)
-                       for n in range(7, 65)], axis=1)
+    branch = np.concatenate([bands[p][0][bands[p][1][family:]][:, _columns(ns)] // p
+                             for p, ns in groupby(range(7, 65), phi)], axis=1)
     is4, is6 = branch == 4, branch == 6
     mixed = is4.any(axis=1) & is6.any(axis=1) & (is4 | is6).all(axis=1)
     good = len(catalog) if mixed.all() else int(mixed.argmin())
     witnesses = [{"instructions": NON_QUALIFYING_TAILS[e],
                   "n_with_4phi": 7 + int(is4[e].argmax()),
                   "n_with_6phi": 7 + int(is6[e].argmax())} for e in range(good)]
-    outcome = _run_suite("corollary-tails", 7, n_hi, check_n,
+    outcome = _run_suite("corollary-tails", 7, n_hi, check_band,
                          details={"heads": len(heads), "tails_per_branch": 2,
                                   "catalog_witnesses": witnesses})
     counter = outcome.counterexample
@@ -567,32 +652,38 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
         raise ValueError(f"monotonicity grid width {width} exceeds the "
                          f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
     rows = appearance.sign_grid(depth)
-    # S by (n - 1, pattern); the negation of pattern i is pattern
-    # 2^depth - 1 - i, so a column read in reverse holds the negated S
-    bands = {p: _batch.band_first_starts(_batch.sign_grid(depth, width), p, _by_negation=False)
-             for p in {phi(n) for n in range(1, n_max + 1)}}
-    columns = np.array([appearance.gather(*bands[phi(n)], appearance.band_index(n))
-                        for n in range(1, n_max + 1)])
+    # S by (pattern, column) of each band; the negation of pattern i is
+    # pattern 2^depth - 1 - i, so a row read in reverse holds the negated S
+    bands = {}
+    for p in {phi(n) for n in range(1, n_max + 1)}:
+        per_key, inverse = _batch.band_first_starts(_batch.sign_grid(depth, width), p,
+                                                    _by_negation=False)
+        bands[p] = per_key[inverse]
 
-    def check_n(n, _sampled):
+    def check_band(p, ns, _sampled):
         """Per pattern, S(n - 1) <= S(n) and S(n) equals the negated pattern's."""
-        s, before = columns[n - 1], columns[max(n - 2, 0)]
-        dip, negated = s < before, s[::-1]
+        s, last = bands[p][:, _columns(ns)].T, ns[0] - 1
+        before = np.concatenate((s[:1] if last < 1 else
+                                 bands[phi(last)][None, :, appearance.band_index(last)], s[:-1]))
+        dip = s < before
+        fail = dip | (s != s[:, ::-1])
 
-        def fields(i):
-            kind = ({"kind": "monotonicity", "s_at_n": int(s[i]),
-                     "s_at_n_minus_1": int(before[i])} if dip[i] else
-                    {"kind": "negation", "s": int(s[i]), "s_negated": int(negated[i])})
-            return {**kind, "instructions": ";" + _row_text(rows[i])}
-        return _first_failure(n, depth, rows, dip | (s != negated), fields)
+        def counter(j):
+            def fields(i):
+                kind = ({"kind": "monotonicity", "s_at_n": int(s[j, i]),
+                         "s_at_n_minus_1": int(before[j, i])} if dip[j, i] else
+                        {"kind": "negation", "s": int(s[j, i]), "s_negated": int(s[j, -1 - i])})
+                return {**kind, "instructions": ";" + _row_text(rows[i])}
+            return _counterexample(ns[j], rows, fail[j], fields)
+        return _band_results(depth, len(rows), fail.any(axis=1), counter)
 
     details: dict = {"width": width}
     if n_max >= 7:
-        sevens = sorted(set(columns[6].tolist()))
+        sevens = sorted(set(bands[8][:, appearance.band_index(7)].tolist()))
         details["s7_values"] = sevens
         details["s7_universal_48"] = sevens == [48]
         details["s7_max_48"] = sevens[-1] == 48
-    return _run_suite("monotonicity", 1, n_max, check_n, details=details)
+    return _run_suite("monotonicity", 1, n_max, check_band, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldscope import _batch, classifier
 from foldscope import (make_instructions, parse_instructions, pf_value, phi, predicted_s,
@@ -14,7 +15,7 @@ from foldscope import (make_instructions, parse_instructions, pf_value, phi, pre
                        verify_monotonicity_and_symmetry, verify_theorem)
 from foldscope import appearance as appearance_mod
 from foldscope import verification
-from foldscope.folding import instruction
+from foldscope.folding import FoldingInstructions, format_instructions, instruction
 from foldscope.verification import VerificationOutcome, dfao_mutation_catalog
 
 
@@ -724,6 +725,84 @@ def test_outcome_deterministic_across_runs(clean_caches):
     assert first == second
 
 
+# Recorded from the per-n skeleton, before suites read a band at a time:
+# n = 33..40 of the p = 64 band are a grid and n = 41..64 samples.
+BOUNDS_SPLIT_BAND = (
+    '{"cases": 9512, "claim": "bounds", "counterexample": null, "details": '
+    '{"exhaustive_n_max": 40, "min_checked_from": 33}, "instruction_depth": 11, '
+    '"mode": "sampled", "n_range": [33, 70], "passed": true, "sample_count": 44, '
+    '"seed": 31337}')
+THEOREM_ACROSS_BANDS = (
+    '{"cases": 264, "claim": "theorem", "counterexample": null, "details": {}, '
+    '"instruction_depth": 11, "mode": "sampled", "n_range": [60, 70], "passed": true, '
+    '"sample_count": 24, "seed": 31337}')
+
+
+def test_sampling_boundary_inside_a_band(clean_caches, monkeypatch):
+    monkeypatch.setattr(verification, "EXHAUSTIVE_BOUNDS_N_MAX", 40)
+    assert verify_bounds(33, 70, samples=40).to_json() == BOUNDS_SPLIT_BAND
+    assert verify_theorem(60, 70, "sampled", samples=20).to_json() == THEOREM_ACROSS_BANDS
+
+
+def per_n_reference(claim, n_lo, n_hi):
+    """The outcome JSON of an exhaustive verify_bounds or verify_theorem,
+    the per-n way: at each n, gather the S column of the grid, take its
+    first failing row, and report the lowest failing n."""
+    cases, depth_max, counter = 0, 0, None
+    for n in range(n_lo, n_hi + 1):
+        p, depth = phi(n), appearance_mod.scan_depth(n)
+        rows, s = appearance_mod.sign_grid(depth), appearance_mod.grid_s_values(n, depth)
+        if claim == "bounds":
+            kind, expected, observed = "max", 6 * p, int(s.max())
+            if observed == expected and n >= 7:
+                kind, expected, observed = "min", 4 * p, int(s.min())
+            fail = (s == observed) & (observed != expected)
+        else:
+            k = p.bit_length() - 1
+            predicted = np.where(rows[:, k + 1] != rows[:, k + 2], 4 * p, 6 * p)
+            fail = s != predicted
+        bad = np.flatnonzero(fail)
+        if bad.size and counter is None:
+            i = int(bad[0])
+            counter = {"n": n, "instructions": format_instructions(
+                FoldingInstructions(rows[i].tolist()))}
+            counter.update({"kind": kind, "expected": expected, "observed": observed}
+                           if claim == "bounds" else
+                           {"computed": int(s[i]), "predicted": int(predicted[i])})
+        cases, depth_max = cases + len(rows), max(depth_max, depth)
+    details = ({"exhaustive_n_max": min(n_hi, verification.EXHAUSTIVE_BOUNDS_N_MAX),
+                "min_checked_from": max(n_lo, 7)} if claim == "bounds" else {})
+    return VerificationOutcome(claim, (n_lo, n_hi), depth_max, "exhaustive",
+                               passed=counter is None, cases_checked=cases,
+                               counterexample=counter, details=details).to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_band_pass_matches_the_per_n_reference(data):
+    # one or two S edits inside a random n range: the band pass reports
+    # the outcome the per-n reference does, byte for byte
+    claim = data.draw(st.sampled_from(["bounds", "theorem"]))
+    n_lo = data.draw(st.integers(3 if claim == "bounds" else 7, 64))
+    n_hi = data.draw(st.integers(n_lo, 64))
+    edits = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        n = data.draw(st.integers(n_lo, n_hi))
+        p, rows = phi(n), 1 << appearance_mod.scan_depth(n)
+        edits.append((n, data.draw(st.integers(0, rows - 1)),
+                      data.draw(st.one_of(st.sampled_from((4 * p - 1, 4 * p, 6 * p, 6 * p + 1)),
+                                          st.integers(1, 7 * p)))))
+    verification.clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for edit in edits:  # each edit wraps the one before
+                mp.setattr(_batch, "band_first_starts", kernel_with_s(*edit))
+            verify = verify_bounds if claim == "bounds" else verify_theorem
+            assert verify(n_lo, n_hi).to_json() == per_n_reference(claim, n_lo, n_hi)
+    finally:
+        verification.clear_caches()
+
+
 # --- band work ---------------------------------------------------------------
 
 def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch):
@@ -752,6 +831,36 @@ def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch)
     assert all(outcome.passed for outcome in verification.run_all(n_max=64))
     assert rows == {"_chunk_first_starts": 1138, "_chunk_target_lcp": 480}
     assert minus_first == {"_chunk_first_starts": 252, "_chunk_target_lcp": 0}
+
+
+def test_run_all_reads_each_band_once_per_suite(clean_caches):
+    # each suite fetches each of its bands from the store once per
+    # phi-band, not once per n: bounds 5 (n = 3..64), lemma1, lemma3 and
+    # the theorem 4 each, lemma2 4 + 4 (S and the summary), and
+    # corollary-tails 4, shared by its families and its catalog; a read
+    # per n made 584.  Monotonicity's bands bypass the store.
+    verification.run_all(n_max=64)
+    info = appearance_mod._band.cache_info()
+    assert (info.hits + info.misses, info.misses) == (29, 13)
+
+
+@pytest.mark.parametrize("verify", [verify_theorem, verify_lemma_last_factor,
+                                    verify_lemma_shared_start])
+def test_band_checks_stay_within_the_stored_band(clean_caches, verify):
+    # With the store warm, a check of n = 129..256 reduces over the stored
+    # kernel rows: its traced peak stays within the S band's own bytes,
+    # where one gathered (rows, band) copy would be 2 MiB
+    assert verify(129, 256).passed
+    rows = verification._grid(256)[1]
+    s_band = appearance_mod.stored_band(_batch.band_first_starts, rows, 256)[0]
+    assert s_band.nbytes == 1024 * 128 * 4
+    tracemalloc.start()
+    try:
+        assert verify(129, 256).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= s_band.nbytes
 
 
 @pytest.mark.parametrize("n_max, s_calls", [(64, 15), (256, 19), (2048, 22)])
@@ -847,9 +956,11 @@ RUN_ALL_SUITES = {
 # suite raises the named error.  A fault no claim killed would stay here
 # with an empty row.  S is constant across a band from n = 7 on, so the
 # column rule shows only where a band reaches below 7: n = 7 then reads
-# S(6), whose values 31 and 47 the bounds and the theorem reject.
+# S(6), whose values 31 and 47 the bounds and the theorem reject.  Without
+# the kernel in its key the store hands lemma2 one band for both kernels,
+# and its per-column compare of the two meets arrays of unequal width.
 FAULT_KILLS = {
-    "store_without_kernel": {"lemma1": "fails", "lemma2": "IndexError",
+    "store_without_kernel": {"lemma1": "fails", "lemma2": "ValueError",
                              "lemma3": "IndexError"},
     "inverse_shifted": {"theorem": "fails", "corollary-tails": "fails",
                         "monotonicity": "fails", "small-n-tables": "fails"},
@@ -929,25 +1040,19 @@ def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch)
 
 
 def test_cached_bands_and_summaries_are_read_only(clean_caches):
-    # S and lemma summary columns are fresh gathers from the one band
-    # store: a write into one changes no later read or suite, and the
-    # cached (per_key, inverse) pair of either kernel, like the grid it is
-    # keyed on, refuses writes
+    # grid_s_values hands out a fresh gather from the one band store, so a
+    # write into it changes no later read or suite; the suites read the
+    # cached (per_key, inverse) pair of either kernel in place, and it
+    # refuses writes, like the grid it is keyed on
     theorem, lemma2 = verify_theorem(7, 8).to_json(), verify_lemma_last_factor(7, 8).to_json()
     depth = appearance_mod.scan_depth(7)
     rows = verification._grid(7)[1]
-    reads = [lambda: appearance_mod.grid_s_values(7, depth),
-             lambda: appearance_mod.s_column(rows, 7),
-             lambda: verification._first_starts_for_n(rows, 7)]
-    reads += [lambda at=at: appearance_mod.band_column(_batch.target_summary, rows, 8, at)
-              for at in (_batch.OFF_TARGET, _batch.AT_TARGET)]
-    for read in reads:
-        column = read()
-        kept = column.copy()
-        column[:] = 0
-        assert np.array_equal(read(), kept)
+    column = appearance_mod.grid_s_values(7, depth)
+    kept = column.copy()
+    column[:] = 0
+    assert np.array_equal(appearance_mod.grid_s_values(7, depth), kept)
     for kernel in (_batch.band_first_starts, _batch.target_summary):
-        for array in appearance_mod._band(kernel, rows.tobytes(), rows.shape[1], 8):
+        for array in appearance_mod.stored_band(kernel, rows, 8):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
     with pytest.raises(ValueError, match="read-only"):
