@@ -23,14 +23,11 @@ stable comparison sort (_window_order): one argsort of the block codes
 up to p = 64, and past that one lexsort of the 16-bit dense ranks of the
 block codes, whose passes numpy makes by radix; equal windows may come in
 any order, which no step after the sort reads (_sorted_lcp).  Both
-take int8 instruction rows and make one scan per negation pair
-(_by_chunks): each row is keyed by the m + 3 signs
-f_0..f_(m+2) its band prefix reads (p = 2^m) as one integer, one
-np.unique gives the distinct keys, and each chunk's prefixes come from
-pf_prefix_matrix, so a grid's 2^depth rows reach the kernel as
-2^(depth - 2), as twins from one unread instruction bit and as negation
-pairs, P_(-f) = -P_f; each returns one row per kernel row and each row's
-index among them, and builds no whole grid of prefixes or per-row copy.
+take int8 instruction rows and return one row of int32 values per
+instruction row (_by_chunks), each chunk's prefixes from
+pf_prefix_matrix, and build no whole grid of prefixes; which rows reach
+a kernel is the band store's choice (appearance.stored_band), which
+hands it each distinct key f_0..f_(m+2) once per process.
 Each band call gives its chunks one _Workspace: every array a chunk of
 either kernel fills is allocated once, for the first (largest) chunk,
 and filled in place through out= by every chunk after it, and the
@@ -347,51 +344,41 @@ def _chunk_first_starts(bits: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
 def _distinct_rows(rows: np.ndarray) -> tuple:
     """(distinct rows in key order, each row's index among them) of +-1
     instruction rows of at most 63 columns, keyed by their signs packed as
-    one integer, one product of the sign bits with powers of two."""
+    one integer, one product of the sign bits with powers of two: the
+    automaton sweep's distinct low and high halves."""
     key = (rows > 0) @ (np.int64(1) << np.arange(rows.shape[1], dtype=np.int64))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return rows[first], inverse
 
 
-def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel, by_negation=True) -> tuple:
-    """(per_key, inverse): kernel(bits, p, ws) over chunks of about
-    CHUNK_ELEMENTS prefix signs, stacked into one fresh (keys, columns)
-    int32 array, and each row's index among the keys; bits holds the band
-    prefix P[1:7p - 1] of each key of the chunk as one 0/1 uint8 row, from
-    pf_prefix_matrix, and ws is the call's one _Workspace, which every
-    chunk fills in place and which is dropped when the call returns.
-
-    With p = 2^m the prefix reads f_0..f_(m+2) only, and each of them, f_s
-    at position 2^s <= 4p, so a row's key, those m + 3 signs packed as one
-    integer, is equal exactly when the prefixes are.  With by_negation a
-    row with f_0 = -1 is keyed and scanned as its negation: negation keeps
-    equal windows equal and every common prefix, so each window's LPF and
-    target LCP, hence the kernel row, is the same for a prefix and its
-    negation.  The kernel sees each distinct key once, in key order, and
-    row r reads per_key[inverse[r]].  Rows of fewer than m + 3 columns
-    raise ValueError (pf_prefix_matrix) before any kernel call.
+def _by_chunks(rows: np.ndarray, p: int, columns: int, kernel) -> np.ndarray:
+    """kernel(bits, p, ws) over chunks of about CHUNK_ELEMENTS prefix
+    signs, stacked into one fresh (rows, columns) int32 array, one kernel
+    row per instruction row; bits holds the band prefix P[1:7p - 1] of each
+    row of the chunk as one 0/1 uint8 row, from pf_prefix_matrix, and ws is
+    the call's one _Workspace, which every chunk fills in place and which
+    is dropped when the call returns.  Rows of fewer than m + 3 columns (p
+    = 2^m) raise ValueError (pf_prefix_matrix) before any kernel call.
     """
     length = 7 * p - 1
-    head = rows[:, :length.bit_length()]
-    distinct, inverse = _distinct_rows(head * head[:, :1] if by_negation else head)
-    out = np.empty((len(distinct), columns), dtype=np.int32)
+    out = np.empty((len(rows), columns), dtype=np.int32)
     step = max(1, CHUNK_ELEMENTS // length)
     ws = _Workspace()
-    for lo in range(0, len(distinct), step):
-        prefixes = pf_prefix_matrix(distinct[lo:lo + step], length)
+    for lo in range(0, len(rows), step):
+        prefixes = pf_prefix_matrix(rows[lo:lo + step], length)
         bits = ws("bits", np.uint8, *prefixes.shape)
         np.equal(prefixes, PLUS, out=bits.view(bool))
         out[lo:lo + step] = kernel(bits, p, ws)
-    return out, inverse
+    return out
 
 
-def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> tuple:
+def band_first_starts(rows: np.ndarray, p: int) -> np.ndarray:
     """Latest first start, over starts 1..6p, for every n of a phi-band.
 
     `rows` are +-1 instruction rows of at least m + 3 columns, f_0..f_(m+2)
-    for p = 2^m, the signs the band prefix P[1:7p - 1] reads.  Of the
-    (per_key, inverse) of _by_chunks, per_key[inverse[r], c] is, for n = p//2
-    + 1 + c, max(_scan_first_starts(prefix, n, 6p).values()) of row r.
+    for p = 2^m, the signs the band prefix P[1:7p - 1] reads.  Entry [r, c]
+    of the (rows, p - p//2) int32 result is, for n = p//2 + 1 + c,
+    max(_scan_first_starts(prefix, n, 6p).values()) of row r.
 
     A window is the first start of its length-n factor exactly when its
     longest previous factor, LPF, the longest common prefix with any
@@ -412,11 +399,10 @@ def band_first_starts(rows: np.ndarray, p: int, *, _by_negation=True) -> tuple:
     pointer jumping, which stops a walk once that least LCP is p/2 or
     less, since the band reads LPF only between p/2 and p.  One maximum.at
     puts each start at its (row, LPF) cell and a running maximum over the
-    columns gives S.  The prefixes of 7p - 1 signs are sorted once per
-    negation pair (once per distinct prefix with _by_negation off), in
-    chunks of about CHUNK_ELEMENTS prefix signs.
+    columns gives S.  The prefixes of 7p - 1 signs are sorted in chunks of
+    about CHUNK_ELEMENTS prefix signs.
     """
-    return _by_chunks(rows, p, p - p // 2, _chunk_first_starts, _by_negation)
+    return _by_chunks(rows, p, p - p // 2, _chunk_first_starts)
 
 
 def _bit_length(x: np.ndarray, out=None, mantissa=None) -> np.ndarray:
@@ -511,9 +497,8 @@ def target_summary(rows: np.ndarray, p: int) -> tuple:
     """The three things the lemma checks read off the common prefixes of
     each window up to start 6p with the one at 6p, in the band prefix
     P[1:7p - 1] of each +-1 instruction row (of at least m + 3 columns,
-    p = 2^m): the (per_key, inverse) of _by_chunks, 2 + p - p//2 int32
-    columns a kernel row, reduced chunk by chunk from _chunk_target_lcp so
-    that no (rows, 6p) array is ever whole.
+    p = 2^m): a (rows, 2 + p - p//2) int32 array, reduced chunk by chunk
+    from _chunk_target_lcp so that no (rows, 6p) array is ever whole.
 
     Column OFF_TARGET is the largest common prefix, capped at p, with the
     window at 6p at any start up to 6p other than 4p and 6p, column AT_TARGET the one at 6p itself, and
@@ -521,8 +506,7 @@ def target_summary(rows: np.ndarray, p: int) -> tuple:
     n = p//2 + 1 + c, or NOT_FOUND when none is.  The first start is the
     longest-previous-factor idea turned toward the one fixed window at 6p
     (Crochemore & Ilie, 2008): after a running maximum of each row's
-    target LCPs, one searchsorted finds it for every n of the band.  The
-    prefixes of 7p - 1 signs are compared once per negation pair.
+    target LCPs, one searchsorted finds it for every n of the band.
     """
     return _by_chunks(rows, p, FIRST_START + p - p // 2, _chunk_target_summary)
 

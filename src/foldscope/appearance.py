@@ -38,11 +38,14 @@ Bulk S values come from the band kernel _batch.band_first_starts, which
 takes int8 instruction rows, sorts each row's prefix's windows once,
 reads each window's longest previous factor off the sorted order (a
 window is a first start for n exactly when that is below n) and yields
-S(n) for every n of a phi-band (phi/2, phi]; _band, the one band store,
-keeps it or the lemma summary per kernel row, read-only, on the kernel
-and the rows' bytes.  The verify suites read a whole band at once through
-stored_band and reduce over its kernel rows; grid_s_values gathers one n
-of a grid's S band through the band's row index.
+S(n) for every n of a phi-band (phi/2, phi].  The one band store keeps
+it, or the lemma summary, in one table per kernel and phi-band with a
+row per key: the m + 3 signs f_0..f_(m+2) the band prefix reads (phi =
+2^m), a key and its negation as one row unless a request asks otherwise.
+Each key is scanned once per process, whichever request reads it first.
+The verify suites read a whole band at once through stored_band and
+reduce over its rows; grid_s_values gathers one n of a grid's S band
+through its rows' index.
 """
 
 from __future__ import annotations
@@ -194,18 +197,10 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bulk enumeration used by the verification and classifier modules
 
-# Entries kept by each memoized band, grid and sample, so a long-lived
-# process holds a bounded number of them.  One cache serves both band
-# kernels, S and the lemma summary, and its entries count kernel rows,
-# one per negation pair: a grid's 2^depth rows are kept as 2^(depth - 2)
-# rows and one index per grid row.  A cold `run_all` keeps nine S bands
-# and four lemma summaries at `--n-max 64` and 16 and four at 2048;
-# monotonicity's six bands, read once, are not kept.  A suite looks each
-# band it checks up once, not once per n, so those 13 entries take 29
-# lookups, each of which copies and hashes the rows' bytes.  At depth 12
-# (n <= 256) the largest entries are that band's S and lemma summary,
-# 1,024 x 128 and 1,024 x 130 int32, about 0.5 MB each, and the grid
-# keyed on, 48 KB.
+# Entries kept by each memoized grid and sample, so a long-lived process
+# holds a bounded number of them.  The band store below evicts nothing: it
+# holds at most one table per band kernel and phi-band, and each table at
+# most one row per key.
 CACHE_SIZE = 32
 
 
@@ -215,26 +210,121 @@ def band_length(n: int) -> int:
     return 7 * phi(n) - 1
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _band(kernel, data: bytes, width: int, p: int) -> tuple:
-    """(per_key, inverse) of kernel(rows, p), a _batch band kernel, read-only,
-    cached on the kernel and the rows' bytes `data`, `width` to a row."""
-    per_key, inverse = kernel(np.frombuffer(data, np.int8).reshape(-1, width), p)
-    per_key.flags.writeable = inverse.flags.writeable = False
-    return per_key, inverse
-
-
 def band_index(n: int) -> int:
     """Column of n in its phi-band: n = phi(n)//2 + 1 + column."""
     return n - phi(n) // 2 - 1
 
 
-def stored_band(kernel, rows: np.ndarray, p: int) -> tuple:
-    """The band accessor: (per_key, inverse) of the stored band p of
-    `kernel` on the int8 instruction rows `rows` (each of at least m + 3
-    signs, p = 2^m).  Row r reads per_key[inverse[r], band_index(n)] at n;
-    for S, that is S(n)."""
-    return _band(kernel, rows.tobytes(), rows.shape[1], p)
+# The band store.  The band prefix P[1:7p - 1] of phi-band p = 2^m reads
+# f_0..f_(m+2) only, f_s at the positions 2^s * odd <= 4p, so those m + 3
+# signs, the key, fix every value a band kernel gives a row.  For each
+# kernel and p the store keeps one int32 table with one row per key read
+# so far, in key order (_band_keys): the keys with f_0 = +1 come first and
+# those with f_0 = -1 after them.  Negation keeps equal windows equal and
+# every common prefix, so a prefix and its negation read the same values,
+# and a request with the negation map on, as every suite but monotonicity
+# makes, reads only keys with f_0 = +1.  A key reaches its kernel once per
+# process (_BandTable.fill).  The store evicts nothing, but a table holds
+# only the keys read: a grid at p = 256 fills the 1,024 keys of its half,
+# 1,024 x 128 int32 for S, 0.5 MB, and a sampled band at p = 2048 its
+# ~200 keys, 0.8 MB, not the 2^14 rows of its key space.
+class _BandTable:
+    """One band kernel's band p: the rows of the keys read so far, in key
+    order, and which keys those are."""
+
+    def __init__(self, kernel, p: int):
+        self.kernel, self.p = kernel, p
+        self.bits = band_length(p).bit_length()
+        self.filled = np.zeros(1 << self.bits, bool)
+        self.values = None
+
+    def rows_of(self, keys: np.ndarray) -> np.ndarray:
+        """The table row of each filled key: the filled keys below it."""
+        return np.cumsum(self.filled)[keys] - 1
+
+    def fill(self, keys: np.ndarray) -> None:
+        """Run the kernel once on the instruction rows of `keys`, ascending
+        key indices not yet filled, and put their rows in key order."""
+        values = self.kernel(_key_signs(keys, self.bits), self.p)
+        if self.values is not None:
+            values = np.insert(self.values, np.cumsum(self.filled)[keys], values, axis=0)
+        self.values = values
+        self.filled[keys] = True
+
+
+_TABLES: dict = {}
+
+
+def _table(kernel, p: int) -> _BandTable:
+    """The store's table of `kernel` for band p, made empty on first use."""
+    table = _TABLES.get((kernel, p))
+    if table is None:
+        table = _TABLES[kernel, p] = _BandTable(kernel, p)
+    return table
+
+
+def _key_bits(bits: int) -> np.ndarray:
+    """The key's bit of each sign f_0..f_(bits - 1): f_s with s >= 1 is bit
+    s - 1, and f_0 the top bit, set for f_0 = -1."""
+    return (np.arange(bits, dtype=np.int64) - 1) % bits
+
+
+def _band_keys(rows: np.ndarray, p: int, by_negation: bool) -> np.ndarray:
+    """Each +-1 instruction row's key index in the tables of band p = 2^m:
+    its signs f_0..f_(m+2) as one integer, one product of the sign bits
+    with powers of two (_key_bits).  With by_negation a row with f_0 = -1
+    is keyed as its negation.  Rows of fewer than m + 3 columns raise
+    ValueError."""
+    length = 7 * p - 1
+    bits = length.bit_length()
+    if rows.shape[1] < bits:
+        raise ValueError(f"{rows.shape[1]} instruction columns cannot cover positions "
+                         f"up to {length}")
+    plus = rows[:, :bits] > 0
+    if by_negation:
+        plus ^= ~plus[:, :1]
+    plus[:, 0] = ~plus[:, 0]
+    return plus @ (np.int64(1) << _key_bits(bits))
+
+
+def _key_signs(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The int8 instruction rows f_0..f_(bits - 1) of key indices `keys`,
+    the inverse of _band_keys with the negation map off."""
+    plus = (keys[:, None] >> _key_bits(bits)) & 1
+    plus[:, 0] ^= 1
+    return np.where(plus == 1, np.int8(1), np.int8(-1))
+
+
+def stored_band(kernel, rows: np.ndarray, p: int, by_negation: bool = True) -> tuple:
+    """The band accessor: (per_key, inverse), read-only, of band p of
+    `kernel`, a _batch band kernel, on the int8 instruction rows `rows`
+    (each of at least m + 3 signs, p = 2^m).  Row r reads
+    per_key[inverse[r], band_index(n)] at n; for S, that is S(n).
+
+    per_key holds the rows of the distinct keys of `rows`, in key order,
+    and inverse each row's key's rank among them, so two kernels' bands
+    of the same rows line up row for row.  The kernel runs once, in key
+    order, on the keys no request has read before.  Where the keys read
+    are the table's first rows, as for a grid that reads every key with
+    f_0 = +1 (every key, with by_negation off), per_key is the table
+    itself and inverse the rows' key indices; otherwise per_key is a
+    gather of the rows read.  With by_negation off a row with f_0 = -1 reads the
+    values of its own prefix, never its negation's."""
+    table = _table(kernel, p)
+    keys = _band_keys(rows, p, by_negation)
+    read = np.zeros(len(table.filled), bool)
+    read[keys] = True
+    missing = np.flatnonzero(read > table.filled)
+    if missing.size or table.values is None:
+        table.fill(missing)
+    inverse = (np.cumsum(read) - 1)[keys]
+    # the rows read, ascending, are the table's first ones when the last
+    # of them is their count - 1
+    at = table.rows_of(np.flatnonzero(read))
+    first_rows = not len(at) or at[-1] == len(at) - 1
+    per_key = table.values[:len(at)] if first_rows else table.values[at]
+    per_key.flags.writeable = inverse.flags.writeable = False
+    return per_key, inverse
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -269,6 +359,7 @@ def _s_from_prefix(prefix: bytes, n: int) -> int:
 
 
 def clear_caches():
-    """Drop memoized bands and grids (used by tests that patch the scan internals)."""
-    _band.cache_clear()
+    """Drop the band store and the memoized grids (used by tests that patch
+    the scan internals)."""
+    _TABLES.clear()
     sign_grid.cache_clear()

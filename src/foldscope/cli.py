@@ -64,6 +64,10 @@ def _json_line(record) -> str:
 EVIDENCE = {
     "verify-all": (lambda: _jsonl(_outcomes(["all"], n_max=64)),
                    "f2708be8d82435b11e8b08364c6fa1a2c3ac93aacde2d193489bb57ff9bf767c"),
+    # `verify --claim all --n-max 256`: the sampled bounds at p = 128 and 256
+    # read keys the exhaustive theorem's grids hold too
+    "verify-all-256": (lambda: _jsonl(_outcomes(["all"], n_max=256)),
+                       "56e5de486ae280236575ab53f2ca8cf7fd8df6682ab2f9effa10b34e48508f78"),
     "classify": (lambda: "".join(_json_line(classifier.table_to_json(
         classifier.synthesize_table(n))) for n in range(1, 7)),
                  "6c8968663265b36c8d8d9128586686c965ef176b2417541e25c1b16d5dc3bea5"),

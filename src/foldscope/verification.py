@@ -11,9 +11,11 @@ The enumeration depth for length n is scan_depth(n), one bit above those
 the scans' prefix of 7*phi(n) - 1 signs reads, so instruction bits beyond
 that depth are never consulted.  Every grid pattern therefore has a twin
 with the same band prefix, and a negation with the negated one: the band
-and target-LCP kernels make one scan per negation pair, and a grid's
-2^depth rows reach the kernel as 2^(depth - 2).  verify_theorem holds S
-to the closed form, which reads only the two bits that matter.
+store keys each row on the signs its band prefix reads, up to negation,
+so a grid's 2^depth rows read 2^(depth - 2) rows of the store, and each
+of them reaches the band and target-LCP kernels once per process,
+whichever suite reads it first.  verify_theorem holds S to the closed
+form, which reads only the two bits that matter.
 
 Each grid suite reads its grid whole through one accessor, _grid(n, ...)
 -> (depth, rows): rows is a read-only int8 array (the sign grid, built
@@ -25,13 +27,13 @@ the three lemmas, which all compare windows with the one at 6*phi(n), one
 summary per phi-band (_batch.target_summary): per row, the largest common
 prefix with that window off starts 4*phi and 6*phi, the one at 6*phi, and
 the first start reaching each n of the band.  Both are kept one row per
-kernel row, and a check reduces over those rows, never over a per-row
-copy of the band: bounds takes a per-column max and min, lemma1 one max
-and one min per band, and lemma2, lemma3 and the theorem a per-column
-any-mismatch; no (rows, 6*phi) array is kept.  Only an n that fails is
-looked at row by row: one helper, _counterexample, turns the first
-failing row of a column gathered through the rows' index into the
-counterexample, that row's prefix built by pf_prefix_matrix (lemma1
+key, and a check reduces over the rows its grid reads, never over a
+per-row copy of the band: bounds takes a per-column max and min, lemma1
+one max and one min per band, and lemma2, lemma3 and the theorem a
+per-column any-mismatch; no (rows, 6*phi) array is kept.  Only the
+lowest n that fails is looked at row by row: one helper,
+_counterexample, turns the first failing row of a column gathered
+through the rows' index into the counterexample, that row's prefix built by pf_prefix_matrix (lemma1
 finds its occurrences by a byte search that shares no kernel).
 """
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Optional
 
@@ -52,7 +54,7 @@ from .appearance import CACHE_SIZE, band_length, phi, predicted_s, scan_depth
 # perfbench/layers.py wraps it by name, ROADMAP item 1 drops both.
 from .appearance import _s_from_prefix  # noqa: F401
 from .dfao import ALPHABET, ParallelDFAO, build_pf_evaluator, replace_transition
-from .folding import FoldingInstructions, format_instructions, instruction, parse_instructions
+from .folding import FoldingInstructions, format_instructions, parse_instructions
 
 DEFAULT_SEED = 31337
 # the formula/automaton sweep enumerates every pattern up to this depth
@@ -124,15 +126,16 @@ class VerificationOutcome:
 def _run_suite(claim_id, n_lo, n_hi, check_band, *, sampled_from=None, seed=None,
                details=None) -> VerificationOutcome:
     """The one skeleton: an outcome from check_band(p, ns, sampled) ->
-    one (cases, depth, counterexample) per n of ns, over n_lo..n_hi.
+    one (cases, depth, counter) per n of ns, over n_lo..n_hi, where
+    counter is None where n passes and else builds its counterexample.
 
     The skeleton walks n_lo..n_hi in runs ns of consecutive n that share
     phi(n) = p and the sampled flag, so a check reads each band it needs
     once per run.  The skeleton alone decides which n are sampled (n >=
     sampled_from, drawn at `seed`) and passes that flag to check_band;
     sample_count is the fewest cases (distinct prefixes) checked at any
-    sampled n.  Every n is checked and counted, and the lowest-n
-    counterexample wins.
+    sampled n.  Every n is checked and counted, and only the lowest failing
+    n builds its counterexample.
     """
     results, flags = [], []
     for (p, sampled), run in groupby(range(n_lo, n_hi + 1), lambda n: (
@@ -141,6 +144,7 @@ def _run_suite(claim_id, n_lo, n_hi, check_band, *, sampled_from=None, seed=None
         results += check_band(p, ns, sampled)
         flags += [sampled] * len(ns)
     counter = next((c for _, _, c in results if c is not None), None)
+    counter = counter() if counter is not None else None
     sampled = [cases for (cases, _, _), flag in zip(results, flags, strict=True) if flag]
     return VerificationOutcome(
         claim_id=claim_id, n_range=(n_lo, n_hi),
@@ -154,10 +158,11 @@ def _run_suite(claim_id, n_lo, n_hi, check_band, *, sampled_from=None, seed=None
 
 
 def _band_results(depth, cases, failing, counter) -> list:
-    """One (cases, depth, counterexample) per n of a band check's ns from
-    its per-n failure flags: counter(j) builds the counterexample at ns[j]
-    and is called only where failing[j] is set."""
-    return [(cases, depth, counter(j) if bad else None) for j, bad in enumerate(failing)]
+    """One (cases, depth, counter) per n of a band check's ns from its per-n
+    failure flags: counter(j) builds the counterexample at ns[j], and only
+    _run_suite calls it, at the lowest failing n."""
+    return [(cases, depth, partial(counter, j) if bad else None)
+            for j, bad in enumerate(failing)]
 
 
 def _columns(ns) -> list:
@@ -165,19 +170,10 @@ def _columns(ns) -> list:
     return [appearance.band_index(n) for n in ns]
 
 
-def _read_rows(per_key, inverse) -> np.ndarray:
-    """The rows of a band's per_key that some instruction row reads: all
-    of them, with no copy, from the band kernels, whose kernel rows are the
-    rows' distinct prefixes; a stub kernel may leave rows unread."""
-    read = np.zeros(len(per_key), bool)
-    read[inverse] = True
-    return per_key if read.all() else per_key[read]
-
-
 def _mismatches(values, inverse, group, expected) -> np.ndarray:
     """Per column of a band's per-key `values`, whether some row r reads a
     value other than expected[group[r], column]: one comparison of the
-    kernel rows per group, over those the group's rows read."""
+    per-key rows per group, over those the group's rows read."""
     reads = np.zeros((len(expected), len(values)), bool)
     reads[group, inverse] = True
     failing = np.zeros(values.shape[1], bool)
@@ -338,10 +334,11 @@ def dfao_mutation_catalog(machine: Optional[ParallelDFAO] = None):
 def _bounds_band(p, ns, sampled, samples, seed):
     depth, rows = _grid(ns[0], sampled, samples, seed)
     s, inverse = appearance.stored_band(_batch.band_first_starts, rows, p)
-    columns, read = _columns(ns), _read_rows(s, inverse)
-    # per n the max first, then (from n = 7) the min; the counterexample
-    # is the first row that reads the failing extreme
-    highs, lows = read.max(axis=0)[columns].tolist(), read.min(axis=0)[columns].tolist()
+    columns = _columns(ns)
+    # per n the max first, then (from n = 7) the min, over the rows of the
+    # keys the grid reads; the counterexample is the first row that reads
+    # the failing extreme
+    highs, lows = s.max(axis=0)[columns].tolist(), s.min(axis=0)[columns].tolist()
     checks = [("max", 6 * p, hi) if hi != 6 * p or n < 7 else ("min", 4 * p, lo)
               for n, hi, lo in zip(ns, highs, lows)]
 
@@ -394,10 +391,9 @@ _NOT_FOUND_NOTE = "no start up to 6*phi(n) shares {} signs with the window at 6*
 def _lemma1_band(p, ns, _sampled):
     depth, rows = _grid(ns[0])
     summary, inverse = appearance.stored_band(_batch.target_summary, rows, p)
-    read = _read_rows(summary, inverse)
     # the window at 6p occurs at start i + 1 <= 6p exactly when its target
     # LCP is >= n: it must at 6p, and may at 4p only
-    off, at = int(read[:, _batch.OFF_TARGET].max()), int(read[:, _batch.AT_TARGET].min())
+    off, at = int(summary[:, _batch.OFF_TARGET].max()), int(summary[:, _batch.AT_TARGET].min())
 
     def counter(j):
         n = ns[j]
@@ -427,23 +423,19 @@ def verify_lemma_first_occurrence(n_lo: int = 7, n_hi: int = 64) -> Verification
 
 def _lemma2_band(p, ns, _sampled):
     depth, rows = _grid(ns[0])
-    (s, s_inverse), (summary, inverse) = (appearance.stored_band(kernel, rows, p) for kernel
-                                          in (_batch.band_first_starts, _batch.target_summary))
+    (s, _), (summary, inverse) = (appearance.stored_band(kernel, rows, p) for kernel
+                                  in (_batch.band_first_starts, _batch.target_summary))
     # the target's first occurrence; it equals S only if the window at S
     # is the target, so one compare covers both halves of the lemma
-    # (NOT_FOUND, where no window reaches n, equals no S).  The band
-    # kernels key the rows alike, so their kernel rows are compared
-    # directly; bands keyed otherwise are gathered and compared row by row
-    if np.array_equal(s_inverse, inverse):
-        read_s, read_summary = _read_rows(s, inverse), _read_rows(summary, inverse)
-    else:
-        read_s, read_summary = s[s_inverse], summary[inverse]
+    # (NOT_FOUND, where no window reaches n, equals no S).  The store
+    # lines two kernels' bands of the same rows up row for row, one inverse
+    # for both, so their rows are compared directly
     columns = _columns(ns)
-    failing = (read_s != read_summary[:, _batch.FIRST_START:]).any(axis=0)[columns]
+    failing = (s != summary[:, _batch.FIRST_START:]).any(axis=0)[columns]
 
     def counter(j):
         n, column = ns[j], columns[j]
-        s_rows = s[:, column].take(s_inverse)
+        s_rows = s[:, column].take(inverse)
         direct_first = summary[:, _batch.FIRST_START + column].take(inverse)
 
         def fields(i):
@@ -482,7 +474,7 @@ def verify_lemma_last_factor(n_lo: int = 7, n_hi: int = 64) -> VerificationOutco
 def _lemma3_band(p, ns, _sampled):
     depth, rows = _grid(ns[0])
     summary, inverse = appearance.stored_band(_batch.target_summary, rows, p)
-    columns, first = _columns(ns), _read_rows(summary, inverse)[:, _batch.FIRST_START:]
+    columns, first = _columns(ns), summary[:, _batch.FIRST_START:]
     # a window no start reaches cannot share its first start with the other
     failing = ((first != first[:, appearance.band_index(p)][:, None]).any(axis=0)
                | (first == _batch.NOT_FOUND).any(axis=0))
@@ -580,23 +572,31 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     EXHAUSTIVE_DEPTH_MAX) is refused before any work.
     """
     _check_range("corollary-tails", 7, n_hi)
-    heads = _batch.sign_grid(4).tolist()
-    families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
-    rows, factors, family_sets = zip(*[(head, factor, FoldingInstructions(head, tail))
-                                       for factor, tails in families
-                                       for head in heads for tail in tails])
-    rows, factors = np.array(rows, dtype=np.int8), np.array(factors)
-    catalog = tuple(parse_instructions(text) for text in NON_QUALIFYING_TAILS)
     # one array of instruction rows, family rows then catalog rows, so both
-    # read the same cached bands: f_0..f_(m+2) of the top band, phi = 2^m
+    # read the same bands: f_0..f_(m+2) of the top band, phi = 2^m.  A
+    # family row is a head then its tail repeated, head by head and each
+    # head's tails in turn
     width = band_length(max(n_hi, 64)).bit_length()
-    signs = np.array([[instruction(f, t) for t in range(width)]
-                      for f in family_sets + catalog], dtype=np.int8)
+    heads = appearance.sign_grid(4)
+    families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
+
+    def tiled(head, tail):
+        """Each row of `head` continued by `tail` repeated, to width signs."""
+        tail = np.resize(np.array(tail, np.int8), width - head.shape[-1])
+        return np.hstack((head, np.broadcast_to(tail, head.shape[:-1] + tail.shape)))
+    catalog = tuple(parse_instructions(text) for text in NON_QUALIFYING_TAILS)
+    signs = np.concatenate(
+        [np.stack([tiled(heads, tail) for tail in tails], axis=1).reshape(-1, width)
+         for _, tails in families]
+        + [tiled(np.array(f.prefix, np.int8), f.tail_period)[None] for f in catalog])
+    tail_of = [tail for _, tails in families for _ in heads for tail in tails]
+    factors = np.repeat([factor for factor, _ in families],
+                        [len(heads) * len(tails) for _, tails in families])
 
     # every S band the families and the catalog read, each fetched once
     bands = {p: appearance.stored_band(_batch.band_first_starts, signs, p)
              for p in {phi(n) for n in range(7, max(n_hi, 64) + 1)}}
-    family = len(rows)
+    family = len(factors)
     branches, group = np.unique(factors, return_inverse=True)
 
     def check_band(p, ns, _sampled):
@@ -605,9 +605,10 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
 
         def counter(j):
             observed, expected = s[inverse[:family], columns[j]], factors * p
-            return _counterexample(ns[j], rows, observed != expected, lambda i: {
+            return _counterexample(ns[j], signs, observed != expected, lambda i: {
                 "expected": int(expected[i]), "observed": int(observed[i]),
-                "instructions": format_instructions(family_sets[i])})
+                "instructions": format_instructions(
+                    FoldingInstructions(tuple(signs[i, :4].tolist()), tail_of[i]))})
         return _band_results(4, family, _mismatches(
             s, inverse[:family], group, (branches * p)[:, None])[columns], counter)
 
@@ -637,10 +638,12 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     """s_value is nondecreasing in n and invariant under global negation,
     for every depth-bit pattern extended cyclically.
 
-    The other suites scan a prefix and its negation as one kernel row,
-    which assumes the invariance checked here, so this suite scans its
-    grid with that map off: each pattern's S comes from a row of its own,
-    in bands read once and kept out of the band store.
+    The other suites read a prefix and its negation from one row of the
+    band store, which assumes the invariance checked here, so this suite
+    reads the store with that map off: a pattern with f_0 = +1 reads the
+    row of its own key, as the other suites do, and one with f_0 = -1 the
+    row of its own key too, which only this suite reads, scanned from its
+    own prefix, never from its negation's.
 
     details also records the two readings of the fixed point at n = 7:
     whether S_f(7) = 48 for every f, and whether max_f S_f(7) = 48.
@@ -651,13 +654,13 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     if width > EXHAUSTIVE_DEPTH_MAX:
         raise ValueError(f"monotonicity grid width {width} exceeds the "
                          f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
-    rows = appearance.sign_grid(depth)
+    rows, extended = appearance.sign_grid(depth), _batch.sign_grid(depth, width)
     # S by (pattern, column) of each band; the negation of pattern i is
     # pattern 2^depth - 1 - i, so a row read in reverse holds the negated S
     bands = {}
     for p in {phi(n) for n in range(1, n_max + 1)}:
-        per_key, inverse = _batch.band_first_starts(_batch.sign_grid(depth, width), p,
-                                                    _by_negation=False)
+        per_key, inverse = appearance.stored_band(_batch.band_first_starts, extended, p,
+                                                  by_negation=False)
         bands[p] = per_key[inverse]
 
     def check_band(p, ns, _sampled):

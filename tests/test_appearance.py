@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import os
@@ -267,11 +268,18 @@ def summary_of_bytes(rows, p):
 
 
 def per_row(band):
-    """A band kernel's (per_key, inverse) read out as one row per
+    """A stored band's (per_key, inverse) read out as one row per
     instruction row, for comparison with per-row references."""
     per_key, inverse = band
     assert len(inverse) and inverse.max() < len(per_key)
     return per_key[inverse]
+
+
+def cold_band(kernel, rows, p, **options):
+    """stored_band(kernel, rows, p) from an empty band store, so that every
+    key of `rows` reaches the kernel."""
+    appearance_mod.clear_caches()
+    return appearance_mod.stored_band(kernel, rows, p, **options)
 
 
 def pf_rows_and_prefixes(rows, length):
@@ -500,9 +508,9 @@ MULTI_BLOCK_BANDS = {
 
 @pytest.mark.parametrize("depth, p", MULTI_BLOCK_BANDS)
 def test_multi_block_bands_are_pinned(depth, p):
-    # the grid holds exactly the m + 3 bits the band prefix reads, so one
-    # kernel row per negation pair and one index per grid row
-    per_key, inverse = _batch.band_first_starts(_batch.sign_grid(depth), p)
+    # the grid holds exactly the m + 3 bits the band prefix reads, so the
+    # store keeps one row per negation pair and one index per grid row
+    per_key, inverse = cold_band(_batch.band_first_starts, _batch.sign_grid(depth), p)
     assert per_key.dtype == np.int32 and per_key.shape == (1 << (depth - 1), p - p // 2)
     assert inverse.shape == (1 << depth,)
     band = per_row((per_key, inverse))
@@ -634,17 +642,17 @@ def test_band_kernels_scan_repeated_prefixes_once(monkeypatch, kernel, chunk_nam
     rows = [head + [rng.choice((-1, 1)) for _ in range(2)] for head in heads * 3 + heads[:2]]
     rng.shuffle(rows)
     rows = np.array(rows, dtype=np.int8)
-    alone = np.concatenate([per_row(kernel(row[None], p)) for row in rows])
+    alone = np.concatenate([kernel(row[None], p) for row in rows])
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
-    per_key, inverse = kernel(rows, p)
+    per_key, inverse = cold_band(kernel, rows, p)
     pairs, odd = divmod(len(heads), 2)
     assert seen == [2] * pairs + [1] * odd
     assert per_key.dtype == alone.dtype and np.array_equal(per_row((per_key, inverse)), alone)
-    # one kernel row per head, which every copy and twin of it reads
+    # one stored row per head, which every copy and twin of it reads
     assert len(per_key) == len(heads) and inverse.shape == (len(rows),)
     twin = next(i for i in range(1, len(rows)) if (rows[i, :keyed] == rows[0, :keyed]).all())
     assert inverse[twin] == inverse[0]
@@ -692,8 +700,8 @@ def test_band_kernels_scan_a_prefix_and_its_negation_once(monkeypatch, p):
     for name in seen:
         monkeypatch.setattr(_batch, name, counting(name))
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * (7 * p - 1))
-    assert per_row(_batch.band_first_starts(rows, p)).tolist() == want_band
-    assert per_row(_batch.target_summary(rows, p)).tolist() == want_summary
+    assert per_row(cold_band(_batch.band_first_starts, rows, p)).tolist() == want_band
+    assert per_row(cold_band(_batch.target_summary, rows, p)).tolist() == want_summary
     assert seen == dict.fromkeys(seen, negation_pairs(prefixes))
 
 
@@ -735,9 +743,9 @@ def test_band_kernels_see_each_distinct_key_once(batch):
         np.array([brute_target_lcp(pb, p)]), p)[0].tolist()) for pb in set(prefixes)}
     seen = []
 
-    def kernel_rows(call, *args, **kwargs):
+    def kernel_rows(kernel, **options):
         seen.clear()
-        per_key, inverse = call(rows, p, *args, **kwargs)
+        per_key, inverse = cold_band(kernel, rows, p, **options)
         assert len(per_key) == sum(seen)
         return per_row((per_key, inverse)).tolist(), sum(seen)
     with pytest.MonkeyPatch.context() as mp:
@@ -748,11 +756,66 @@ def test_band_kernels_see_each_distinct_key_once(batch):
         # a few rows a chunk, so that most batches take more than one
         mp.setattr(_batch, "CHUNK_ELEMENTS", 3 * (7 * p - 1))
         band = kernel_rows(_batch.band_first_starts)
-        raw = kernel_rows(_batch.band_first_starts, _by_negation=False)
+        raw = kernel_rows(_batch.band_first_starts, by_negation=False)
         summary = kernel_rows(_batch.target_summary)
     want_band = [want[pb][0] for pb in prefixes]
     assert band == (want_band, len(pair_keys)) and raw == (want_band, len(keys))
     assert summary == ([want[pb][1] for pb in prefixes], len(pair_keys))
+
+
+SIGNS = st.sampled_from((-1, 1))
+
+
+@st.composite
+def band_requests(draw):
+    """Band store requests (kernel name, p, rows, by_negation) at one or
+    two p = 2^j <= 256, in any order: grids of m + 3 or m + 4 bits (to p =
+    64), a few random rows, and corollary-style rows, a head of four signs
+    then a periodic tail, each read with the negation map on or off."""
+    js = draw(st.lists(st.integers(0, 8), min_size=1, max_size=2, unique=True))
+    requests = []
+    for _ in range(draw(st.integers(1, 6))):
+        j = draw(st.sampled_from(js))
+        kind = draw(st.sampled_from(("grid", "sampled", "corollary")[j > 6:]))
+        keyed = j + 3
+        width = keyed + draw(st.integers(0, 2))
+        if kind == "grid":
+            rows = _batch.sign_grid(keyed + draw(st.integers(0, 1)))
+        elif kind == "sampled":
+            rows = np.array(draw(st.lists(st.lists(SIGNS, min_size=width, max_size=width),
+                                          min_size=1, max_size=8)), np.int8)
+        else:
+            heads = draw(st.lists(st.lists(SIGNS, min_size=4, max_size=4),
+                                  min_size=1, max_size=16))
+            tails = draw(st.lists(st.sampled_from(((1, -1), (-1, 1), (1,), (-1,))),
+                                  min_size=1, max_size=2))
+            rows = np.array([(head + list(tail) * width)[:max(width, 4)]
+                             for head in heads for tail in tails], np.int8)
+        requests.append((draw(st.sampled_from(("S", "summary"))), 1 << j, rows,
+                         draw(st.booleans())))
+    return requests
+
+
+@settings(max_examples=30, deadline=None)
+@given(requests=band_requests())
+def test_band_store_reads_what_a_cold_kernel_call_gives(requests):
+    # every request reads, row for row, what one kernel call on its rows
+    # alone gives, however the requests before it filled the store, and no
+    # key of a band reaches a kernel twice
+    real = {"S": _batch.band_first_starts, "summary": _batch.target_summary}
+    seen = collections.Counter()
+
+    def counted(name):
+        def kernel(rows, p):
+            seen.update((name, p, row.tobytes()) for row in rows)
+            return real[name](rows, p)
+        return kernel
+    kernels = {name: counted(name) for name in real}
+    appearance_mod.clear_caches()
+    for name, p, rows, by_negation in requests:
+        band = appearance_mod.stored_band(kernels[name], rows, p, by_negation=by_negation)
+        assert np.array_equal(per_row(band), real[name](rows, p))
+    assert set(seen.values()) <= {1}
 
 
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
@@ -767,13 +830,12 @@ def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
     p = phi(n)
     one_row = {"_chunk_first_starts": _batch._chunk_first_starts,
                "_chunk_target_lcp": _batch._chunk_target_summary}[chunk_name]
-    columns = kernel(rows[:1], p)[0].shape[1]
-    apart = per_row(_batch._by_chunks(rows, p, columns, one_row, by_negation=False))
+    apart = _batch._by_chunks(rows, p, kernel(rows[:1], p).shape[1], one_row)
     seen = []
     real_chunk = getattr(_batch, chunk_name)
     monkeypatch.setattr(_batch, chunk_name,
                         lambda bits, p, ws: seen.append(len(bits)) or real_chunk(bits, p, ws))
-    per_key, inverse = kernel(rows, p)
+    per_key, inverse = cold_band(kernel, rows, p)
     assert sum(seen) == len(per_key) == 1 << (depth - 2)
     assert len(inverse) == len(rows) == 1 << depth
     assert np.array_equal(per_row((per_key, inverse)), apart)
@@ -784,15 +846,16 @@ def test_grid_band_prefixes_come_in_twins(monkeypatch, kernel, chunk_name, n):
 def test_band_kernels_refuse_too_few_instruction_columns(monkeypatch, kernel, chunk_name, p):
     # the band prefix of 7p - 1 signs reads f_0..f_(m+2), p = 2^m: rows of
     # m + 3 columns are scanned, and rows of one column fewer are refused
-    # before any kernel call
+    # before any kernel call, by the kernel and by the band store
     length = 7 * p - 1
     grid = _batch.sign_grid(length.bit_length())
-    assert len(kernel(grid, p)[1]) == len(grid)
+    assert len(kernel(grid, p)) == len(grid)
     calls = []
     monkeypatch.setattr(_batch, chunk_name, lambda bits, p, ws: calls.append(len(bits)))
-    with pytest.raises(ValueError, match=f"^{length.bit_length() - 1} instruction columns "
-                                         f"cannot cover positions up to {length}$"):
-        kernel(grid[:, :-1], p)
+    for call in (kernel, lambda rows, p: cold_band(kernel, rows, p)):
+        with pytest.raises(ValueError, match=f"^{length.bit_length() - 1} instruction columns "
+                                             f"cannot cover positions up to {length}$"):
+            call(grid[:, :-1], p)
     assert calls == []
 
 
@@ -865,8 +928,8 @@ def test_band_kernels_write_every_workspace_entry_they_read(monkeypatch, p):
     for seen in chunks.values():
         seen.clear()
     monkeypatch.setattr(_batch, "CHUNK_ELEMENTS", 2 * length)
-    band = per_row(_batch.band_first_starts(pf_rows, p))
-    summary = per_row(_batch.target_summary(pf_rows, p))
+    band = per_row(cold_band(_batch.band_first_starts, pf_rows, p))
+    summary = per_row(cold_band(_batch.target_summary, pf_rows, p))
     pairs, odd = divmod(len(heads), 2)
     assert chunks == dict.fromkeys(chunks, [2] * pairs + [1] * odd)
     assert band.tolist() == [scalar_band(pb, p) for pb in prefixes]

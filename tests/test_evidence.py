@@ -49,7 +49,7 @@ def test_evidence_prints_one_line_per_row_in_table_order(capsys, small_table):
     first, err = capsys.readouterr()
     assert [json.loads(line) for line in first.splitlines()] == [
         {"name": name, "sha256": pinned, "ok": True} for name, (_, pinned) in table.items()]
-    assert err == "" and len(clears) == len(EVIDENCE) == 7
+    assert err == "" and len(clears) == len(EVIDENCE) == 8
     assert main(["evidence"]) == 0
     assert capsys.readouterr().out == first
 

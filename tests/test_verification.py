@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import inspect
 import json
 import tracemalloc
@@ -46,34 +47,29 @@ def dropping_scan(prefix, n, limit):
 def kernel_from_scan(scan):
     """A band kernel that reads every (row's prefix, n) off the scalar
     `scan`, so a scan mutation becomes a mutation of the kernel the suites
-    call; every instruction row is a kernel row of its own."""
+    call."""
     def kernel(rows, p):
         prefixes = [pb.tobytes() for pb in _batch.pf_prefix_matrix(rows, 7 * p - 1)]
-        per_key = np.array([[max(scan(pb, n, 6 * p).values())
-                             for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
-                           dtype=np.int32).reshape(len(prefixes), p - p // 2)
-        return per_key, np.arange(len(rows))
+        return np.array([[max(scan(pb, n, 6 * p).values())
+                          for n in range(p // 2 + 1, p + 1)] for pb in prefixes],
+                        dtype=np.int32).reshape(len(prefixes), p - p // 2)
     return kernel
 
 
 def kernel_with_s(n, row, value):
-    """The real band kernel, except that row `row` (an index or a slice)
-    of every band holding n reads S(n) = value: each edited instruction
-    row gets a kernel row of its own, a copy of its key's row, so no other
-    row that shares its key reads the edit."""
-    real = _batch.band_first_starts
+    """The band store, except that row `row` (an index or a slice) of the
+    rows of every S band holding n reads S(n) = value: that band is handed
+    out one row per instruction row, so no other row that shares the
+    edited row's key reads the edit."""
+    real = appearance_mod.stored_band
 
-    def kernel(rows, p, **private):
-        per_key, inverse = real(rows, p, **private)
-        if p == phi(n):
-            edited = np.atleast_1d(np.arange(len(rows))[row])
-            own = len(per_key) + np.arange(len(edited))
-            per_key = np.concatenate((per_key, per_key[inverse[edited]]))
-            inverse = inverse.copy()
-            inverse[edited] = own
-            per_key[own, n - p // 2 - 1] = value
+    def band(kernel, rows, p, **options):
+        per_key, inverse = real(kernel, rows, p, **options)
+        if kernel is _batch.band_first_starts and p == phi(n):
+            per_key, inverse = per_key[inverse], np.arange(len(rows))
+            per_key[row, n - p // 2 - 1] = value
         return per_key, inverse
-    return kernel
+    return band
 
 
 def grid_with_copied_target(n, row, to, break_after=False):
@@ -256,7 +252,7 @@ def test_bounds_sampled_tail(clean_caches):
 def test_bounds_report_the_extreme_row(clean_caches, monkeypatch, edits, n_lo, n_hi,
                                        samples, cases, counter):
     for edit in edits:  # each edit wraps the one before
-        monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(*edit))
+        monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(*edit))
     outcome = verify_bounds(n_lo, n_hi, samples=samples)
     assert not outcome.passed and outcome.cases_checked == cases
     assert outcome.counterexample == counter
@@ -488,7 +484,7 @@ def test_theorem_asks_the_closed_form_once_per_pair_class(clean_caches, monkeypa
 def test_theorem_counterexample_is_the_failing_row(clean_caches, monkeypatch):
     # pattern 1 ("+-------") reads S(9) = 80; pattern 0 leads its
     # (f_4, f_5) class, so the closed form is asked there and reads 96
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 1, 80))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(9, 1, 80))
     outcome = verify_theorem(7, 16)
     assert not outcome.passed and outcome.cases_checked == 2304
     assert outcome.counterexample == {
@@ -516,7 +512,7 @@ def agreeing_on_sampled_pattern_7(f, n):
 ])
 def test_sampled_theorem_reports_the_sampled_row(clean_caches, monkeypatch,
                                                  predictor, counter):
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(66, 7, 700))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(66, 7, 700))
     if predictor is not None:
         monkeypatch.setattr(verification, "predicted_s", predictor)
     outcome = verify_theorem(65, 67, "sampled", samples=20)
@@ -599,7 +595,7 @@ def test_corollary_families_match_prediction():
 
 def test_corollary_tails_catch_one_wrong_family_value(clean_caches, monkeypatch):
     # the first family row is "----;+-", whose S(9) is 4 * 16
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 0, 50))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(9, 0, 50))
     outcome = verify_corollary_tails(n_hi=16)
     assert not outcome.passed
     assert outcome.counterexample == {"n": 9, "expected": 64, "observed": 50,
@@ -611,7 +607,7 @@ def test_corollary_tails_catch_one_wrong_family_value(clean_caches, monkeypatch)
 
 def test_corollary_tails_count_every_n_past_a_failing_row(clean_caches, monkeypatch):
     # row 33 is "----;-", a constant-tail row
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 33, 50))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(9, 33, 50))
     outcome = verify_corollary_tails(n_hi=16)
     assert outcome.cases_checked == 64 * 10 + 5 * 58
     assert outcome.counterexample == {"n": 9, "expected": 96, "observed": 50,
@@ -653,7 +649,7 @@ def test_monotonicity_and_symmetry():
 
 def test_monotonicity_catches_a_dip(clean_caches, monkeypatch):
     # pattern 0 (all -1) has S(8) = 48 and S(9) = 96
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 0, 1))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(9, 0, 1))
     outcome = verify_monotonicity_and_symmetry(8, 16)
     assert not outcome.passed and outcome.cases_checked == 256 * 16
     assert outcome.counterexample == {"n": 9, "kind": "monotonicity",
@@ -664,7 +660,7 @@ def test_monotonicity_catches_a_dip(clean_caches, monkeypatch):
 
 def test_monotonicity_catches_a_negation_break(clean_caches, monkeypatch):
     # 50 stays above S(8) but differs from S(9) = 96 of the negated pattern
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 0, 50))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(9, 0, 50))
     outcome = verify_monotonicity_and_symmetry(8, 16)
     assert not outcome.passed
     assert outcome.counterexample == {"n": 9, "kind": "negation",
@@ -706,14 +702,39 @@ def test_every_s_suite_reports_the_lowest_failing_n(clean_caches, monkeypatch, s
                                                     cases, instructions):
     # row 0 breaks at n = 12 and row 1 at n = 9: n = 9 is reported, and
     # every n is still checked and counted
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(12, 0, 50))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(12, 0, 50))
     # the second edit wraps the first
-    monkeypatch.setattr(_batch, "band_first_starts", kernel_with_s(9, 1, 50))
+    monkeypatch.setattr(appearance_mod, "stored_band", kernel_with_s(9, 1, 50))
     outcome = suite()
     assert outcome.counterexample["n"] == 9
     assert outcome.counterexample["instructions"] == instructions
     assert outcome.cases_checked == cases
     assert json_counterexample(outcome) == outcome.counterexample
+
+
+# run_all(n_max=2048) with every S read as 0, as its JSON lines read
+# before counterexamples were built lazily, when each failing n built its
+# own: 4,204 in all, for the five failing outcomes below.
+ZERO_S_RUN_ALL_2048 = "3f3afed55659d2dca4abdf4b90330e563beef2a4ba08234b829cb66d8360ae38"
+
+
+def test_run_all_builds_one_counterexample_per_failing_outcome(clean_caches, monkeypatch):
+    # bounds, lemma2, both theorems and corollary-tails fail at every n of
+    # their range; each builds the counterexample of its lowest failing n
+    # and no other
+    monkeypatch.setattr(_batch, "band_first_starts",
+                        lambda rows, p: np.zeros((len(rows), p - p // 2), np.int32))
+    builds = []
+    real = verification._counterexample
+    monkeypatch.setattr(verification, "_counterexample",
+                        lambda n, *args: builds.append(n) or real(n, *args))
+    outcomes = verification.run_all(n_max=2048)
+    failing = [o for o in outcomes if not o.passed]
+    assert [o.claim_id for o in failing] == ["bounds", "lemma2", "theorem", "theorem",
+                                             "corollary-tails"]
+    assert builds == [o.counterexample["n"] for o in failing]
+    text = "".join(o.to_json() + "\n" for o in outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == ZERO_S_RUN_ALL_2048
 
 
 # --- determinism -------------------------------------------------------------
@@ -796,7 +817,7 @@ def test_band_pass_matches_the_per_n_reference(data):
     try:
         with pytest.MonkeyPatch.context() as mp:
             for edit in edits:  # each edit wraps the one before
-                mp.setattr(_batch, "band_first_starts", kernel_with_s(*edit))
+                mp.setattr(appearance_mod, "stored_band", kernel_with_s(*edit))
             verify = verify_bounds if claim == "bounds" else verify_theorem
             assert verify(n_lo, n_hi).to_json() == per_n_reference(claim, n_lo, n_hi)
     finally:
@@ -807,13 +828,17 @@ def test_band_pass_matches_the_per_n_reference(data):
 
 def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch):
     # every exhaustive grid enumerates one instruction bit more than its
-    # band prefix reads, and holds each pattern with its negation.  One
-    # scan per negation pair takes the lemma kernel from 960 rows (one per
-    # distinct band prefix) to 480, and the S kernel's rows from the other
-    # suites from 1,261 to 634.  Monotonicity adds 504: it scans its
-    # depth-8 grid with the map off, every distinct band prefix of
-    # n = 1..32 (8 + 16 + ... + 256), and half of them start with '-',
-    # which no other suite hands the kernel.
+    # band prefix reads, and holds each pattern with its negation, and the
+    # band store keys every request on the m + 3 signs its band prefix
+    # reads, up to negation: the lemma kernel sees 480 rows, one per
+    # negation pair of the lemmas' grids (960 distinct prefixes).  The S
+    # kernel sees 760, each distinct band prefix of the run once: 508 with
+    # f_0 = +1, the 496 of the bounds' grids at p = 4..64, which
+    # corollary-tails and monotonicity read too, and monotonicity's 12 at
+    # p = 1 and 2, and 252 with f_0 = -1, from monotonicity's depth-8 grid
+    # read with the map off (4 + 8 + ... + 128 at n = 1..32), which no
+    # other suite hands the kernel.  Keyed on each request's rows, the
+    # store made 1,138.
     rows = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
     minus_first = {"_chunk_first_starts": 0, "_chunk_target_lcp": 0}
 
@@ -829,19 +854,34 @@ def test_run_all_scans_each_distinct_band_prefix_once(clean_caches, monkeypatch)
     for name in rows:
         monkeypatch.setattr(_batch, name, counting(name))
     assert all(outcome.passed for outcome in verification.run_all(n_max=64))
-    assert rows == {"_chunk_first_starts": 1138, "_chunk_target_lcp": 480}
+    assert rows == {"_chunk_first_starts": 760, "_chunk_target_lcp": 480}
     assert minus_first == {"_chunk_first_starts": 252, "_chunk_target_lcp": 0}
 
 
-def test_run_all_reads_each_band_once_per_suite(clean_caches):
+def test_run_all_reads_each_band_once_per_suite(clean_caches, monkeypatch):
     # each suite fetches each of its bands from the store once per
     # phi-band, not once per n: bounds 5 (n = 3..64), lemma1, lemma3 and
-    # the theorem 4 each, lemma2 4 + 4 (S and the summary), and
-    # corollary-tails 4, shared by its families and its catalog; a read
-    # per n made 584.  Monotonicity's bands bypass the store.
+    # the theorem 4 each, lemma2 4 + 4 (S and the summary), corollary-tails
+    # 4, shared by its families and its catalog, and monotonicity 6
+    # (n = 1..32).  Only 15 of the 35 reach a kernel: bounds' five S bands
+    # and lemma1's four summaries, then monotonicity's p = 1 and 2 and
+    # the f_0 = -1 halves at p = 4..32; every other request reads keys an
+    # earlier one filled.  Keyed on the rows' bytes, 29 lookups missed 13
+    # times, and monotonicity's six bands bypassed the store.
+    counts = collections.Counter()
+    real_band, real_fill = appearance_mod.stored_band, appearance_mod._BandTable.fill
+
+    def band(*args, **kwargs):
+        counts["lookups"] += 1
+        return real_band(*args, **kwargs)
+
+    def fill(self, keys):
+        counts["fills"] += 1
+        return real_fill(self, keys)
+    monkeypatch.setattr(appearance_mod, "stored_band", band)
+    monkeypatch.setattr(appearance_mod._BandTable, "fill", fill)
     verification.run_all(n_max=64)
-    info = appearance_mod._band.cache_info()
-    assert (info.hits + info.misses, info.misses) == (29, 13)
+    assert counts == {"lookups": 35, "fills": 15}
 
 
 @pytest.mark.parametrize("verify", [verify_theorem, verify_lemma_last_factor,
@@ -863,78 +903,107 @@ def test_band_checks_stay_within_the_stored_band(clean_caches, verify):
     assert peak <= s_band.nbytes
 
 
-@pytest.mark.parametrize("n_max, s_calls", [(64, 15), (256, 19), (2048, 22)])
+@pytest.mark.parametrize("n_max, s_calls", [(64, 11), (256, 15), (2048, 18)])
 def test_one_band_store_computes_each_band_once(clean_caches, monkeypatch, n_max, s_calls):
     # With stub kernels, so that the wide bands cost nothing, a cold
-    # run_all asks each kernel for each (rows, p) once: the one store
-    # neither evicts a band it reads again nor serves one kernel's band
+    # run_all hands each kernel each key of each band at most once: the
+    # store neither forgets a key it has read nor serves one kernel's band
     # for the other's request (a summary request would then find the S
-    # band of the same grid and p, and make no summary call).  The S calls
-    # include monotonicity's six, which bypass the store.
-    calls = collections.Counter()
+    # table of the same p, and make no summary call).  The S calls are
+    # the requests that meet a key no request read before: the bounds'
+    # bands, then at n_max = 256 the theorem's grids at p = 128 and 256,
+    # which hold the bounds' samples there, and monotonicity's six; the
+    # sampled theorem past 256 reads the bounds' samples.
+    calls, keys = collections.Counter(), collections.Counter()
 
     def stub(name, columns):
-        def kernel(rows, p, **private):
-            calls[name, rows.tobytes(), rows.shape[1], p, bool(private)] += 1
-            return np.zeros((1, columns(p)), np.int32), np.zeros(len(rows), np.intp)
+        def kernel(rows, p):
+            calls[name] += 1
+            keys.update((name, p, row.tobytes()) for row in rows)
+            return np.zeros((len(rows), columns(p)), np.int32)
         return kernel
     monkeypatch.setattr(_batch, "band_first_starts", stub("S", lambda p: p - p // 2))
     monkeypatch.setattr(_batch, "target_summary",
                         stub("summary", lambda p: _batch.FIRST_START + p - p // 2))
     verification.run_all(n_max=n_max)
-    assert set(calls.values()) == {1}
-    assert collections.Counter(key[0] for key in calls) == {"S": s_calls, "summary": 4}
-    assert sum(key[4] for key in calls) == 6
-    assert appearance_mod._band.cache_info().currsize == s_calls - 6 + 4
+    assert set(keys.values()) == {1}
+    assert calls == {"S": s_calls, "summary": 4}
 
 
 @pytest.mark.parametrize("n", [7, 33])
-def test_cached_grid_band_keeps_one_row_per_kernel_row(clean_caches, n):
-    # a grid's 2^depth rows are kept as 2^(depth - 2) kernel rows and one
-    # index per grid row, and the S column is gathered from them
+def test_cached_grid_band_keeps_one_row_per_kernel_row(clean_caches, monkeypatch, n):
+    # a grid's 2^depth rows are kept as the 2^(depth - 2) keys with f_0 =
+    # +1 that its band prefixes read, in key order, and read again in place
+    # with the rows' key indices; the S column is gathered from them
     depth, p = appearance_mod.scan_depth(n), phi(n)
     s = appearance_mod.grid_s_values(n, depth)
     grid = appearance_mod.sign_grid(depth)
-    hits = appearance_mod._band.cache_info().hits
-    per_key, inverse = appearance_mod._band(_batch.band_first_starts, grid.tobytes(), depth, p)
-    assert appearance_mod._band.cache_info().hits == hits + 1
+    monkeypatch.setattr(appearance_mod._BandTable, "fill", None)  # no kernel call
+    per_key, inverse = appearance_mod.stored_band(_batch.band_first_starts, grid, p)
     assert per_key.shape == (1 << (depth - 2), p - p // 2) and inverse.shape == (1 << depth,)
+    table = appearance_mod._TABLES[_batch.band_first_starts, p]
+    assert np.shares_memory(per_key, table.values)
+    key = (grid[:, 1:depth - 1] > 0) * grid[:, :1] + (grid[:, :1] < 0)
+    assert np.array_equal(inverse, key @ (1 << np.arange(depth - 2)))
     assert np.array_equal(per_key[inverse, appearance_mod.band_index(n)], s)
 
 
-# --- fault catalog: the band store, its dedupe and its column rule -----------
+# --- fault catalog: the band store, its key rule and its column rule --------
 
 def store_without_kernel(mp):
-    """The band store keyed on the rows and p alone: the first kernel to
-    ask for a (rows, p) band serves every later request for it."""
-    real, kept = appearance_mod._band.__wrapped__, {}
+    """The band store keyed on p alone: the first kernel to ask for band p
+    fills the one table every later request for p reads."""
+    real, kept = appearance_mod._table, {}
 
-    def band(kernel, data, width, p):
-        if (data, width, p) not in kept:
-            kept[data, width, p] = real(kernel, data, width, p)
-        return kept[data, width, p]
-    mp.setattr(appearance_mod, "_band", band)
+    def table(kernel, p):
+        if p not in kept:
+            kept[p] = real(kernel, p)
+        return kept[p]
+    mp.setattr(appearance_mod, "_table", table)
 
 
 def inverse_shifted(mp):
-    """The dedupe's inverse shifted by one row: row r reads row r - 1's key."""
-    real = _batch._distinct_rows
-
-    def distinct_rows(rows):
-        distinct, inverse = real(rows)
-        return distinct, np.roll(inverse, 1)
-    mp.setattr(_batch, "_distinct_rows", distinct_rows)
+    """The store's key rule shifted by one row: row r reads row r - 1's key."""
+    real = appearance_mod._band_keys
+    mp.setattr(appearance_mod, "_band_keys",
+               lambda rows, p, by_negation: np.roll(real(rows, p, by_negation), 1))
 
 
 def key_one_sign_short(mp):
-    """The dedupe key one sign short: the band kernels' key drops f_(m+2),
-    so rows that differ only there share the first one's kernel row."""
-    real = _batch._distinct_rows
+    """The store's key rule one sign short: it drops f_(m+2), so a row with
+    f_(m+2) = +1 reads the row of its twin with f_(m+2) = -1."""
+    real = appearance_mod._band_keys
 
-    def distinct_rows(rows):
-        _, inverse = real(rows[:, :-1])
-        return rows[np.unique(inverse, return_index=True)[1]], inverse
-    mp.setattr(_batch, "_distinct_rows", distinct_rows)
+    def keys(rows, p, by_negation):
+        last = 1 << (appearance_mod.band_length(p).bit_length() - 2)
+        return real(rows, p, by_negation) & ~last
+    mp.setattr(appearance_mod, "_band_keys", keys)
+
+
+def key_to_row_off_by_one(mp):
+    """The store's key -> row map one row late: each key reads the row of
+    the next key its table holds, and the last key the first one's."""
+    real = appearance_mod._BandTable.rows_of
+    mp.setattr(appearance_mod._BandTable, "rows_of",
+               lambda self, keys: (real(self, keys) + 1) % len(self.values))
+
+
+def key_filled_never_written(mp):
+    """The first key of each fill is marked filled, but its row is never
+    written: it reads zeros."""
+    real = appearance_mod._BandTable.fill
+
+    def fill(self, keys):
+        real(self, keys)
+        self.values[self.rows_of(keys[:1])] = 0
+    mp.setattr(appearance_mod._BandTable, "fill", fill)
+
+
+def negation_off_read_canonically(mp):
+    """A request with the negation map off is keyed with it on, so a row
+    with f_0 = -1 reads its negation's row, not one of its own."""
+    real = appearance_mod._band_keys
+    mp.setattr(appearance_mod, "_band_keys", lambda rows, p, by_negation: real(rows, p, True))
 
 
 def column_one_n_early(mp):
@@ -953,22 +1022,36 @@ RUN_ALL_SUITES = {
     "verify_monotonicity_and_symmetry": "monotonicity"}
 
 # fault -> claim -> how the claim kills it: its outcome fails, or its
-# suite raises the named error.  A fault no claim killed would stay here
-# with an empty row.  S is constant across a band from n = 7 on, so the
-# column rule shows only where a band reaches below 7: n = 7 then reads
-# S(6), whose values 31 and 47 the bounds and the theorem reject.  Without
-# the kernel in its key the store hands lemma2 one band for both kernels,
+# suite raises the named error.  A fault no claim killed stays here with
+# an empty row.  S is constant across a band from n = 7 on, so the column
+# rule shows only where a band reaches below 7: n = 7 then reads S(6),
+# whose values 31 and 47 the bounds and the theorem reject.  Without the
+# kernel in its key the store hands lemma2 one table for both kernels,
 # and its per-column compare of the two meets arrays of unequal width.
+# A key one sign short, or rows read one key late, keeps the set of
+# values a band holds, which is all that bounds and lemma1 read, and
+# lemma2 and lemma3 read S and the summary through the same wrong rows.
+# A row read as zeros fails every check but lemma2, where a zero S meets
+# a zero (not found) first start.  No claim of run_all kills a
+# negation-off request read with the map on: monotonicity then holds S
+# and the negated S to the same row; the check that kills it is
+# test_monotonicity_reads_a_pattern_and_its_negation_from_rows_of_their_own.
 FAULT_KILLS = {
     "store_without_kernel": {"lemma1": "fails", "lemma2": "ValueError",
                              "lemma3": "IndexError"},
     "inverse_shifted": {"theorem": "fails", "corollary-tails": "fails",
                         "monotonicity": "fails", "small-n-tables": "fails"},
-    "key_one_sign_short": {"bounds": "fails", "theorem": "fails", "corollary-tails": "fails",
+    "key_one_sign_short": {"theorem": "fails", "corollary-tails": "fails",
                            "monotonicity": "fails", "small-n-tables": "fails"},
     "column_one_n_early": {"bounds": "fails", "lemma2": "fails", "lemma3": "fails",
                            "theorem": "fails", "corollary-tails": "fails",
                            "monotonicity": "fails", "small-n-tables": "fails"},
+    "key_to_row_off_by_one": {"theorem": "fails", "corollary-tails": "fails",
+                              "monotonicity": "fails", "small-n-tables": "fails"},
+    "key_filled_never_written": {"bounds": "fails", "lemma1": "fails", "lemma3": "fails",
+                                 "theorem": "fails", "corollary-tails": "fails",
+                                 "monotonicity": "fails", "small-n-tables": "fails"},
+    "negation_off_read_canonically": {},
 }
 
 
@@ -1001,12 +1084,22 @@ def test_band_store_faults_are_killed_as_pinned(clean_caches):
     # each fault from cold caches, and none of its bands kept after it
     got = {}
     for fault in (store_without_kernel, inverse_shifted, key_one_sign_short,
-                  column_one_n_early):
+                  column_one_n_early, key_to_row_off_by_one, key_filled_never_written,
+                  negation_off_read_canonically):
         verification.clear_caches()
         with pytest.MonkeyPatch.context() as mp:
             fault(mp)
             got[fault.__name__] = claims_killing(mp)
     assert got == FAULT_KILLS
+    # the negation fault hides a kernel fault in the rows that start with
+    # '-', which only monotonicity hands the kernel
+    verification.clear_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        negation_off_read_canonically(mp)
+        real = _batch._chunk_first_starts
+        mp.setattr(_batch, "_chunk_first_starts",
+                   lambda bits, p, ws: real(bits, p, ws) + (bits[:, :1] == 0))
+        assert verify_monotonicity_and_symmetry(8, 16).passed
 
 
 def test_run_all_keeps_the_theorem_exhaustive_up_to_its_grid_budget(monkeypatch):
