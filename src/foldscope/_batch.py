@@ -1,33 +1,36 @@
 """Internal numpy helpers for bulk enumeration.
 
 Everything here is plumbing for the verification suites: sign grids over
-instruction bits, bulk sequence prefixes as the b'+'/b'-' rows every
-scan reads (pf_prefix_matrix, the one bulk sequence generator), the band
-kernel that reads the latest first start for every n of a phi-band off
-one longest-previous-factor pass per prefix, the target-LCP kernel that
+instruction bits (unpacked from the bytes of the row indices), bulk
+sequence prefixes as the b'+'/b'-' rows every scan reads
+(pf_prefix_matrix, the one bulk sequence generator), the band kernel
+that reads the latest first start for every n of a phi-band off one
+longest-previous-factor pass per prefix, the target-LCP kernel that
 compares every window of a phi-band with the one at 6p and whose one
-product is the few values per row the lemma checks read
-(target_summary, reduced chunk by chunk), and the
-split-digit automaton sweep that checks a DFAO against the closed form
-over many instruction rows at once (one pass over the low digits per
-distinct low half of a row, one over the high digits from every state
-per distinct high half, the formula read off pf_prefix_matrix on those
-halves, and one pass over every row that gives both its verdict and its
-least failing k from two small tables of least k).  Both band
-kernels read a window as blocks of min(p, 64) signs, each one packed
-code of _window_codes, and find a common prefix at the first block pair
-whose XOR is nonzero; each keeps its own walk over the blocks, so the
-lemma checks share no sort, neighbour LCP or previous factor with the
-kernel that gives S.  The S kernel sorts each row's windows with no
-stable comparison sort (_window_order): one argsort of the block codes
-up to p = 64, and past that one lexsort of the 16-bit dense ranks of the
-block codes, whose passes numpy makes by radix; equal windows may come in
-any order, which no step after the sort reads (_sorted_lcp).  Both
-take int8 instruction rows and return one row of int32 values per
-instruction row (_by_chunks), each chunk's prefixes from
-pf_prefix_matrix, and build no whole grid of prefixes; which rows reach
-a kernel is the band store's choice (appearance.stored_band), which
-hands it each distinct key f_0..f_(m+2) once per process.
+product is the few values per row the lemma checks read (target_summary,
+reduced chunk by chunk), and the split-digit automaton sweep that checks
+a DFAO against the closed form over many instruction rows at once (one
+pass over the low digits per distinct low half of a row, one over the
+high digits from every state per distinct high half, the formula read
+off pf_prefix_matrix on those halves, and one pass over every row that
+gives both its verdict and its least failing k from two small tables of
+least k).  Both band kernels read a window as blocks of min(p, 64) signs,
+each one packed code of _window_codes (a 32- or 64-sign code is 4 or 8
+bytes of the row packed from one of its 8 bit offsets, read big-endian;
+narrower codes are built by shift-doubling, the faster way at their
+widths), and find a common prefix at the first block pair whose XOR is
+nonzero; each keeps its own walk over the blocks, so the lemma checks
+share no sort, neighbour LCP or previous factor with the kernel that
+gives S.  The S kernel sorts each row's windows with no stable comparison
+sort (_window_order): one argsort of the block codes up to p = 64, and
+past that one lexsort of the 16-bit dense ranks of the block codes,
+whose passes numpy makes by radix; equal windows may come in any order,
+which no step after the sort reads (_sorted_lcp).  Both take int8
+instruction rows and return one row of int32 values per instruction row
+(_by_chunks), each chunk's prefixes from pf_prefix_matrix, and build no
+whole grid of prefixes; which rows reach a kernel is the band store's
+choice (appearance.stored_band), which hands it each distinct key
+f_0..f_(m+2) once per process.
 Each band call gives its chunks one _Workspace: every array a chunk of
 either kernel fills is allocated once, for the first (largest) chunk,
 and filled in place through out= by every chunk after it, and the
@@ -56,12 +59,25 @@ def sign_grid(depth: int, width: int = 0) -> np.ndarray:
 
     Row i encodes f_t = +1 iff bit (t mod depth) of i is set, so row 0 is
     all -1, the last row is all +1, and columns past depth repeat the
-    pattern cyclically.
+    pattern cyclically.  The first min(width, 64) columns are the bits of
+    i repeated every depth bits by doubling, unpacked from its
+    little-endian bytes in one pass; wider grids take the rest from them.
     """
-    idx = np.arange(1 << depth, dtype=np.min_scalar_type((1 << depth) - 1))
-    bits = idx[:, None] >> (np.arange(max(depth, width)) % depth).astype(idx.dtype)
-    bits &= 1
-    return np.where(bits, np.int8(1), np.int8(-1))
+    width = max(depth, width)
+    cover = min(width, 64)
+    pattern = np.arange(1 << depth, dtype=f"<u{1 << ((cover - 1) // 8).bit_length()}")
+    span = depth
+    while 0 < span < cover:
+        pattern |= pattern << pattern.dtype.type(span)
+        span *= 2
+    bits = np.unpackbits(pattern.view(np.uint8).reshape(len(pattern), -1), axis=1,
+                         count=cover, bitorder="little")
+    if width > cover:
+        bits = bits.take(np.arange(width) % depth, axis=1)
+    # 0/1 to -1/+1 as int8, in place
+    bits <<= 1
+    bits -= 1
+    return bits.view(np.int8)
 
 
 def pf_prefix_matrix(rows: np.ndarray, length: int) -> np.ndarray:
@@ -154,13 +170,37 @@ def _window_codes(bits: np.ndarray, w: int, ws: _Workspace) -> np.ndarray:
     so codes are equal exactly when the windows are and order as they do
     (bits itself for w = 1).
 
-    The code of the first `length` signs grows by doubling and, for a one
-    bit of w, by one more sign, each step into the half of the workspace's
-    "codes" that the step before it did not write.
+    At w = 32 and 64 each row is packed into bytes from each of its 8 bit
+    offsets o (np.packbits), and the code at i = 8j + o is the w / 8 bytes
+    from byte j of offset o read as one big-endian integer: one strided
+    view over the packed bytes reads every code at once.  At w <= 16 the
+    shifts are faster on full chunks: the code of the first `length`
+    signs grows by doubling and, for a one bit of w, by one more sign,
+    each step into the half of the workspace's "codes" that the step
+    before it did not write.
     """
     if w == 1:
         return bits
     t = _CODE_TYPES[max(0, (w - 1).bit_length() - 3)]
+    if w in (32, 64):
+        # rows padded to 8 * groups + w - 1 signs, as every band row of 7p
+        # - 1 (p >= 32) already is; row r from offset o is then the 8 *
+        # groups + w - 8 signs from o on
+        r, length = bits.shape
+        n = length - w + 1
+        groups = -(-n // 8)
+        bits = np.pad(bits, ((0, 0), (0, 8 * groups - n))) if n % 8 else np.ascontiguousarray(bits)
+        offsets = np.ndarray((r, 8, 8 * groups + w - 8), np.uint8, bits,
+                             strides=(bits.strides[0], 1, 1))
+        packed = np.packbits(offsets, axis=2)
+        read = np.ndarray((r, groups, 8), np.dtype(t).newbyteorder(">"), packed,
+                          strides=(packed.strides[0], 1, packed.strides[1]))
+        codes = ws("codes", t, r, n)
+        if n % 8:
+            codes[...] = read.reshape(r, -1)[:, :n]
+        else:
+            codes.reshape(r, groups, 8)[...] = read
+        return codes
     into, other = ws("codes", t, 2, bits.size)
     codes, length = bits, 1
     for bit in bin(w)[3:]:

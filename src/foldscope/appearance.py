@@ -42,7 +42,10 @@ S(n) for every n of a phi-band (phi/2, phi].  The one band store keeps
 it, or the lemma summary, in one table per kernel and phi-band with a
 row per key: the m + 3 signs f_0..f_(m+2) the band prefix reads (phi =
 2^m), a key and its negation as one row unless a request asks otherwise.
-Each key is scanned once per process, whichever request reads it first.
+Each key is scanned once per process, whichever request reads it first,
+and each read-only row set (a cached sign grid or sample) is keyed once
+per table and negation setting: every repeat read of it is handed what
+its first read returned.
 The verify suites read a whole band at once through stored_band and
 reduce over its rows; grid_s_values gathers one n of a grid's S band
 through its rows' index.
@@ -50,6 +53,7 @@ through its rows' index.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -237,6 +241,9 @@ class _BandTable:
         self.bits = band_length(p).bit_length()
         self.filled = np.zeros(1 << self.bits, bool)
         self.values = None
+        # (id(rows), by_negation) -> (weak reference to rows, per_key,
+        # inverse) of each read-only row set read so far (stored_band)
+        self.reads = {}
 
     def rows_of(self, keys: np.ndarray) -> np.ndarray:
         """The table row of each filled key: the filled keys below it."""
@@ -250,6 +257,17 @@ class _BandTable:
             values = np.insert(self.values, np.cumsum(self.filled)[keys], values, axis=0)
         self.values = values
         self.filled[keys] = True
+
+    def keep(self, rows: np.ndarray, by_negation: bool, per_key: np.ndarray,
+             inverse: np.ndarray) -> None:
+        """Hand (per_key, inverse) to every later read of the read-only
+        `rows` with by_negation while `rows` lives, and drop what was kept
+        for row sets freed since the last call.  The references to the row
+        sets are weak and have no callback, so nothing kept here is in a
+        reference cycle: all of it is freed with the table."""
+        self.reads = {entry: kept for entry, kept in self.reads.items()
+                      if kept[0]() is not None}
+        self.reads[id(rows), by_negation] = weakref.ref(rows), per_key, inverse
 
 
 _TABLES: dict = {}
@@ -309,8 +327,19 @@ def stored_band(kernel, rows: np.ndarray, p: int, by_negation: bool = True) -> t
     f_0 = +1 (every key, with by_negation off), per_key is the table
     itself and inverse the rows' key indices; otherwise per_key is a
     gather of the rows read.  With by_negation off a row with f_0 = -1 reads the
-    values of its own prefix, never its negation's."""
+    values of its own prefix, never its negation's.
+
+    A read-only `rows`, such as a cached sign grid or sample, is taken to
+    be a row set that never changes: the table keeps the pair its first
+    read returned, for as long as that array lives, and hands it to every
+    repeat request for the same array and negation setting, with no new
+    pass over the rows or the key space."""
     table = _table(kernel, p)
+    fixed = not rows.flags.writeable
+    if fixed:
+        kept = table.reads.get((id(rows), by_negation))
+        if kept is not None and kept[0]() is rows:
+            return kept[1:]
     keys = _band_keys(rows, p, by_negation)
     read = np.zeros(len(table.filled), bool)
     read[keys] = True
@@ -324,13 +353,16 @@ def stored_band(kernel, rows: np.ndarray, p: int, by_negation: bool = True) -> t
     first_rows = not len(at) or at[-1] == len(at) - 1
     per_key = table.values[:len(at)] if first_rows else table.values[at]
     per_key.flags.writeable = inverse.flags.writeable = False
+    if fixed:
+        table.keep(rows, by_negation, per_key, inverse)
     return per_key, inverse
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def sign_grid(depth: int) -> np.ndarray:
-    """_batch.sign_grid(depth) as a read-only array, built once per depth."""
-    rows = _batch.sign_grid(depth)
+def sign_grid(depth: int, width: int = 0) -> np.ndarray:
+    """_batch.sign_grid(depth, width) as a read-only array, built once per
+    shape."""
+    rows = _batch.sign_grid(depth, width)
     rows.flags.writeable = False
     return rows
 

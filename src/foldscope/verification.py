@@ -190,16 +190,27 @@ def _row_text(row) -> str:
 @lru_cache(maxsize=CACHE_SIZE)
 def _sample_rows(width: int, samples: int, seed: int) -> np.ndarray:
     """Seeded sample of distinct instruction streams as a read-only
-    (rows, width) int8 array; extremal streams always first."""
+    (rows, width) int8 array; extremal streams always first.
+
+    The draws are those of rng.choice((-1, 1)) per sign, decoded from the
+    generator's 32-bit words in bulk: each try of choice reads one word
+    and is taken when its top bit is 0, and the sign is +1 when bit 30 is
+    set.  A stream drawn again keeps its first row."""
     rng = random.Random(seed * 1_000_003 + width * 1_009 + samples)
-    specials = [
-        (1,) * width,
-        (-1,) * width,
-        tuple(1 if i % 2 == 0 else -1 for i in range(width)),
-        tuple(-1 if i % 2 == 0 else 1 for i in range(width)),
-    ]
-    draws = [tuple(rng.choice((-1, 1)) for _ in range(width)) for _ in range(samples)]
-    rows = np.array(list(dict.fromkeys(specials + draws)), dtype=np.int8)
+    odd = np.arange(width) % 2
+    specials = np.array([np.ones(width), -np.ones(width), 1 - 2 * odd, 2 * odd - 1], np.int8)
+    taken, need = [np.empty(0, "<u4")], width * samples
+    while need > 0:
+        count = 2 * need + 64
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+        words = words[words < 1 << 31][:need]
+        taken.append(words)
+        need -= len(words)
+    signs = np.concatenate(taken) >> 30
+    draws = (2 * signs.astype(np.int8) - 1).reshape(samples, width)
+    rows = np.concatenate((specials, draws))
+    first = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_index=True)[1]
+    rows = rows[np.sort(first)]
     rows.flags.writeable = False
     return rows
 
@@ -230,6 +241,7 @@ def _check_samples(samples):
 
 def clear_caches():
     _sample_rows.cache_clear()
+    _tail_rows.cache_clear()
     appearance.clear_caches()
 
 
@@ -561,6 +573,32 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
 NON_QUALIFYING_TAILS = ("+;++-", "-;--+", "++;++--", "+-+-;+++-", "+;+-+")
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _tail_rows(width: int, catalog: tuple) -> tuple:
+    """(rows, tails, factors) of verify_corollary_tails: its instruction
+    rows to `width` signs as one read-only int8 array, family rows then
+    the rows of the catalog's texts, so that both read the same bands,
+    f_0..f_(m+2) of the top band, phi = 2^m; and each family row's tail
+    and S / phi.  A family row is a head of four signs then its tail
+    repeated, head by head and each head's tails in turn."""
+    heads = appearance.sign_grid(4)
+    families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
+
+    def tiled(head, tail):
+        """Each row of `head` continued by `tail` repeated, to width signs."""
+        tail = np.resize(np.array(tail, np.int8), width - head.shape[-1])
+        return np.hstack((head, np.broadcast_to(tail, head.shape[:-1] + tail.shape)))
+    rows = np.concatenate(
+        [np.stack([tiled(heads, tail) for tail in tails], axis=1).reshape(-1, width)
+         for _, tails in families]
+        + [tiled(np.array(f.prefix, np.int8), f.tail_period)[None]
+           for f in map(parse_instructions, catalog)])
+    factors = np.repeat([factor for factor, _ in families],
+                        [len(heads) * len(tails) for _, tails in families])
+    rows.flags.writeable = factors.flags.writeable = False
+    return rows, tuple(tail for _, tails in families for _ in heads for tail in tails), factors
+
+
 def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     """Tails alternating from f_4 give s = 4*phi(n) for every head and all
     7 <= n <= n_hi; constant tails give 6*phi(n).  A fixed catalog of
@@ -572,26 +610,8 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
     EXHAUSTIVE_DEPTH_MAX) is refused before any work.
     """
     _check_range("corollary-tails", 7, n_hi)
-    # one array of instruction rows, family rows then catalog rows, so both
-    # read the same bands: f_0..f_(m+2) of the top band, phi = 2^m.  A
-    # family row is a head then its tail repeated, head by head and each
-    # head's tails in turn
-    width = band_length(max(n_hi, 64)).bit_length()
-    heads = appearance.sign_grid(4)
-    families = ((4, ((1, -1), (-1, 1))), (6, ((1,), (-1,))))
-
-    def tiled(head, tail):
-        """Each row of `head` continued by `tail` repeated, to width signs."""
-        tail = np.resize(np.array(tail, np.int8), width - head.shape[-1])
-        return np.hstack((head, np.broadcast_to(tail, head.shape[:-1] + tail.shape)))
-    catalog = tuple(parse_instructions(text) for text in NON_QUALIFYING_TAILS)
-    signs = np.concatenate(
-        [np.stack([tiled(heads, tail) for tail in tails], axis=1).reshape(-1, width)
-         for _, tails in families]
-        + [tiled(np.array(f.prefix, np.int8), f.tail_period)[None] for f in catalog])
-    tail_of = [tail for _, tails in families for _ in heads for tail in tails]
-    factors = np.repeat([factor for factor, _ in families],
-                        [len(heads) * len(tails) for _, tails in families])
+    catalog = NON_QUALIFYING_TAILS
+    signs, tail_of, factors = _tail_rows(band_length(max(n_hi, 64)).bit_length(), catalog)
 
     # every S band the families and the catalog read, each fetched once
     bands = {p: appearance.stored_band(_batch.band_first_starts, signs, p)
@@ -622,7 +642,7 @@ def verify_corollary_tails(*, n_hi: int = 64) -> VerificationOutcome:
                   "n_with_4phi": 7 + int(is4[e].argmax()),
                   "n_with_6phi": 7 + int(is6[e].argmax())} for e in range(good)]
     outcome = _run_suite("corollary-tails", 7, n_hi, check_band,
-                         details={"heads": len(heads), "tails_per_branch": 2,
+                         details={"heads": len(appearance.sign_grid(4)), "tails_per_branch": 2,
                                   "catalog_witnesses": witnesses})
     counter = outcome.counterexample
     if counter is None and good < len(catalog):
@@ -654,7 +674,7 @@ def verify_monotonicity_and_symmetry(depth: int = 8, n_max: int = 32) -> Verific
     if width > EXHAUSTIVE_DEPTH_MAX:
         raise ValueError(f"monotonicity grid width {width} exceeds the "
                          f"{EXHAUSTIVE_DEPTH_MAX}-bit budget")
-    rows, extended = appearance.sign_grid(depth), _batch.sign_grid(depth, width)
+    rows, extended = appearance.sign_grid(depth), appearance.sign_grid(depth, width)
     # S by (pattern, column) of each band; the negation of pattern i is
     # pattern 2^depth - 1 - i, so a row read in reverse holds the negated S
     bands = {}

@@ -780,7 +780,8 @@ def band_requests(draw):
         keyed = j + 3
         width = keyed + draw(st.integers(0, 2))
         if kind == "grid":
-            rows = _batch.sign_grid(keyed + draw(st.integers(0, 1)))
+            # the cached read-only grid, so that a repeat is a repeat read
+            rows = appearance_mod.sign_grid(keyed + draw(st.integers(0, 1)))
         elif kind == "sampled":
             rows = np.array(draw(st.lists(st.lists(SIGNS, min_size=width, max_size=width),
                                           min_size=1, max_size=8)), np.int8)
@@ -816,6 +817,39 @@ def test_band_store_reads_what_a_cold_kernel_call_gives(requests):
         band = appearance_mod.stored_band(kernels[name], rows, p, by_negation=by_negation)
         assert np.array_equal(per_row(band), real[name](rows, p))
     assert set(seen.values()) <= {1}
+
+
+def test_band_store_keys_a_read_only_row_set_once(monkeypatch):
+    # a read-only row set is keyed on its first read of a table and
+    # negation setting, and every repeat is handed that read's pair; a
+    # writeable array, the other setting and the other kernel's table
+    # are keyed afresh, and a freed row set's entry goes at the next keying
+    appearance_mod.clear_caches()
+    s, summary = _batch.band_first_starts, _batch.target_summary
+    rows = appearance_mod.sign_grid(7)
+    first = appearance_mod.stored_band(s, rows, 8)
+    keyed = []
+    real = appearance_mod._band_keys
+    monkeypatch.setattr(appearance_mod, "_band_keys",
+                        lambda *args: keyed.append(args[1:]) or real(*args))
+    again = appearance_mod.stored_band(s, rows, 8)
+    assert again[0] is first[0] and again[1] is first[1] and keyed == []
+    for array in again:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    copy = np.array(rows)
+    for request in ((s, copy, 8), (s, rows, 8, False), (summary, rows, 8), (s, copy, 8)):
+        assert np.array_equal(per_row(appearance_mod.stored_band(*request)),
+                              request[0](rows, 8))
+    assert keyed == [(8, True), (8, False), (8, True), (8, True)]
+    table = appearance_mod._TABLES[s, 8]
+    for _ in range(2):
+        sample = np.array(rows[::3])
+        sample.flags.writeable = False
+        appearance_mod.stored_band(s, sample, 8)
+        assert len(table.reads) == 3
+        del sample
+    appearance_mod.clear_caches()
 
 
 @pytest.mark.parametrize("kernel, chunk_name", BAND_KERNELS)
@@ -986,6 +1020,22 @@ def test_bit_length_is_exact_near_two_to_the_64():
         assert _batch._bit_length(x).tolist() == [int(v).bit_length() for v in x.tolist()], t
 
 
+def doubled_codes(bits, w):
+    """Each window's w signs packed MSB first by shift-doubling, in uint64:
+    the code of 2L signs at i is the code of L at i shifted by L, or'ed with
+    the code of L at i + L, and one more sign is shifted in for each one
+    bit of w."""
+    one = bits.astype(np.uint64)
+    codes, length = one, 1
+    for bit in bin(w)[3:]:
+        codes = (codes[:, :-length] << np.uint64(length)) | codes[:, length:]
+        length *= 2
+        if bit == "1":
+            codes = (codes[:, :-1] << np.uint64(1)) | one[:, length:]
+            length += 1
+    return codes
+
+
 def test_window_codes_equal_exactly_when_windows_are():
     # 0^64 1^64 0^63 1 0^64: equal windows of every width, and windows
     # that first differ at their last sign; then a seeded tail
@@ -997,12 +1047,38 @@ def test_window_codes_equal_exactly_when_windows_are():
         codes = _batch._window_codes(bits, w, _batch._Workspace())
         windows = np.lib.stride_tricks.sliding_window_view(bits[0], w)
         assert codes.shape == (1, len(windows)), w
+        assert np.array_equal(codes, doubled_codes(bits, w)), w
         _, window_ids = np.unique(windows, axis=0, return_inverse=True)
         assert (np.unique(codes[0], return_inverse=True)[1].ravel()
                 == window_ids.ravel()).all(), w
         # and they sort as the windows do, sign 0 first
         assert (np.argsort(codes[0], kind="stable")
                 == np.lexsort(windows.T[::-1])).all(), w
+    # every width the kernels use, on one row and on several, at lengths
+    # from too short for 8 windows of 64 signs (64..70) to band rows
+    gen = np.random.default_rng(7)
+    for w in (2, 4, 8, 16, 32, 64):
+        for length in sorted({w, w + 1, 64, 65, 70, 71, 72, 100, 7 * w - 1}):
+            if length < w:
+                continue
+            for r in (1, 3):
+                bits = gen.integers(0, 2, (r, length), dtype=np.uint8)
+                codes = _batch._window_codes(bits, w, _batch._Workspace())
+                assert codes.flags.c_contiguous, (w, length, r)
+                assert np.array_equal(codes, doubled_codes(bits, w)), (w, length, r)
+    # the chunks of both band kernels at p = 32, 64, 128 and 2048, through
+    # one workspace as a band call hands them out: full chunks, then a
+    # shorter last one, then a single row
+    for p in (32, 64, 128, 2048):
+        step, w = max(1, _batch.CHUNK_ELEMENTS // (7 * p - 1)), min(p, 64)
+        for kernel_chunk in (_batch._chunk_first_starts, _batch._chunk_target_lcp):
+            ws = _batch._Workspace()
+            for r in sorted({step, max(1, step // 3), 1}, reverse=True):
+                bits = gen.integers(0, 2, (r, 7 * p - 1), dtype=np.uint8)
+                codes = _batch._window_codes(bits, w, ws)
+                assert codes.shape == (r, 7 * p - w) and codes.flags.c_contiguous, (p, r)
+                assert np.array_equal(codes, doubled_codes(bits, w)), (p, r)
+                kernel_chunk(bits, p, ws)
 
 
 def test_grid_s_values_width_check():

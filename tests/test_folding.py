@@ -284,6 +284,20 @@ def test_sign_grid_rows_are_the_periodic_sets():
                                                   for t in range(depth)))
                 assert row == [instruction(f, t) for t in range(width)]
                 assert prefixes[i].tobytes() == _prefix_bytes(f, length)
+    # the depths and widths the suites build, each row held to the bit
+    # formula: depth and depth + 1 (the exhaustive automaton sweep's up to
+    # 13), the sampled sweep's 12-bit grids of 14..18 tracks, and the
+    # monotonicity grids of up to 12 bits; and two past 64 columns
+    shapes = {(depth, width) for depth in range(7, 19) for width in (depth, depth + 1)}
+    shapes |= {(12, width) for width in range(14, 19)}
+    shapes |= {(depth, width) for depth in range(7, 13) for width in range(depth, 13)}
+    shapes |= {(5, 70), (7, 130)}
+    for depth, width in sorted(shapes):
+        grid = _batch.sign_grid(depth, width)
+        i = np.arange(1 << depth, dtype=np.int32)[:, None]
+        want = np.where((i >> (np.arange(width) % depth)) & 1, np.int8(1), np.int8(-1))
+        assert grid.dtype == np.int8 and grid.flags.c_contiguous, (depth, width)
+        assert np.array_equal(grid, want), (depth, width)
 
 
 @given(bits=st.lists(signs, min_size=8, max_size=8),

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import inspect
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,36 @@ def test_sample_count_is_the_fewest_distinct_prefixes(clean_caches):
     theorem = verify_theorem(7, 9, "sampled")
     assert theorem.sample_count == 103
     assert verify_bounds(63, 66).sample_count == 191  # n = 63, 64 are a grid
+
+
+def choice_sample_rows(width, samples, seed):
+    """The seeded sample as one rng.choice((-1, 1)) per sign, extremal
+    streams first and repeats dropped by dict.fromkeys: the reference for
+    _sample_rows' bulk decode of the same generator."""
+    rng = random.Random(seed * 1_000_003 + width * 1_009 + samples)
+    specials = [
+        (1,) * width,
+        (-1,) * width,
+        tuple(1 if i % 2 == 0 else -1 for i in range(width)),
+        tuple(-1 if i % 2 == 0 else 1 for i in range(width)),
+    ]
+    draws = [tuple(rng.choice((-1, 1)) for _ in range(width)) for _ in range(samples)]
+    return np.array(list(dict.fromkeys(specials + draws)), dtype=np.int8)
+
+
+def test_sample_rows_are_the_choice_draws():
+    # row for row the streams of one rng.choice per sign, first
+    # occurrences kept, on every width the suites sample (1..18), from no
+    # draws up to SAMPLES_MAX, at several seeds
+    cases = [(width, samples, seed) for width in range(1, 19)
+             for samples in (0, 1, 2, 5, 200) for seed in (0, 7, verification.DEFAULT_SEED)]
+    cases += [(width, verification.SAMPLES_MAX, seed) for width in (1, 11, 18)
+              for seed in (0, verification.DEFAULT_SEED)]
+    for width, samples, seed in cases:
+        rows = verification._sample_rows.__wrapped__(width, samples, seed)
+        assert rows.dtype == np.int8 and not rows.flags.writeable
+        assert np.array_equal(rows, choice_sample_rows(width, samples, seed)), (
+            width, samples, seed)
 
 
 # --- lemmas -----------------------------------------------------------------
@@ -882,6 +913,32 @@ def test_run_all_reads_each_band_once_per_suite(clean_caches, monkeypatch):
     monkeypatch.setattr(appearance_mod._BandTable, "fill", fill)
     verification.run_all(n_max=64)
     assert counts == {"lookups": 35, "fills": 15}
+
+
+def test_run_all_keys_each_row_set_once(clean_caches, monkeypatch):
+    # a cold run_all keys each read-only row set once per band table and
+    # negation map: bounds' grids at p = 4..64 and lemma1's at p = 8..64
+    # (lemma2, lemma3 and the theorem read the same grids), corollary-tails'
+    # rows at p = 8..64 and monotonicity's grid at p = 1..32 with the map
+    # off, 5 + 4 + 4 + 6; every other of the 35 requests is a repeat.  A
+    # warm run_all keys nothing and runs no kernel.
+    calls = collections.Counter()
+    real_keys, real_chunks = appearance_mod._band_keys, _batch._by_chunks
+
+    def keys(*args):
+        calls["keys"] += 1
+        return real_keys(*args)
+
+    def chunks(*args):
+        calls["kernel"] += 1
+        return real_chunks(*args)
+    monkeypatch.setattr(appearance_mod, "_band_keys", keys)
+    monkeypatch.setattr(_batch, "_by_chunks", chunks)
+    cold = [outcome.to_json() for outcome in verification.run_all(n_max=64)]
+    assert calls == {"keys": 19, "kernel": 15}
+    calls.clear()
+    assert [outcome.to_json() for outcome in verification.run_all(n_max=64)] == cold
+    assert calls == {}
 
 
 @pytest.mark.parametrize("verify", [verify_theorem, verify_lemma_last_factor,
