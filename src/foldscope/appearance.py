@@ -42,10 +42,10 @@ S(n) for every n of a phi-band (phi/2, phi].  The one band store keeps
 it, or the lemma summary, in one table per kernel and phi-band with a
 row per key: the m + 3 signs f_0..f_(m+2) the band prefix reads (phi =
 2^m), a key and its negation as one row unless a request asks otherwise.
-Each key is scanned once per process, whichever request reads it first,
-and each read-only row set (a cached sign grid or sample) is keyed once
-per table and negation setting: every repeat read of it is handed what
-its first read returned.
+Each key is scanned once per process, whichever request reads it first.
+The tables are not bounded and evict nothing.  The reads are cached on
+the rows' bytes, the CACHE_SIZE most recent of them: a repeat read of
+equal rows, whatever the array, is handed what the first read returned.
 The verify suites read a whole band at once through stored_band and
 reduce over its rows; grid_s_values gathers one n of a grid's S band
 through its rows' index.
@@ -53,7 +53,6 @@ through its rows' index.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -201,10 +200,11 @@ def predicted_a(f: FoldingInstructions, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bulk enumeration used by the verification and classifier modules
 
-# Entries kept by each memoized grid and sample, so a long-lived process
-# holds a bounded number of them.  The band store below evicts nothing: it
-# holds at most one table per band kernel and phi-band, and each table at
-# most one row per key.
+# Entries kept by each memoized cache (the grids, the samples and the band
+# store's reads), so a long-lived process holds a bounded number of them;
+# each evicts its least recently used.  The band store's tables are not
+# bounded and evict nothing: at most one table per band kernel and
+# phi-band, and each table at most one row per key.
 CACHE_SIZE = 32
 
 
@@ -228,7 +228,7 @@ def band_index(n: int) -> int:
 # every common prefix, so a prefix and its negation read the same values,
 # and a request with the negation map on, as every suite but monotonicity
 # makes, reads only keys with f_0 = +1.  A key reaches its kernel once per
-# process (_BandTable.fill).  The store evicts nothing, but a table holds
+# process (_BandTable.fill).  The tables evict nothing, but a table holds
 # only the keys read: a grid at p = 256 fills the 1,024 keys of its half,
 # 1,024 x 128 int32 for S, 0.5 MB, and a sampled band at p = 2048 its
 # ~200 keys, 0.8 MB, not the 2^14 rows of its key space.
@@ -241,9 +241,6 @@ class _BandTable:
         self.bits = band_length(p).bit_length()
         self.filled = np.zeros(1 << self.bits, bool)
         self.values = None
-        # (id(rows), by_negation) -> (weak reference to rows, per_key,
-        # inverse) of each read-only row set read so far (stored_band)
-        self.reads = {}
 
     def rows_of(self, keys: np.ndarray) -> np.ndarray:
         """The table row of each filled key: the filled keys below it."""
@@ -257,17 +254,6 @@ class _BandTable:
             values = np.insert(self.values, np.cumsum(self.filled)[keys], values, axis=0)
         self.values = values
         self.filled[keys] = True
-
-    def keep(self, rows: np.ndarray, by_negation: bool, per_key: np.ndarray,
-             inverse: np.ndarray) -> None:
-        """Hand (per_key, inverse) to every later read of the read-only
-        `rows` with by_negation while `rows` lives, and drop what was kept
-        for row sets freed since the last call.  The references to the row
-        sets are weak and have no callback, so nothing kept here is in a
-        reference cycle: all of it is freed with the table."""
-        self.reads = {entry: kept for entry, kept in self.reads.items()
-                      if kept[0]() is not None}
-        self.reads[id(rows), by_negation] = weakref.ref(rows), per_key, inverse
 
 
 _TABLES: dict = {}
@@ -326,20 +312,24 @@ def stored_band(kernel, rows: np.ndarray, p: int, by_negation: bool = True) -> t
     are the table's first rows, as for a grid that reads every key with
     f_0 = +1 (every key, with by_negation off), per_key is the table
     itself and inverse the rows' key indices; otherwise per_key is a
-    gather of the rows read.  With by_negation off a row with f_0 = -1 reads the
-    values of its own prefix, never its negation's.
+    gather of the rows read.  With by_negation off a row with f_0 = -1
+    reads the values of its own prefix, never its negation's.
 
-    A read-only `rows`, such as a cached sign grid or sample, is taken to
-    be a row set that never changes: the table keeps the pair its first
-    read returned, for as long as that array lives, and hands it to every
-    repeat request for the same array and negation setting, with no new
-    pass over the rows or the key space."""
+    Reads are cached on the rows' bytes (_read): a repeat request with
+    equal rows, whatever the array, is handed the pair the first read
+    returned, while that read is among the CACHE_SIZE most recent.  Rows
+    that are not a 2-D int8 array raise ValueError."""
+    if rows.ndim != 2 or rows.dtype != np.int8:
+        raise ValueError(f"instruction rows must be a 2-D int8 array, "
+                         f"got {rows.ndim}-D {rows.dtype}")
+    return _read(kernel, rows.tobytes(), rows.shape, p, by_negation)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _read(kernel, data: bytes, shape: tuple, p: int, by_negation: bool) -> tuple:
+    """stored_band on the rows of `shape` whose int8 bytes are `data`."""
+    rows = np.frombuffer(data, np.int8).reshape(shape)
     table = _table(kernel, p)
-    fixed = not rows.flags.writeable
-    if fixed:
-        kept = table.reads.get((id(rows), by_negation))
-        if kept is not None and kept[0]() is rows:
-            return kept[1:]
     keys = _band_keys(rows, p, by_negation)
     read = np.zeros(len(table.filled), bool)
     read[keys] = True
@@ -353,8 +343,6 @@ def stored_band(kernel, rows: np.ndarray, p: int, by_negation: bool = True) -> t
     first_rows = not len(at) or at[-1] == len(at) - 1
     per_key = table.values[:len(at)] if first_rows else table.values[at]
     per_key.flags.writeable = inverse.flags.writeable = False
-    if fixed:
-        table.keep(rows, by_negation, per_key, inverse)
     return per_key, inverse
 
 
@@ -391,7 +379,8 @@ def _s_from_prefix(prefix: bytes, n: int) -> int:
 
 
 def clear_caches():
-    """Drop the band store and the memoized grids (used by tests that patch
-    the scan internals)."""
+    """Drop the band store, its cached reads and the memoized grids (used
+    by tests that patch the scan internals)."""
     _TABLES.clear()
+    _read.cache_clear()
     sign_grid.cache_clear()

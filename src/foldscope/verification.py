@@ -19,7 +19,10 @@ form, which reads only the two bits that matter.
 
 Each grid suite reads its grid whole through one accessor, _grid(n, ...)
 -> (depth, rows): rows is a read-only int8 array (the sign grid, built
-once per depth, or the cached seeded sample).  The skeleton, _run_suite,
+once per depth, or the cached seeded sample).  The store caches its reads
+on the rows' bytes, so a row set need not be cached or read-only for a
+repeat read to be a cache hit: corollary-tails builds its rows afresh on
+each call and reads the bands of its first call.  The skeleton, _run_suite,
 hands each suite the n of one phi-band at a time, and the suite reads
 that band once from the band store (appearance.stored_band): S from the
 band kernel, which builds the rows' band prefixes chunk by chunk, and for
@@ -241,7 +244,6 @@ def _check_samples(samples):
 
 def clear_caches():
     _sample_rows.cache_clear()
-    _tail_rows.cache_clear()
     appearance.clear_caches()
 
 
@@ -573,10 +575,9 @@ def verify_theorem(n_lo: int = 7, n_hi: int = 64, mode: str = "exhaustive", *,
 NON_QUALIFYING_TAILS = ("+;++-", "-;--+", "++;++--", "+-+-;+++-", "+;+-+")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _tail_rows(width: int, catalog: tuple) -> tuple:
     """(rows, tails, factors) of verify_corollary_tails: its instruction
-    rows to `width` signs as one read-only int8 array, family rows then
+    rows to `width` signs as one int8 array, family rows then
     the rows of the catalog's texts, so that both read the same bands,
     f_0..f_(m+2) of the top band, phi = 2^m; and each family row's tail
     and S / phi.  A family row is a head of four signs then its tail
@@ -595,7 +596,6 @@ def _tail_rows(width: int, catalog: tuple) -> tuple:
            for f in map(parse_instructions, catalog)])
     factors = np.repeat([factor for factor, _ in families],
                         [len(heads) * len(tails) for _, tails in families])
-    rows.flags.writeable = factors.flags.writeable = False
     return rows, tuple(tail for _, tails in families for _ in heads for tail in tails), factors
 
 

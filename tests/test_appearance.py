@@ -771,16 +771,22 @@ def band_requests(draw):
     """Band store requests (kernel name, p, rows, by_negation) at one or
     two p = 2^j <= 256, in any order: grids of m + 3 or m + 4 bits (to p =
     64), a few random rows, and corollary-style rows, a head of four signs
-    then a periodic tail, each read with the negation map on or off."""
+    then a periodic tail, each read with the negation map on or off; and
+    repeats of earlier requests, their rows a writable copy or a strided
+    view, after whatever the requests between them filled."""
     js = draw(st.lists(st.integers(0, 8), min_size=1, max_size=2, unique=True))
     requests = []
     for _ in range(draw(st.integers(1, 6))):
+        if requests and draw(st.booleans()):
+            name, p, rows, by_negation = draw(st.sampled_from(requests))
+            rows = np.array(rows) if draw(st.booleans()) else np.repeat(rows, 2, axis=0)[::2]
+            requests.append((name, p, rows, by_negation))
+            continue
         j = draw(st.sampled_from(js))
         kind = draw(st.sampled_from(("grid", "sampled", "corollary")[j > 6:]))
         keyed = j + 3
         width = keyed + draw(st.integers(0, 2))
         if kind == "grid":
-            # the cached read-only grid, so that a repeat is a repeat read
             rows = appearance_mod.sign_grid(keyed + draw(st.integers(0, 1)))
         elif kind == "sampled":
             rows = np.array(draw(st.lists(st.lists(SIGNS, min_size=width, max_size=width),
@@ -819,11 +825,12 @@ def test_band_store_reads_what_a_cold_kernel_call_gives(requests):
     assert set(seen.values()) <= {1}
 
 
-def test_band_store_keys_a_read_only_row_set_once(monkeypatch):
-    # a read-only row set is keyed on its first read of a table and
-    # negation setting, and every repeat is handed that read's pair; a
-    # writeable array, the other setting and the other kernel's table
-    # are keyed afresh, and a freed row set's entry goes at the next keying
+def test_band_store_keys_equal_rows_once(monkeypatch):
+    # a read is keyed on its first request for a kernel, rows' bytes and
+    # negation setting, and every repeat with equal rows, a writable copy
+    # as well, is handed that read's pair; the other setting and the other
+    # kernel's table are keyed once each, the cache holds at most
+    # CACHE_SIZE reads, and a read it evicted is keyed again, to equal values
     appearance_mod.clear_caches()
     s, summary = _batch.band_first_starts, _batch.target_summary
     rows = appearance_mod.sign_grid(7)
@@ -832,23 +839,48 @@ def test_band_store_keys_a_read_only_row_set_once(monkeypatch):
     real = appearance_mod._band_keys
     monkeypatch.setattr(appearance_mod, "_band_keys",
                         lambda *args: keyed.append(args[1:]) or real(*args))
-    again = appearance_mod.stored_band(s, rows, 8)
-    assert again[0] is first[0] and again[1] is first[1] and keyed == []
-    for array in again:
+    for equal in (rows, np.array(rows)):
+        again = appearance_mod.stored_band(s, equal, 8)
+        assert again[0] is first[0] and again[1] is first[1]
+    assert keyed == []
+    for array in first:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    copy = np.array(rows)
-    for request in ((s, copy, 8), (s, rows, 8, False), (summary, rows, 8), (s, copy, 8)):
-        assert np.array_equal(per_row(appearance_mod.stored_band(*request)),
-                              request[0](rows, 8))
-    assert keyed == [(8, True), (8, False), (8, True), (8, True)]
-    table = appearance_mod._TABLES[s, 8]
     for _ in range(2):
-        sample = np.array(rows[::3])
-        sample.flags.writeable = False
-        appearance_mod.stored_band(s, sample, 8)
-        assert len(table.reads) == 3
-        del sample
+        for request in ((s, rows, 8, False), (summary, rows, 8)):
+            assert np.array_equal(per_row(appearance_mod.stored_band(*request)),
+                                  request[0](rows, 8))
+    assert keyed == [(8, False), (8, True)]
+    cache_size = appearance_mod.CACHE_SIZE
+    for count in range(1, cache_size + 1):
+        appearance_mod.stored_band(s, rows[:count], 8)
+        assert appearance_mod._read.cache_info().currsize <= cache_size
+    keyed.clear()
+    evicted = appearance_mod.stored_band(s, rows, 8)
+    assert keyed == [(8, True)] and evicted[0] is not first[0]
+    assert all(np.array_equal(*pair) for pair in zip(evicted, first))
+    appearance_mod.clear_caches()
+
+
+def test_band_store_reads_the_signs_of_any_int8_view(monkeypatch):
+    # a strided view, or one wider than the m + 3 key bits, reads what its
+    # contiguous copy reads, from that copy's cache entry; rows that are
+    # not a 2-D int8 array are refused, never read as other signs
+    appearance_mod.clear_caches()
+    s = _batch.band_first_starts
+    grid = appearance_mod.sign_grid(8)
+    for view in (grid[::2], grid[:, :7], grid[::-3, 1:]):
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous
+        band = appearance_mod.stored_band(s, copy, 8)
+        assert np.array_equal(per_row(band), s(copy, 8))
+        monkeypatch.setattr(appearance_mod, "_band_keys", None)  # no keying
+        again = appearance_mod.stored_band(s, view, 8)
+        assert again[0] is band[0] and again[1] is band[1]
+        monkeypatch.undo()
+    for rows in (grid.astype(np.int64), grid[0], grid[None]):
+        with pytest.raises(ValueError, match="2-D int8"):
+            appearance_mod.stored_band(s, rows, 8)
     appearance_mod.clear_caches()
 
 
